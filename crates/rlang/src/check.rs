@@ -364,7 +364,8 @@ mod tests {
             ]),
             vec![VarType::Region, VarType::Ptr(StructId(0)), VarType::Ptr(StructId(0))],
         ));
-        let mut a = crate::infer::analyse(&p);
+        let analysed = crate::infer::analyse(&p);
+        let mut a = analysed.clone();
         // Forge: claim the result is always in the argument's region.
         a.summaries[f.0 as usize].output = crate::ConstraintSet::from_facts([Fact::Eq(
             RegionExpr::Abstract(RhoId(0)),
@@ -372,5 +373,18 @@ mod tests {
         )]);
         let violations = crate::infer::validate(&p, &a);
         assert!(!violations.is_empty(), "forged output summary must be caught");
+
+        // Forge: demand a null argument, which the caller's fresh object
+        // is not.
+        let mut a = analysed;
+        a.summaries[f.0 as usize].input =
+            crate::ConstraintSet::from_facts([Fact::IsTop(RegionExpr::Abstract(RhoId(0)))]);
+        let violations = crate::infer::validate(&p, &a);
+        let call = violations
+            .iter()
+            .find(|v| v.starts_with("call to `id` in `main`"))
+            .expect("forged input summary must be caught at the call site");
+        let expected = "call to `id` in `main`: input summary not entailed (need ρ1 = ⊤, have ";
+        assert!(call.starts_with(expected), "{call}");
     }
 }

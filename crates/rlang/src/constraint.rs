@@ -21,7 +21,7 @@
 //! A set that discovers a contradiction (e.g. `σ = ⊤` and `σ ≠ ⊤`)
 //! describes an unreachable program point and entails everything.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::types::{Fact, RegionExpr, RhoId};
 
@@ -77,14 +77,7 @@ impl ConstraintSet {
 
     /// Adds a fact (and saturates).
     pub fn add(&mut self, fact: Fact) {
-        if self.contradictory {
-            return;
-        }
-        if let Some(f) = fact.normalise() {
-            if self.facts.insert(f) {
-                self.saturate_from(vec![f]);
-            }
-        }
+        self.add_all([fact]);
     }
 
     /// Conjoins another set.
@@ -92,14 +85,11 @@ impl ConstraintSet {
         if self.contradictory {
             return;
         }
-        let mut fresh = Vec::new();
-        for fact in other {
-            if let Some(f) = fact.normalise() {
-                if self.facts.insert(f) {
-                    fresh.push(f);
-                }
-            }
-        }
+        let fresh: Vec<Fact> = other
+            .into_iter()
+            .filter_map(Fact::normalise)
+            .filter(|f| !self.facts.contains(f))
+            .collect();
         if !fresh.is_empty() {
             self.saturate_from(fresh);
         }
@@ -110,82 +100,100 @@ impl ConstraintSet {
         self.facts.clear();
     }
 
-    /// Closes the set under the saturation rules. All rules are sound for
-    /// the heap model of Figure 4 (regions ordered by the subregion
-    /// relation, ⊤ above everything, constants denoting distinct live
-    /// regions).
-    /// (Only the closedness assertion in [`ConstraintSet::meet`] still
-    /// saturates from scratch; incremental callers use
+    /// Re-derives the closure of the set's facts, starting from the empty
+    /// set. (Only the closedness assertion in [`ConstraintSet::meet`]
+    /// needs this; incremental callers use
     /// [`ConstraintSet::saturate_from`].)
     #[cfg(debug_assertions)]
     fn saturate(&mut self) {
-        let all: Vec<Fact> = self.facts.iter().copied().collect();
+        let all: Vec<Fact> = std::mem::take(&mut self.facts).into_iter().collect();
         self.saturate_from(all);
     }
 
-    /// Semi-naive closure: `pending` holds facts already inserted but not
-    /// yet used as rule premises. Only rule instances with at least one
-    /// pending premise can derive anything new — an instance over two
-    /// settled facts already fired when the later of them was pending —
-    /// so each round pairs pending facts against the whole set instead of
-    /// squaring the set. The universe of mentioned expressions never
-    /// grows, so the closure terminates.
-    fn saturate_from(&mut self, mut pending: Vec<Fact>) {
-        while !pending.is_empty() {
-            if self.contradictory {
-                return;
+    /// Conjoins the normalised facts `work` and closes the set under the
+    /// saturation rules. All rules are sound for the heap model of
+    /// Figure 4 (regions ordered by the subregion relation, ⊤ above
+    /// everything, constants denoting distinct live regions).
+    ///
+    /// Semi-naive worklist closure over a premise index. The set is closed
+    /// on entry, so only rule instances with a fresh premise can derive
+    /// anything new. A fact becomes a premise when it is inserted: it is
+    /// indexed under every expression it mentions and paired with the
+    /// indexed facts that share one, so the later-inserted premise of any
+    /// instance meets the earlier one. That suffices because every binary
+    /// rule except ⊤-weakening (`σ = ⊤` with *any* expression σ₂ of the
+    /// set) needs premises that share an expression. ⊤-weakening instead
+    /// fires when an `IsTop` fact is inserted, over every indexed
+    /// expression, and when an expression first enters the index, over
+    /// every `IsTop` fact. No rule mentions an expression its premises do
+    /// not, so the expressions are finite and the closure terminates.
+    fn saturate_from(&mut self, mut work: Vec<Fact>) {
+        let mut index: BTreeMap<RegionExpr, Vec<Fact>> = BTreeMap::new();
+        let mut tops: Vec<RegionExpr> = Vec::new();
+        for &f in &self.facts {
+            if let Fact::IsTop(a) = f {
+                tops.push(a);
             }
-            let mut new: Vec<Fact> = Vec::new();
-
-            for &f in &pending {
-                match f {
-                    // σ = ⊤ for a region constant: impossible.
-                    Fact::IsTop(RegionExpr::Const(_)) => return self.set_contradictory(),
-                    // Distinct constants are distinct regions.
-                    Fact::Eq(RegionExpr::Const(a), RegionExpr::Const(b)) if a != b => {
-                        return self.set_contradictory()
-                    }
-                    // Direct contradiction against the settled facts.
-                    Fact::IsTop(a) if self.facts.contains(&Fact::NotTop(a)) => {
-                        return self.set_contradictory()
-                    }
-                    Fact::NotTop(a) if self.facts.contains(&Fact::IsTop(a)) => {
-                        return self.set_contradictory()
-                    }
-                    _ => {}
-                }
-
-                // Unary weakenings. These keep the set closed downward so
-                // that the syntactic intersection in `meet` loses nothing a
-                // common weaker fact could save.
-                if let Fact::Eq(a, b) = f {
-                    // Equal ⇒ null-or-equal (both ways) and mutually ≤.
-                    new.extend(Fact::EqOrNull(a, b).normalise());
-                    new.extend(Fact::EqOrNull(b, a).normalise());
-                    new.extend(Fact::Sub(a, b).normalise());
-                    new.extend(Fact::Sub(b, a).normalise());
-                }
-                // Constants are never ⊤.
-                for e in f.exprs() {
-                    if matches!(e, RegionExpr::Const(_)) {
-                        new.extend(Fact::NotTop(e).normalise());
-                    }
-                }
+            for e in f.exprs() {
+                index.entry(e).or_default().push(f);
             }
+        }
 
-            let settled: Vec<Fact> = self.facts.iter().copied().collect();
-            for &f in &pending {
-                for &g in &settled {
-                    derive(f, g, &mut new);
-                    derive(g, f, &mut new);
+        while let Some(f) = work.pop() {
+            if !self.facts.insert(f) {
+                continue;
+            }
+            match f {
+                // σ = ⊤ for a region constant: impossible.
+                Fact::IsTop(RegionExpr::Const(_)) => return self.set_contradictory(),
+                // Distinct constants are distinct regions.
+                Fact::Eq(RegionExpr::Const(a), RegionExpr::Const(b)) if a != b => {
+                    return self.set_contradictory()
                 }
+                // Direct contradiction against the facts already held.
+                Fact::IsTop(a) if self.facts.contains(&Fact::NotTop(a)) => {
+                    return self.set_contradictory()
+                }
+                Fact::NotTop(a) if self.facts.contains(&Fact::IsTop(a)) => {
+                    return self.set_contradictory()
+                }
+                _ => {}
             }
 
-            pending.clear();
-            for fact in new {
-                if !self.facts.contains(&fact) {
-                    self.facts.insert(fact);
-                    pending.push(fact);
+            // Unary weakenings. These keep the set closed downward so that
+            // the syntactic intersection in `meet` loses nothing a common
+            // weaker fact could save.
+            if let Fact::Eq(a, b) = f {
+                // Equal ⇒ null-or-equal (both ways) and mutually ≤.
+                work.extend(Fact::EqOrNull(a, b).normalise());
+                work.extend(Fact::EqOrNull(b, a).normalise());
+                work.extend(Fact::Sub(a, b).normalise());
+                work.extend(Fact::Sub(b, a).normalise());
+            }
+            // Constants are never ⊤.
+            for e in f.exprs() {
+                if matches!(e, RegionExpr::Const(_)) {
+                    work.extend(Fact::NotTop(e).normalise());
+                }
+            }
+
+            if let Fact::IsTop(a) = f {
+                tops.push(a);
+                for &b in index.keys() {
+                    weaken_top(a, b, &mut work);
+                }
+            }
+            for e in f.exprs() {
+                let sharing = index.entry(e).or_default();
+                if sharing.is_empty() {
+                    for &a in &tops {
+                        weaken_top(a, e, &mut work);
+                    }
+                }
+                sharing.push(f);
+                for &g in sharing.iter() {
+                    derive(f, g, &mut work);
+                    derive(g, f, &mut work);
                 }
             }
         }
@@ -260,16 +268,17 @@ impl ConstraintSet {
         // contradiction derivable from a subset would be derivable in
         // either operand. So no re-saturation is needed, which matters:
         // `meet` runs at every join and loop iteration of the dataflow,
-        // and saturation is quadratic in the fact count even when it
-        // derives nothing (debug builds assert the no-op).
+        // and re-saturating pairs every fact with the facts sharing an
+        // expression even when it derives nothing (debug builds assert
+        // the no-op).
         let out = ConstraintSet {
             facts: self.facts.intersection(&other.facts).copied().collect(),
             contradictory: false,
         };
         // Debug builds re-derive the closure to verify the argument —
         // but only for small sets: the whole point of skipping saturation
-        // is that it is quadratic, and the unit-test-sized sets this
-        // bound admits already exercise every rule.
+        // is its cost, and the unit-test-sized sets this bound admits
+        // already exercise every rule.
         #[cfg(debug_assertions)]
         if out.facts.len() <= 24 {
             let mut check = out.clone();
@@ -349,13 +358,8 @@ impl std::fmt::Display for ConstraintSet {
     }
 }
 
-/// Rewrites one occurrence side of `g` replacing expression `from` with
-/// `to` (equality congruence helper).
-/// All binary saturation rules, in the ordered form `(f, g)`; callers
-/// fire both orders. The ⊤-weakening over the expression universe runs
-/// here in pairwise form (`f = IsTop`, the universe elements being `g`'s
-/// mentioned expressions), which reaches the same closure: the universe
-/// is exactly the union of every fact's expressions.
+/// The binary saturation rules whose premises share an expression, in the
+/// ordered form `(f, g)`; callers fire both orders.
 fn derive(f: Fact, g: Fact, new: &mut Vec<Fact>) {
     // Equality congruence: rewrite g by f's equality, in both directions.
     if let Fact::Eq(a, b) = f {
@@ -397,16 +401,19 @@ fn derive(f: Fact, g: Fact, new: &mut Vec<Fact>) {
             new.extend(Fact::NotTop(c).normalise());
         }
     }
-    if let Fact::IsTop(a) = f {
-        for b in g.exprs() {
-            // σ = ⊤ ⇒ (σ = ⊤ ∨ σ = σ₂) for any σ₂.
-            new.extend(Fact::EqOrNull(a, b).normalise());
-            // σ = ⊤ ⇒ σ₂ ≤ σ for any σ₂ (everything ≤ ⊤).
-            new.extend(Fact::Sub(b, a).normalise());
-        }
-    }
 }
 
+/// ⊤-weakening of `a = ⊤` by the expression `b`; the saturated set applies
+/// it for every expression its facts mention.
+fn weaken_top(a: RegionExpr, b: RegionExpr, new: &mut Vec<Fact>) {
+    // σ = ⊤ ⇒ (σ = ⊤ ∨ σ = σ₂) for any σ₂.
+    new.extend(Fact::EqOrNull(a, b).normalise());
+    // σ = ⊤ ⇒ σ₂ ≤ σ for any σ₂ (everything ≤ ⊤).
+    new.extend(Fact::Sub(b, a).normalise());
+}
+
+/// Rewrites `g`, replacing expression `from` with `to` (equality
+/// congruence helper).
 fn rewrite(g: Fact, from: RegionExpr, to: RegionExpr) -> Option<Fact> {
     let r = |e: RegionExpr| if e == from { to } else { e };
     let out = match g {
@@ -570,5 +577,194 @@ mod tests {
         assert_eq!(ConstraintSet::empty().to_string(), "true");
         let s = ConstraintSet::from_facts([Fact::NotTop(rho(0))]);
         assert!(s.to_string().contains("≠"));
+    }
+
+    /// Brute-force reference saturator: rounds that pair every pending
+    /// fact (already inserted) with every fact of the set, both orders,
+    /// with ⊤-weakening over every expression of the partner fact. No
+    /// index, so it cannot miss an instance whose premises share nothing.
+    fn reference_saturate_from(s: &mut ConstraintSet, mut pending: Vec<Fact>) {
+        while !pending.is_empty() {
+            let mut new: Vec<Fact> = Vec::new();
+            for &f in &pending {
+                let contradiction = match f {
+                    Fact::IsTop(RegionExpr::Const(_)) => true,
+                    Fact::Eq(RegionExpr::Const(a), RegionExpr::Const(b)) => a != b,
+                    Fact::IsTop(a) => s.facts.contains(&Fact::NotTop(a)),
+                    Fact::NotTop(a) => s.facts.contains(&Fact::IsTop(a)),
+                    _ => false,
+                };
+                if contradiction {
+                    return s.set_contradictory();
+                }
+                if let Fact::Eq(a, b) = f {
+                    new.extend(Fact::EqOrNull(a, b).normalise());
+                    new.extend(Fact::EqOrNull(b, a).normalise());
+                    new.extend(Fact::Sub(a, b).normalise());
+                    new.extend(Fact::Sub(b, a).normalise());
+                }
+                for e in f.exprs() {
+                    if matches!(e, RegionExpr::Const(_)) {
+                        new.extend(Fact::NotTop(e).normalise());
+                    }
+                }
+            }
+            let settled: Vec<Fact> = s.facts.iter().copied().collect();
+            for &f in &pending {
+                for &g in &settled {
+                    for (p, q) in [(f, g), (g, f)] {
+                        derive(p, q, &mut new);
+                        if let Fact::IsTop(a) = p {
+                            for b in q.exprs() {
+                                weaken_top(a, b, &mut new);
+                            }
+                        }
+                    }
+                }
+            }
+            pending.clear();
+            for fact in new {
+                if s.facts.insert(fact) {
+                    pending.push(fact);
+                }
+            }
+        }
+    }
+
+    fn reference_add_all(s: &mut ConstraintSet, facts: impl IntoIterator<Item = Fact>) {
+        if s.contradictory {
+            return;
+        }
+        let mut fresh = Vec::new();
+        for f in facts.into_iter().filter_map(Fact::normalise) {
+            if s.facts.insert(f) {
+                fresh.push(f);
+            }
+        }
+        reference_saturate_from(s, fresh);
+    }
+
+    fn reference_from_facts(facts: impl IntoIterator<Item = Fact>) -> ConstraintSet {
+        let mut s = ConstraintSet::empty();
+        reference_add_all(&mut s, facts);
+        s
+    }
+
+    /// SplitMix64, so every case reproduces by seed.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// ρ0..ρ7, two constants or ⊤.
+        fn expr(&mut self) -> RegionExpr {
+            match self.below(11) {
+                8 => RT,
+                9 => RegionExpr::Const(ConstId(1)),
+                10 => RegionExpr::Top,
+                i => rho(i as u32),
+            }
+        }
+
+        /// Up to `max` facts, charged to the seed's `budget`.
+        fn facts(&mut self, budget: &mut u64, max: u64) -> Vec<Fact> {
+            let n = self.below((*budget).min(max) + 1);
+            *budget -= n;
+            (0..n).map(|_| self.fact()).collect()
+        }
+
+        /// `IsTop` is rare so that most sets stay consistent.
+        fn fact(&mut self) -> Fact {
+            let (a, b) = (self.expr(), self.expr());
+            match self.below(10) {
+                0 => Fact::IsTop(a),
+                1 | 2 => Fact::NotTop(a),
+                3..=5 => Fact::Sub(a, b),
+                6 | 7 => Fact::EqOrNull(a, b),
+                _ => Fact::Eq(a, b),
+            }
+        }
+    }
+
+    /// The indexed worklist computes exactly the brute-force closure. Each
+    /// seed builds sets through every saturating entry point, interleaved
+    /// with the operations that shrink or rewrite a set, mirroring each
+    /// step on reference sets that only the pairwise saturator ever
+    /// closed, and compares facts and contradiction flag after every step.
+    #[test]
+    fn indexed_saturation_equals_reference_closure() {
+        const FACT_BUDGET: u64 = 24;
+        let (mut consistent, mut contradictory, mut with_top) = (0, 0, 0);
+        for seed in 0..512u64 {
+            let mut rng = SplitMix64(seed);
+            let mut budget = FACT_BUDGET;
+            let first = rng.facts(&mut budget, 8);
+            let mut pool: Vec<(ConstraintSet, ConstraintSet)> =
+                vec![(ConstraintSet::from_facts(first.clone()), reference_from_facts(first))];
+            for step in 0..12 {
+                let i = rng.below(pool.len() as u64) as usize;
+                let (s, r) = &mut pool[i];
+                match rng.below(6) {
+                    0 => {
+                        for f in rng.facts(&mut budget, 1) {
+                            s.add(f);
+                            reference_add_all(r, [f]);
+                        }
+                    }
+                    1 => {
+                        let facts = rng.facts(&mut budget, 8);
+                        s.add_all(facts.clone());
+                        reference_add_all(r, facts);
+                    }
+                    2 => {
+                        let killed = RhoId(rng.below(8) as u32);
+                        s.kill_rho(killed);
+                        r.kill_rho(killed);
+                    }
+                    3 => {
+                        let j = rng.below(pool.len() as u64) as usize;
+                        let met = (pool[i].0.meet(&pool[j].0), pool[i].1.meet(&pool[j].1));
+                        pool.push(met);
+                    }
+                    4 => {
+                        let map: Vec<RegionExpr> = (0..rng.below(5)).map(|_| rng.expr()).collect();
+                        let inst = s.subst(&map);
+                        let reference = if r.contradictory {
+                            r.clone()
+                        } else {
+                            reference_from_facts(r.facts.iter().filter_map(|f| f.subst(&map)))
+                        };
+                        pool.push((inst, reference));
+                    }
+                    _ => {
+                        let facts = rng.facts(&mut budget, 8);
+                        pool.push((
+                            ConstraintSet::from_facts(facts.clone()),
+                            reference_from_facts(facts),
+                        ));
+                    }
+                }
+                for (k, (s, r)) in pool.iter().enumerate() {
+                    assert_eq!(s, r, "seed {seed}, step {step}, set {k}");
+                }
+            }
+            for (s, _) in &pool {
+                if s.is_contradictory() {
+                    contradictory += 1;
+                } else {
+                    consistent += 1;
+                    with_top += usize::from(s.facts().any(|f| matches!(f, Fact::IsTop(_))));
+                }
+            }
+        }
+        // Not vacuous: both outcomes occur, and ⊤-weakening has work.
+        assert!(consistent > 1000 && contradictory > 200, "{consistent} / {contradictory}");
+        assert!(with_top > 200, "{with_top} consistent sets hold an IsTop fact");
     }
 }

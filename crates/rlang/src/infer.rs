@@ -708,7 +708,8 @@ impl Ctx<'_> {
                         self.summaries[gid.0 as usize].input.subst(&subst[..n]);
                     if !d.entails_all(&obligation) {
                         violations.push(format!(
-                            "call to `{}` in `{}`: input summary not entailed                              (need {}, have {})",
+                            "call to `{}` in `{}`: input summary not entailed \
+                             (need {}, have {})",
                             g.name, self.func.name, obligation, d
                         ));
                     }
