@@ -80,7 +80,7 @@ pub struct FaultRun {
     /// Configuration display name (Figure 7 column).
     pub config: String,
     /// How the run ended: `exit`, `trapped`, `aborted`, `assert-failed`,
-    /// `step-limit` or `panicked`.
+    /// `step-limit`, `stack-overflow` or `panicked`.
     pub outcome: String,
     /// The typed error's stable kind tag, for trapped/aborted runs.
     pub error_kind: Option<String>,
@@ -282,6 +282,7 @@ fn cell_of(workload: &str, scenario: &str, config: &str, r: &RunResult) -> Fault
         Outcome::Aborted(e) => ("aborted", Some(e.kind_name().to_string())),
         Outcome::AssertFailed => ("assert-failed", None),
         Outcome::StepLimit => ("step-limit", None),
+        Outcome::StackOverflow => ("stack-overflow", None),
     };
     let first = r.faults.as_ref().and_then(|f| f.first());
     FaultRun {

@@ -67,6 +67,7 @@ pub fn outcome_key(o: &Outcome) -> String {
         Outcome::Trapped(e) => format!("trap:{}", e.kind_name()),
         Outcome::AssertFailed => "assert-failed".to_string(),
         Outcome::StepLimit => "step-limit".to_string(),
+        Outcome::StackOverflow => "stack-overflow".to_string(),
     }
 }
 

@@ -269,6 +269,7 @@ pub fn outcome_key(o: &Outcome) -> String {
         Outcome::Trapped(e) => format!("trap:{}", e.kind_name()),
         Outcome::AssertFailed => "assert-failed".to_string(),
         Outcome::StepLimit => "step-limit".to_string(),
+        Outcome::StackOverflow => "stack-overflow".to_string(),
     }
 }
 
@@ -774,5 +775,6 @@ int main() deletes {
         assert_eq!(outcome_key(&Outcome::Exit(7)), "exit:7");
         assert_eq!(outcome_key(&Outcome::AssertFailed), "assert-failed");
         assert_eq!(outcome_key(&Outcome::StepLimit), "step-limit");
+        assert_eq!(outcome_key(&Outcome::StackOverflow), "stack-overflow");
     }
 }

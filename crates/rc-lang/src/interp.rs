@@ -63,6 +63,9 @@ pub enum Outcome {
     AssertFailed,
     /// The step budget was exhausted.
     StepLimit,
+    /// The call stack grew past 2,000 frames. Like the step budget, the
+    /// limit is deterministic, so it is neither trapped nor retried.
+    StackOverflow,
 }
 
 impl Outcome {
@@ -349,6 +352,7 @@ fn halt_outcome(h: Halt) -> Outcome {
         Halt::Abort(e) => Outcome::Aborted(e),
         Halt::AssertFailed => Outcome::AssertFailed,
         Halt::StepLimit => Outcome::StepLimit,
+        Halt::StackOverflow => Outcome::StackOverflow,
     }
 }
 
@@ -405,6 +409,7 @@ enum Halt {
     Abort(RtError),
     AssertFailed,
     StepLimit,
+    StackOverflow,
 }
 
 enum Flow {
@@ -723,6 +728,15 @@ where
         Ok(())
     }
 
+    /// Pops the frame that overflowed. Out of line and cold so that the
+    /// hot path of [`Interp::call`] stays small.
+    #[cold]
+    #[inline(never)]
+    fn stack_overflow(&mut self) -> Halt {
+        self.frames.pop();
+        Halt::StackOverflow
+    }
+
     fn func(&self, f: FuncRef) -> &'c HFunc {
         &self.c.module.funcs[f.0 as usize]
     }
@@ -747,8 +761,7 @@ where
         }
         self.frames.push(frame);
         if self.frames.len() > 2_000 {
-            self.frames.pop();
-            return Err(Halt::Abort(RtError::OutOfMemory));
+            return Err(self.stack_overflow());
         }
 
         let mut result = Ok(Value::Int(0));
@@ -2252,6 +2265,23 @@ mod tests {
         cfg.step_limit = 10_000;
         let r = run(&c, &cfg);
         assert_eq!(r.outcome, Outcome::StepLimit);
+    }
+
+    #[test]
+    fn deep_recursion_is_a_stack_overflow_even_when_trapping() {
+        let src = r#"
+            int down(int n) { if (n == 0) { return 0; } return down(n - 1) + 1; }
+            int main() { return down(3000); }
+        "#;
+        let c = prepare(src).unwrap();
+        for cfg in [RunConfig::default(), RunConfig::default().trapping()] {
+            let r = run_audited(&c, &cfg);
+            assert_eq!(r.outcome, Outcome::StackOverflow, "{:?}", cfg.on_fault);
+            assert!(matches!(r.audit, Some(Ok(()))), "{:?}", r.audit);
+        }
+        // Within the limit the same program completes.
+        let shallow = prepare(&src.replace("3000", "1000")).unwrap();
+        assert_eq!(run(&shallow, &RunConfig::default()).outcome, Outcome::Exit(1000));
     }
 
     #[test]

@@ -237,7 +237,7 @@ pub struct AttemptReport {
     /// Virtual-cycle backoff burned before this attempt started.
     pub backoff_cycles: u64,
     /// How the attempt ended: `exit`, `trapped`, `aborted`,
-    /// `assert-failed` or `step-limit`.
+    /// `assert-failed`, `step-limit` or `stack-overflow`.
     pub outcome: String,
     /// The typed error's stable kind tag, for trapped/aborted attempts.
     pub error_kind: Option<String>,
@@ -444,6 +444,7 @@ pub fn supervise_compiled(
             Outcome::Aborted(e) => ("aborted", Some(e.kind_name().to_string())),
             Outcome::AssertFailed => ("assert-failed", None),
             Outcome::StepLimit => ("step-limit", None),
+            Outcome::StackOverflow => ("stack-overflow", None),
         };
         let first = r.faults.as_ref().and_then(|f| f.first());
         // The checkpoint is the last capture: the pre-unwind trap
@@ -576,6 +577,19 @@ mod tests {
         // Backoff schedule consumed.
         assert_eq!(rep.attempts[1].backoff_cycles, 1_000);
         assert_eq!(rep.backoff_cycles, 1_000);
+        assert!(rep.final_exit.is_none());
+    }
+
+    #[test]
+    fn stack_overflow_is_unrecoverable_after_one_attempt() {
+        let src = r#"
+            int down(int n) { if (n == 0) { return 0; } return down(n - 1) + 1; }
+            int main() { return down(3000); }
+        "#;
+        let rep = supervise(src, &RunConfig::rc_inf(), &RecoveryPolicy::standard()).unwrap();
+        assert_eq!(rep.outcome, SupervisionOutcome::Unrecoverable);
+        assert_eq!(rep.attempts.len(), 1);
+        assert_eq!(rep.attempts[0].outcome, "stack-overflow");
         assert!(rep.final_exit.is_none());
     }
 

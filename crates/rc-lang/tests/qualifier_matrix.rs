@@ -422,6 +422,7 @@ fn outcome_key(o: &Outcome) -> String {
         Outcome::Trapped(e) => format!("trap:{}", e.kind_name()),
         Outcome::AssertFailed => "assert-failed".to_string(),
         Outcome::StepLimit => "step-limit".to_string(),
+        Outcome::StackOverflow => "stack-overflow".to_string(),
     }
 }
 

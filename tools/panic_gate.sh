@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Panic gate: non-test region-rt and rlang code must not gain new panic
-# sites.
+# Panic gate: non-test region-rt, rlang and rc-lang code must not gain new
+# panic sites.
 #
-# Scans crates/region-rt/src/ and crates/rlang/src/ (tests stripped — each
-# file keeps its #[cfg(test)] module at the end) for panic!/unreachable!/todo!/
-# unimplemented!/.unwrap()/.expect( and fails if any occurrence is not
-# vetted in tools/panic_allowlist.txt. Allowlist entries are exact
-# "<file>.rs: <trimmed source line>" strings, so moving a vetted site is
-# fine but changing or adding one trips the gate and forces review.
+# Scans crates/region-rt/src/, crates/rlang/src/ and crates/rc-lang/src/
+# (tests stripped — each file keeps its #[cfg(test)] module at the end) for
+# panic!/unreachable!/todo!/unimplemented!/.unwrap()/.expect( and fails if
+# any occurrence is not vetted in tools/panic_allowlist.txt. Allowlist
+# entries are exact "<file>.rs: <trimmed source line>" strings, so moving a
+# vetted site is fine but changing or adding one trips the gate and forces
+# review.
 # See docs/ROBUSTNESS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,7 +17,8 @@ allowlist=tools/panic_allowlist.txt
 status=0
 shopt -s nullglob
 
-for f in crates/region-rt/src/*.rs crates/region-rt/src/*/*.rs crates/rlang/src/*.rs; do
+for f in crates/region-rt/src/*.rs crates/region-rt/src/*/*.rs crates/rlang/src/*.rs \
+    crates/rc-lang/src/*.rs; do
     # Strip the trailing test module and comment lines, then scan.
     while IFS= read -r line; do
         trimmed=$(printf '%s' "$line" | sed 's/^[[:space:]]*//;s/[[:space:]]*$//')
@@ -32,6 +34,6 @@ for f in crates/region-rt/src/*.rs crates/region-rt/src/*/*.rs crates/rlang/src/
 done
 
 if [ "$status" -eq 0 ]; then
-    echo "panic-gate: OK (every panic site in non-test region-rt and rlang code is allowlisted)"
+    echo "panic-gate: OK (every panic site in non-test region-rt, rlang and rc-lang code is allowlisted)"
 fi
 exit "$status"
