@@ -9,6 +9,7 @@
 //! and figures are computed.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use region_rt::{
     audit_all, Addr, EmuBackend, EmuRegionId, EmuRegions, Facet, FaultReport, Handoff, Heap,
@@ -229,13 +230,6 @@ where
     if let Some(res) = &audit {
         interp.heap.record_audit_run(res.is_ok());
     }
-    // `base_ops` already includes every joined task's contribution, so
-    // the C@ base-compiler factor covers the whole task tree.
-    let base_extra = if config.backend == Backend::CAt {
-        interp.base_ops * (config.costs.cat_base_factor_pct.saturating_sub(100)) / 100
-    } else {
-        0
-    };
     // One last forced sample so the timeline always covers the run's end
     // state (no-op when sampling is off).
     interp.heap.sample_now();
@@ -288,7 +282,7 @@ where
     // Every merge below is exact and associative, so the report is
     // byte-identical across schedulers, worker counts and seeds.
     let mut stats = interp.heap.stats.clone();
-    let mut cycles = interp.heap.clock.cycles() + base_extra;
+    let mut cycles = interp.heap.clock.cycles();
     let mut steps = interp.steps;
     let mut spans = interp.heap.take_spans();
     let mut tracer = interp.heap.take_tracer();
@@ -330,6 +324,11 @@ where
             }
         }
     }
+    // The C@ base-compiler factor covers the whole task tree: every step
+    // charges one base operation.
+    if config.backend == Backend::CAt {
+        cycles += steps * (config.costs.cat_base_factor_pct.saturating_sub(100)) / 100;
+    }
     RunResult {
         outcome,
         cycles,
@@ -348,11 +347,11 @@ where
 }
 
 fn halt_outcome(h: Halt) -> Outcome {
-    match h {
-        Halt::Abort(e) => Outcome::Aborted(e),
-        Halt::AssertFailed => Outcome::AssertFailed,
-        Halt::StepLimit => Outcome::StepLimit,
-        Halt::StackOverflow => Outcome::StackOverflow,
+    match *h.0 {
+        HaltKind::Abort(e) => Outcome::Aborted(e),
+        HaltKind::AssertFailed => Outcome::AssertFailed,
+        HaltKind::StepLimit => Outcome::StepLimit,
+        HaltKind::StackOverflow => Outcome::StackOverflow,
     }
 }
 
@@ -403,14 +402,49 @@ impl Value {
     }
 }
 
-/// Early exit from evaluation.
+/// Early exit from evaluation. Boxed, so that the `Result<Value, Halt>`
+/// every evaluation returns is two words and comes back in registers.
 #[derive(Debug)]
-enum Halt {
+struct Halt(Box<HaltKind>);
+
+#[derive(Debug)]
+enum HaltKind {
     Abort(RtError),
     AssertFailed,
     StepLimit,
     StackOverflow,
 }
+
+impl Halt {
+    /// Out of line: halting is the rare path.
+    #[cold]
+    fn new(kind: HaltKind) -> Halt {
+        Halt(Box::new(kind))
+    }
+
+    fn is_abort(&self) -> bool {
+        matches!(*self.0, HaltKind::Abort(_))
+    }
+
+    /// Whether this is the unsafe-`deleteregion` failure that
+    /// [`DeleteSemantics::Fail`] turns into a return code.
+    fn is_delete_failure(&self) -> bool {
+        matches!(
+            *self.0,
+            HaltKind::Abort(
+                RtError::DeleteWithLiveRefs { .. } | RtError::DeleteWithSubregions { .. }
+            )
+        )
+    }
+}
+
+/// Wraps a runtime error as a [`Halt`].
+fn abort(e: RtError) -> Halt {
+    Halt::new(HaltKind::Abort(e))
+}
+
+/// Deepest call nesting before a run ends [`Outcome::StackOverflow`].
+const MAX_FRAMES: usize = 2_000;
 
 enum Flow {
     Normal,
@@ -424,20 +458,12 @@ enum RtRegion {
     Emu(EmuRegionId),
 }
 
-struct Frame {
-    vals: Vec<Value>,
-    /// Base addresses of array locals (`None` for scalars).
-    arrays: Vec<Option<Addr>>,
-}
-
 /// What a finished task hands back to its parent: how the body ended
-/// (`None` = clean), its shard subtree — own shard first, then nested
-/// tasks' shards in DFS order, with ids local to this task — and the
-/// charged base operations (for the C@ base-compiler factor).
+/// (`None` = clean) and its shard subtree — own shard first, then nested
+/// tasks' shards in DFS order, with ids local to this task.
 struct TaskDone {
     halt: Option<Halt>,
     shards: Vec<Shard>,
-    base_ops: u64,
 }
 
 enum TaskState<'scope> {
@@ -482,9 +508,24 @@ struct Interp<'c, 'scope, 'env> {
     stack_types: HashMap<(String, u8), TypeId>,
     /// Descriptor for the traditional region (`traditionalregion()`).
     trad_desc: Addr,
-    frames: Vec<Frame>,
+    /// Every framed call's variables, outermost frame first. A call's
+    /// arguments are evaluated straight onto the top and framed in
+    /// place, so calls allocate nothing.
+    stack: Vec<Value>,
+    /// The stack-array base of each framed variable, at its `stack`
+    /// position (`None` for scalars and for pending arguments).
+    arrays: Vec<Option<Addr>>,
+    /// Each framed call's positions in `stack`, outermost first. These
+    /// slots, frame by frame, are the GC roots and C@'s stack-scan
+    /// slots; arguments still being evaluated sit outside every frame.
+    frames: Vec<Range<usize>>,
+    /// Start of the innermost frame in `stack`.
+    base: usize,
     steps: u64,
-    base_ops: u64,
+    /// `config.step_limit`, with 0 (no limit) as `u64::MAX`.
+    step_cap: u64,
+    /// `config.costs.base_op`, charged on every step.
+    base_op: u64,
     /// First fault hit while building the startup image (globals block,
     /// global arrays, the traditional descriptor): reported from
     /// `run_main` before any user code runs.
@@ -668,9 +709,13 @@ where
             global_arrays,
             stack_types: HashMap::new(),
             trad_desc,
+            stack: Vec::new(),
+            arrays: Vec::new(),
             frames: Vec::new(),
+            base: 0,
             steps: 0,
-            base_ops: 0,
+            step_cap: if config.step_limit == 0 { u64::MAX } else { config.step_limit },
+            base_op: config.costs.base_op,
             startup_fault,
             observing: config.trace_mask != 0
                 || config.sample_interval != 0
@@ -695,7 +740,7 @@ where
         if let Some(e) = self.startup_fault.take() {
             return Outcome::Aborted(e);
         }
-        match self.call(self.c.module.main, Vec::new()) {
+        match self.call(self.c.module.main, 0) {
             Ok(v) => match v {
                 Value::Int(n) => Outcome::Exit(n),
                 _ => Outcome::Exit(0),
@@ -704,84 +749,91 @@ where
         }
     }
 
+    /// One interpreter step. Every evaluated node, every statement and
+    /// every `while` back-edge takes exactly one, in evaluation order:
+    /// baton slices and timeline samples are counted in steps.
+    #[inline(always)]
     fn step(&mut self) -> Result<(), Halt> {
         self.steps += 1;
-        self.base_ops += 1;
-        self.heap.clock.charge(self.config.costs.base_op);
+        self.heap.clock.charge(self.base_op);
         // Drive the timeline sampler from the step counter so snapshots
         // land at regular points in program execution even when the
         // runtime is idle (one branch when sampling is off).
         self.heap.sample_tick();
         // The deterministic scheduler's preemption point: every step
         // burns one slice unit; an expired slice passes the baton (a
-        // no-op branch under the inline and thread schedulers), with
-        // release/acquire events stamped around the pass so the
-        // scheduler log shows every slice boundary.
+        // no-op branch under the inline and thread schedulers).
         if let Some(ran) = self.gate.tick() {
-            self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::BatonRelease { ran });
-            let slice = self.gate.yield_now();
-            self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::BatonAcquire { slice });
+            self.pass_baton(ran);
         }
-        if self.config.step_limit != 0 && self.steps > self.config.step_limit {
-            return Err(Halt::StepLimit);
+        if self.steps > self.step_cap {
+            return Err(Halt::new(HaltKind::StepLimit));
         }
         Ok(())
     }
 
-    /// Pops the frame that overflowed. Out of line and cold so that the
-    /// hot path of [`Interp::call`] stays small.
+    /// Passes the baton at the end of a slice, with release/acquire
+    /// events stamped around the pass so the scheduler log shows every
+    /// slice boundary. Out of line and cold so that [`Interp::step`]
+    /// stays small.
     #[cold]
     #[inline(never)]
-    fn stack_overflow(&mut self) -> Halt {
-        self.frames.pop();
-        Halt::StackOverflow
+    fn pass_baton(&mut self, ran: u64) {
+        self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::BatonRelease { ran });
+        let slice = self.gate.yield_now();
+        self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::BatonAcquire { slice });
     }
 
     fn func(&self, f: FuncRef) -> &'c HFunc {
         &self.c.module.funcs[f.0 as usize]
     }
 
-    fn call(&mut self, f: FuncRef, args: Vec<Value>) -> Result<Value, Halt> {
+    /// Calls `f` on the arguments at `stack[base..]`: frames them in
+    /// place with the locals after them, runs the body, and pops the
+    /// frame, freeing its stack arrays on every exit.
+    fn call(&mut self, f: FuncRef, base: usize) -> Result<Value, Halt> {
         let func = self.func(f);
-        let nvars = func.var_count();
-        let mut frame = Frame { vals: Vec::with_capacity(nvars), arrays: vec![None; nvars] };
-        for (i, p) in func.params.iter().enumerate() {
-            frame.vals.push(args.get(i).copied().unwrap_or(Value::default_of(p.ty)));
-        }
-        for l in &func.locals {
-            frame.vals.push(Value::default_of(l.ty));
-        }
-        // Allocate stack arrays in the traditional region.
-        for (i, v) in func.params.iter().chain(func.locals.iter()).enumerate() {
-            if let Some(n) = v.array_len {
-                let ty = self.stack_array_type(f, i as u32, v, n);
-                let addr = self.heap.m_alloc(ty, 1).map_err(Halt::Abort)?;
-                frame.arrays[i] = Some(addr);
-            }
-        }
-        self.frames.push(frame);
-        if self.frames.len() > 2_000 {
-            return Err(self.stack_overflow());
-        }
-
-        let mut result = Ok(Value::Int(0));
-        match self.exec_block(f, &func.body) {
-            Ok(Flow::Normal) => {}
-            Ok(Flow::Return(v)) => result = Ok(v),
-            Err(h) => result = Err(h),
-        }
-
-        // Free stack arrays.
-        let frame = self.frames.pop().expect("frame pushed above");
-        for a in frame.arrays.into_iter().flatten() {
+        // Sema checks arity; a mismatch would drop extra arguments and
+        // default missing ones.
+        let nargs = (self.stack.len() - base).min(func.params.len());
+        self.stack.truncate(base + nargs);
+        let vars = func.params[nargs..].iter().chain(&func.locals);
+        self.stack.extend(vars.map(|v| Value::default_of(v.ty)));
+        self.arrays.resize(self.stack.len(), None);
+        let caller = std::mem::replace(&mut self.base, base);
+        self.frames.push(base..self.stack.len());
+        let result = self.run_frame(f, func);
+        self.frames.pop();
+        self.base = caller;
+        for a in self.arrays.drain(base..).flatten() {
             // Ignore errors during unwinding: the halt outcome wins.
             let _ = self.heap.m_free(a);
         }
+        self.stack.truncate(base);
         result
     }
 
+    /// The innermost frame's part of [`Interp::call`]: allocates its
+    /// stack arrays in the traditional region, checks the depth, runs
+    /// the body.
+    fn run_frame(&mut self, f: FuncRef, func: &'c HFunc) -> Result<Value, Halt> {
+        for (i, v) in func.params.iter().chain(&func.locals).enumerate() {
+            if let Some(n) = v.array_len {
+                let ty = self.stack_array_type(v, n);
+                self.arrays[self.base + i] = Some(self.heap.m_alloc(ty, 1).map_err(abort)?);
+            }
+        }
+        if self.frames.len() > MAX_FRAMES {
+            return Err(Halt::new(HaltKind::StackOverflow));
+        }
+        match self.exec_block(f, &func.body)? {
+            Flow::Normal => Ok(Value::Int(0)),
+            Flow::Return(v) => Ok(v),
+        }
+    }
+
     /// Registers (once per function/var) the layout for a stack array.
-    fn stack_array_type(&mut self, _f: FuncRef, _v: u32, var: &HVar, n: u32) -> TypeId {
+    fn stack_array_type(&mut self, var: &HVar, n: u32) -> TypeId {
         // Cache layouts so repeated calls do not bloat the type table.
         let key_name = format!("__stk_{}_{}", var.name, n);
         let slot = match var.ty {
@@ -884,7 +936,7 @@ where
         line: u32,
     ) -> Result<Flow, Halt> {
         self.set_site(line);
-        let rv = self.frame().vals[rvar.0 as usize];
+        let rv = self.stack[self.base + rvar.0 as usize];
         // Null, dangling and already-moved handles all refuse here, with
         // the same error in every scheduler mode.
         let rt = self.resolve_region(rv)?;
@@ -892,7 +944,7 @@ where
         if desc == self.trad_desc {
             // The traditional region backs the globals block and every
             // activation's stack arrays; it cannot be handed off.
-            return Err(Halt::Abort(RtError::WildPointer { addr: desc }));
+            return Err(abort(RtError::WildPointer { addr: desc }));
         }
         let region_id = region_number(rt);
         self.moved.insert(desc);
@@ -932,7 +984,7 @@ where
     /// sema guarantees the body never reads those.
     fn capture_frame(&self, f: FuncRef, rvar: VarRef) -> Vec<Value> {
         let func = self.func(f);
-        let frame = self.frame();
+        let frame = &self.stack[self.base..];
         (0..func.var_count())
             .map(|i| {
                 let v = VarRef(i as u32);
@@ -940,7 +992,7 @@ where
                 if v == rvar {
                     Value::Region(Addr::NULL)
                 } else if hv.ty == RcType::Int && hv.array_len.is_none() {
-                    frame.vals[i]
+                    frame[i]
                 } else {
                     Value::default_of(hv.ty)
                 }
@@ -1004,7 +1056,6 @@ where
         let mut dead_regions: Vec<Addr> = Vec::new();
         for (desc, region_id, done) in collected {
             self.moved.remove(&desc);
-            self.base_ops += done.base_ops;
             let facet_dead = done.shards.first().is_some_and(|s| s.facet_dead);
             absorb_child_shards(&mut self.shards, done.shards, region_id);
             if let Some(h) = done.halt {
@@ -1023,13 +1074,7 @@ where
             for desc in dead_regions {
                 if let Err(h) = self.delete_region(Value::Region(desc)) {
                     if self.config.delete_semantics == DeleteSemantics::Fail
-                        && matches!(
-                            h,
-                            Halt::Abort(
-                                RtError::DeleteWithLiveRefs { .. }
-                                    | RtError::DeleteWithSubregions { .. }
-                            )
-                        )
+                        && h.is_delete_failure()
                     {
                         continue;
                     }
@@ -1081,35 +1126,47 @@ where
             spawn_site: self.spawn_site,
         });
         shards.append(&mut self.shards);
-        TaskDone { halt, shards, base_ops: self.base_ops }
+        TaskDone { halt, shards }
     }
 
-    fn frame(&self) -> &Frame {
-        self.frames.last().expect("executing inside a frame")
-    }
-
-    fn frame_mut(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("executing inside a frame")
-    }
-
+    /// Evaluates `e`. The two leaves that take about a third of all
+    /// steps, `ReadLocal` and `Int`, are evaluated inline at every use,
+    /// step included; every other node goes to [`Interp::eval_node`].
+    #[inline(always)]
     fn eval(&mut self, f: FuncRef, e: &HExpr) -> Result<Value, Halt> {
+        match e {
+            HExpr::ReadLocal(v) => {
+                self.step()?;
+                Ok(self.stack[self.base + v.0 as usize])
+            }
+            HExpr::Int(n) => {
+                self.step()?;
+                Ok(Value::Int(*n))
+            }
+            _ => self.eval_node(f, e),
+        }
+    }
+
+    /// Evaluates any node, out of line; reached through [`Interp::eval`].
+    #[inline(never)]
+    fn eval_node(&mut self, f: FuncRef, e: &HExpr) -> Result<Value, Halt> {
         self.step()?;
         match e {
             HExpr::Int(n) => Ok(Value::Int(*n)),
             HExpr::Null(ty) => Ok(Value::default_of(*ty)),
-            HExpr::ReadLocal(v) => Ok(self.frame().vals[v.0 as usize]),
+            HExpr::ReadLocal(v) => Ok(self.stack[self.base + v.0 as usize]),
             HExpr::ReadGlobal(g) => {
                 let ty = self.c.module.global(*g).ty;
                 let raw = self
                     .heap
                     .read_word(self.globals_obj, g.0 as usize)
-                    .map_err(Halt::Abort)?;
+                    .map_err(abort)?;
                 Ok(Value::from_raw(ty, raw))
             }
             HExpr::AssignLocal { v, val } => {
                 let value = self.eval(f, val)?;
                 self.heap.stats.assigns_local += 1;
-                self.frame_mut().vals[v.0 as usize] = value;
+                self.stack[self.base + v.0 as usize] = value;
                 Ok(value)
             }
             HExpr::AssignGlobal { g, val, site } => {
@@ -1122,7 +1179,7 @@ where
                 let o = self.eval(f, obj)?;
                 let addr = self.nonnull(o)?;
                 let fty = self.c.module.struct_def(*s).fields[*field as usize].ty;
-                let raw = self.heap.read_word(addr, *field as usize).map_err(Halt::Abort)?;
+                let raw = self.heap.read_word(addr, *field as usize).map_err(abort)?;
                 Ok(Value::from_raw(fty, raw))
             }
             HExpr::AssignField { obj, s, field, val, site } => {
@@ -1136,7 +1193,7 @@ where
             HExpr::ReadArraySlot { base, idx, elem } => {
                 let (addr, len) = self.array_base(f, *base)?;
                 let i = self.index_in(f, idx, len)?;
-                let raw = self.heap.read_word(addr, i).map_err(Halt::Abort)?;
+                let raw = self.heap.read_word(addr, i).map_err(abort)?;
                 Ok(Value::from_raw(*elem, raw))
             }
             HExpr::AssignArraySlot { base, idx, val, elem, site } => {
@@ -1151,7 +1208,7 @@ where
                 let addr = self.nonnull(p)?;
                 let i = self.eval_int(f, idx)?;
                 if i < 0 {
-                    return Err(Halt::Abort(RtError::WildPointer { addr }));
+                    return Err(abort(RtError::WildPointer { addr }));
                 }
                 let size = self.c.module.struct_def(*s).fields.len().max(1);
                 Ok(Value::Ptr(addr.offset(i as usize * size)))
@@ -1161,9 +1218,9 @@ where
                 let addr = self.nonnull(p)?;
                 let i = self.eval_int(f, idx)?;
                 if i < 0 {
-                    return Err(Halt::Abort(RtError::WildPointer { addr }));
+                    return Err(abort(RtError::WildPointer { addr }));
                 }
-                let raw = self.heap.read_word(addr, i as usize).map_err(Halt::Abort)?;
+                let raw = self.heap.read_word(addr, i as usize).map_err(abort)?;
                 Ok(Value::Int(raw as i64))
             }
             HExpr::AssignIntElem { ptr, idx, val } => {
@@ -1171,10 +1228,10 @@ where
                 let addr = self.nonnull(p)?;
                 let i = self.eval_int(f, idx)?;
                 if i < 0 {
-                    return Err(Halt::Abort(RtError::WildPointer { addr }));
+                    return Err(abort(RtError::WildPointer { addr }));
                 }
                 let value = self.eval(f, val)?;
-                self.heap.write_int(addr, i as usize, value.raw()).map_err(Halt::Abort)?;
+                self.heap.write_int(addr, i as usize, value.raw()).map_err(abort)?;
                 Ok(value)
             }
             HExpr::Bin(op, l, r) => self.eval_bin(f, *op, l, r),
@@ -1189,12 +1246,17 @@ where
                 })
             }
             HExpr::Call { f: callee, args, pin } => {
-                let vals = args
-                    .iter()
-                    .map(|a| self.eval(f, a))
-                    .collect::<Result<Vec<_>, _>>()?;
+                // Each argument goes straight onto the stack, where
+                // `call` frames it. Until then it is in no frame, so no
+                // root scan sees it; a halt leaves it for the enclosing
+                // frame's pop to discard.
+                let base = self.stack.len();
+                for a in args {
+                    let v = self.eval(f, a)?;
+                    self.stack.push(v);
+                }
                 let pins = self.pin_for_deletes(f, *callee, *pin);
-                let r = self.call(*callee, vals);
+                let r = self.call(*callee, base);
                 self.unpin(pins);
                 r
             }
@@ -1229,21 +1291,15 @@ where
                 self.unpin(pinned);
                 match res {
                     Ok(()) => Ok(Value::Int(0)),
-                    Err(halt) => {
-                        if self.config.delete_semantics == DeleteSemantics::Fail {
-                            // The paper's second option: "simply return a
-                            // failure code from deleteregion when its use
-                            // would be unsafe."
-                            if let Halt::Abort(
-                                RtError::DeleteWithLiveRefs { .. }
-                                | RtError::DeleteWithSubregions { .. },
-                            ) = halt
-                            {
-                                return Ok(Value::Int(1));
-                            }
-                        }
-                        Err(halt)
+                    // The paper's second option: "simply return a failure
+                    // code from deleteregion when its use would be unsafe."
+                    Err(halt)
+                        if self.config.delete_semantics == DeleteSemantics::Fail
+                            && halt.is_delete_failure() =>
+                    {
+                        Ok(Value::Int(1))
                     }
+                    Err(halt) => Err(halt),
                 }
             }
             HExpr::RegionOf(x) => {
@@ -1257,7 +1313,7 @@ where
                 if v.truthy() {
                     Ok(Value::Int(0))
                 } else {
-                    Err(Halt::AssertFailed)
+                    Err(Halt::new(HaltKind::AssertFailed))
                 }
             }
         }
@@ -1323,7 +1379,7 @@ where
     fn nonnull(&self, v: Value) -> Result<Addr, Halt> {
         let a = v.addr();
         if a.is_null() {
-            return Err(Halt::Abort(RtError::WildPointer { addr: Addr::NULL }));
+            return Err(abort(RtError::WildPointer { addr: Addr::NULL }));
         }
         Ok(a)
     }
@@ -1331,18 +1387,19 @@ where
     fn index_in(&mut self, f: FuncRef, idx: &HExpr, len: u32) -> Result<usize, Halt> {
         let i = self.eval_int(f, idx)?;
         if i < 0 || i >= len as i64 {
-            return Err(Halt::Abort(RtError::WildPointer { addr: Addr::NULL }));
+            return Err(abort(RtError::WildPointer { addr: Addr::NULL }));
         }
         Ok(i as usize)
     }
 
     fn array_base(&mut self, f: FuncRef, base: ArrayBase) -> Result<(Addr, u32), Halt> {
         match base {
+            // Sema guarantees an array local.
             ArrayBase::Local(v) => {
-                let frame = self.frame();
-                let addr = frame.arrays[v.0 as usize].expect("sema guarantees array local");
-                let len = self.func(f).var(v).array_len.expect("array local");
-                Ok((addr, len))
+                match (self.arrays[self.base + v.0 as usize], self.func(f).var(v).array_len) {
+                    (Some(addr), Some(len)) => Ok((addr, len)),
+                    _ => Err(abort(RtError::WildPointer { addr: Addr::NULL })),
+                }
             }
             ArrayBase::Global(g) => {
                 let (addr, len) =
@@ -1364,7 +1421,7 @@ where
     ) -> Result<(), Halt> {
         match slot_ty {
             RcType::Int => {
-                self.heap.write_int(obj, field, val.raw()).map_err(Halt::Abort)
+                self.heap.write_int(obj, field, val.raw()).map_err(abort)
             }
             _ => {
                 let qual = slot_ty.qual().unwrap_or(Qual::None);
@@ -1382,7 +1439,7 @@ where
                     // events carry their inference provenance.
                     self.heap.set_check_verdict(self.c.analysis.is_safe(site));
                 }
-                self.heap.write_ptr(obj, field, val.addr(), mode).map_err(Halt::Abort)
+                self.heap.write_ptr(obj, field, val.addr(), mode).map_err(abort)
             }
         }
     }
@@ -1430,7 +1487,7 @@ where
     // ---- regions -------------------------------------------------------
 
     fn new_region(&mut self, parent: Option<Value>) -> Result<Value, Halt> {
-        let desc = self.heap.m_alloc(self.desc_ty, 1).map_err(Halt::Abort)?;
+        let desc = self.heap.m_alloc(self.desc_ty, 1).map_err(abort)?;
         let rt = match &mut self.emu {
             Some(emu) => RtRegion::Emu(emu.new_region()),
             None => {
@@ -1442,10 +1499,10 @@ where
                         // the ownership transfer.
                         match self.resolve_region(p)? {
                             RtRegion::Real(prid) => {
-                                self.heap.new_subregion(prid).map_err(Halt::Abort)?
+                                self.heap.new_subregion(prid).map_err(abort)?
                             }
                             RtRegion::Emu(_) => {
-                                return Err(Halt::Abort(RtError::WildPointer {
+                                return Err(abort(RtError::WildPointer {
                                     addr: p.addr(),
                                 }))
                             }
@@ -1466,13 +1523,13 @@ where
     fn resolve_region(&self, v: Value) -> Result<RtRegion, Halt> {
         let desc = v.addr();
         if desc.is_null() {
-            return Err(Halt::Abort(RtError::WildPointer { addr: desc }));
+            return Err(abort(RtError::WildPointer { addr: desc }));
         }
         let rt = self
             .desc_map
             .get(&desc)
             .copied()
-            .ok_or(Halt::Abort(RtError::WildPointer { addr: desc }))?;
+            .ok_or_else(|| abort(RtError::WildPointer { addr: desc }))?;
         self.check_not_moved(desc)?;
         Ok(rt)
     }
@@ -1491,7 +1548,7 @@ where
                 .copied()
                 .map(region_number)
                 .unwrap_or(RegionId(0));
-            return Err(Halt::Abort(RtError::RegionMoved { region }));
+            return Err(abort(RtError::RegionMoved { region }));
         }
         Ok(())
     }
@@ -1499,12 +1556,12 @@ where
     fn alloc(&mut self, region: Value, ty: TypeId, n: u32) -> Result<Value, Halt> {
         match self.resolve_region(region)? {
             RtRegion::Real(rid) => {
-                let a = self.heap.rarray_alloc(rid, ty, n).map_err(Halt::Abort)?;
+                let a = self.heap.rarray_alloc(rid, ty, n).map_err(abort)?;
                 Ok(Value::Ptr(a))
             }
             RtRegion::Emu(eid) => {
                 let emu = self.emu.as_mut().expect("emu backend");
-                let a = emu.alloc(&mut self.heap, eid, ty, n).map_err(Halt::Abort)?;
+                let a = emu.alloc(&mut self.heap, eid, ty, n).map_err(abort)?;
                 self.emu_owner.insert(a, region.addr());
                 self.maybe_collect();
                 Ok(Value::Ptr(a))
@@ -1519,25 +1576,21 @@ where
                 // C@ scanned the stack at deleteregion instead of pinning
                 // at deletes calls; charge that scan.
                 if self.config.backend == Backend::CAt {
-                    let slots: u64 = self
+                    let slots = self
                         .frames
                         .iter()
-                        .map(|fr| {
-                            fr.vals
-                                .iter()
-                                .filter(|v| matches!(v, Value::Ptr(_) | Value::Region(_)))
-                                .count() as u64
-                        })
-                        .sum();
+                        .flat_map(|fr| &self.stack[fr.clone()])
+                        .filter(|v| matches!(v, Value::Ptr(_) | Value::Region(_)))
+                        .count() as u64;
                     let cost = slots * self.config.costs.cat_stack_scan_per_slot;
                     self.heap.stats.rc_cycles += cost;
                     self.heap.clock.charge(cost);
                 }
-                self.heap.delete_region(rid).map_err(Halt::Abort)
+                self.heap.delete_region(rid).map_err(abort)
             }
             RtRegion::Emu(eid) => {
                 let emu = self.emu.as_mut().expect("emu backend");
-                emu.delete_region(&mut self.heap, eid).map_err(Halt::Abort)?;
+                emu.delete_region(&mut self.heap, eid).map_err(abort)?;
                 self.maybe_collect();
                 Ok(())
             }
@@ -1556,14 +1609,14 @@ where
                 .emu_owner
                 .get(&obj)
                 .copied()
-                .ok_or(Halt::Abort(RtError::WildPointer { addr: obj }))?;
+                .ok_or_else(|| abort(RtError::WildPointer { addr: obj }))?;
             self.check_not_moved(desc)?;
             return Ok(desc);
         }
         let rid = self
             .heap
             .try_region_of(obj)
-            .ok_or(Halt::Abort(RtError::WildPointer { addr: obj }))?;
+            .ok_or_else(|| abort(RtError::WildPointer { addr: obj }))?;
         if let Some(&d) = self.desc_of_real.get(rid.0 as usize) {
             if !d.is_null() {
                 self.check_not_moved(d)?;
@@ -1572,7 +1625,7 @@ where
         }
         // Objects in the traditional region (malloc'd) have no user-created
         // descriptor; lazily create one.
-        let desc = self.heap.m_alloc(self.desc_ty, 1).map_err(Halt::Abort)?;
+        let desc = self.heap.m_alloc(self.desc_ty, 1).map_err(abort)?;
         while self.desc_of_real.len() <= rid.0 as usize {
             self.desc_of_real.push(Addr::NULL);
         }
@@ -1587,8 +1640,8 @@ where
         }
         let mut roots: Vec<u64> = Vec::new();
         for fr in &self.frames {
-            roots.extend(fr.vals.iter().map(|v| v.raw()));
-            roots.extend(fr.arrays.iter().flatten().map(|a| a.raw()));
+            roots.extend(self.stack[fr.clone()].iter().map(|v| v.raw()));
+            roots.extend(self.arrays[fr.clone()].iter().flatten().map(|a| a.raw()));
         }
         // Globals block and global arrays are conservative roots too: scan
         // their slots.
@@ -1631,13 +1684,11 @@ where
         if self.config.backend != Backend::Rc {
             return Vec::new();
         }
-        let frame = self.frame();
         self.c.pins[f.0 as usize]
             .pins(pin)
             .iter()
             .filter_map(|&v| {
-                let val = frame.vals[v.0 as usize];
-                match val {
+                match self.stack[self.base + v.0 as usize] {
                     Value::Ptr(a) if !a.is_null() => Some(a),
                     _ => None,
                 }
@@ -1664,17 +1715,13 @@ where
 
     // ---- fault recovery ------------------------------------------------
 
-    /// Tears the program's memory down after a trapped fault: drops every
-    /// frame (freeing stack arrays), deletes the emulated regions, and
-    /// unwinds the real region stack via [`Heap::unwind_regions`]. Called
-    /// with the fault arms already detached, so none of this can re-fault;
+    /// Tears the program's memory down after a trapped fault: deletes the
+    /// emulated regions and unwinds the real region stack via
+    /// [`Heap::unwind_regions`]. Every frame has already been popped, its
+    /// stack arrays freed, on the way out of [`Interp::call`]. Called with
+    /// the fault arms already detached, so none of this can re-fault;
     /// residual errors are ignored (the trap outcome wins).
     fn unwind_after_fault(&mut self) {
-        while let Some(frame) = self.frames.pop() {
-            for a in frame.arrays.into_iter().flatten() {
-                let _ = self.heap.m_free(a);
-            }
-        }
         if let Some(emu) = &mut self.emu {
             let trad = match self.desc_map.get(&self.trad_desc) {
                 Some(RtRegion::Emu(id)) => Some(*id),
@@ -1726,7 +1773,7 @@ where
     interp.sched = sched;
     interp.spawn_site = spawn_site;
     interp.scope = scope;
-    let mut halt = interp.startup_fault.take().map(Halt::Abort);
+    let mut halt = interp.startup_fault.take().map(abort);
     if halt.is_none() {
         match interp.new_region(None) {
             Ok(v) => {
@@ -1737,7 +1784,9 @@ where
                 interp.facet_desc = v.addr();
                 captured[rvar.0 as usize] = v;
                 let n = captured.len();
-                interp.frames.push(Frame { vals: captured, arrays: vec![None; n] });
+                interp.stack = captured;
+                interp.arrays = vec![None; n];
+                interp.frames.push(0..n);
                 halt = interp.exec_block(f, body).err();
                 interp.frames.pop();
             }
@@ -1749,7 +1798,7 @@ where
     if let Err(h) = interp.join_children() {
         halt.get_or_insert(h);
     }
-    if matches!(halt, Some(Halt::Abort(_))) && config.on_fault == OnFault::TrapAndUnwind {
+    if halt.as_ref().is_some_and(Halt::is_abort) && config.on_fault == OnFault::TrapAndUnwind {
         // Leave the shard audit-clean, like the root does before
         // reporting `Trapped`; the root converts the outcome.
         interp.unwind_after_fault();
@@ -2497,6 +2546,117 @@ mod fault_tests {
         assert_eq!(plain.outcome, armed.outcome);
         assert_eq!(plain.cycles, armed.cycles, "empty plan must not perturb the clock");
         assert!(armed.faults.is_none());
+    }
+}
+
+#[cfg(test)]
+mod frame_tests {
+    use super::*;
+    use crate::config::RunConfig;
+    use region_rt::{FaultMode, FaultPlan};
+
+    /// The GC root set is exactly the framed variables: an argument that
+    /// is still pending while a later argument's call collects is not a
+    /// root (one extra root word would move `gc_marked_words` and the
+    /// cycle count).
+    #[test]
+    fn pending_arguments_are_not_gc_roots() {
+        let src = r#"
+            struct t { int x; };
+            static int churn(region r) {
+                int i;
+                for (i = 0; i < 300; i = i + 1) {
+                    struct t *q = ralloc(r, struct t);
+                    q->x = i;
+                }
+                return i;
+            }
+            static int f(struct t *p, int n) { p->x = n; return p->x; }
+            int main() deletes {
+                region r = newregion();
+                int s = f(ralloc(r, struct t), churn(r));
+                deleteregion(r);
+                return s;
+            }
+        "#;
+        let c = prepare(src).unwrap();
+        let mut cfg = RunConfig::gc();
+        cfg.gc_threshold_words = 64;
+        let r = run_audited(&c, &cfg);
+        assert_eq!(r.outcome, Outcome::Exit(300));
+        let got = (r.stats.gc_collections, r.stats.gc_marked_words, r.stats.rc_cycles, r.cycles);
+        assert_eq!(got, (4, 1304, 0, 19152));
+    }
+
+    /// C@'s `deleteregion` stack scan counts the framed variables only:
+    /// `p`, pending as `f`'s first argument while `g` deletes a region,
+    /// is counted once (as `main`'s local), not twice.
+    #[test]
+    fn pending_arguments_are_not_scanned_by_cat_deleteregion() {
+        let src = r#"
+            struct t { int x; };
+            static int f(struct t *p, int n) { p->x = n; return n; }
+            static int g(region r) deletes { deleteregion(r); return 1; }
+            int main() deletes {
+                region r1 = newregion();
+                region r2 = newregion();
+                struct t *p = ralloc(r1, struct t);
+                int s = f(p, g(r2));
+                p = null;
+                deleteregion(r1);
+                return s;
+            }
+        "#;
+        let c = prepare(src).unwrap();
+        let r = run_audited(&c, &RunConfig::cat());
+        assert_eq!(r.outcome, Outcome::Exit(1));
+        let got = (r.stats.gc_collections, r.stats.gc_marked_words, r.stats.rc_cycles, r.cycles);
+        assert_eq!(got, (0, 0, 42, 705));
+    }
+
+    /// A fault allocating a call's second stack array frees the first:
+    /// only the globals block and the traditional descriptor stay live.
+    #[test]
+    fn faulting_stack_array_allocation_frees_earlier_arrays() {
+        let src = r#"
+            int f() { int a[4]; int b[4]; a[0] = 1; b[0] = 2; return a[0] + b[0]; }
+            int main() { return f(); }
+        "#;
+        let c = prepare(src).unwrap();
+        assert_eq!(run_audited(&c, &RunConfig::rc_inf()).stats.live_words, 2);
+        // Allocation 3 is `a`, allocation 4 is `b`.
+        for op in [3, 4] {
+            let cfg = RunConfig::rc_inf()
+                .trapping()
+                .with_faults(FaultPlan::new().fail_alloc(FaultMode::Schedule(vec![op])).sticky());
+            let r = run_audited(&c, &cfg);
+            assert_eq!(r.outcome, Outcome::Trapped(RtError::OutOfMemory), "fault at {op}");
+            assert!(matches!(r.audit, Some(Ok(()))), "fault at {op}: {:?}", r.audit);
+            assert_eq!(r.stats.live_words, 2, "fault at {op}");
+        }
+    }
+
+    /// The frame that overflows the stack frees its stack arrays.
+    #[test]
+    fn stack_overflow_frees_the_overflowing_frames_arrays() {
+        let src = r#"
+            int f(int n) {
+                int a[4];
+                a[0] = n;
+                if (n == 0) { return 0; }
+                return f(n - 1) + a[0];
+            }
+            int main() { return f(2500); }
+        "#;
+        let c = prepare(src).unwrap();
+        let r = run_audited(&c, &RunConfig::rc_inf());
+        assert_eq!(r.outcome, Outcome::StackOverflow);
+        assert!(matches!(r.audit, Some(Ok(()))), "{:?}", r.audit);
+        assert_eq!(r.stats.live_words, 2);
+        let shallow = prepare(&src.replace("2500", "25")).unwrap();
+        let r = run_audited(&shallow, &RunConfig::rc_inf());
+        assert!(r.outcome.is_exit(), "{:?}", r.outcome);
+        assert_eq!(r.stats.live_words, 2);
     }
 }
 

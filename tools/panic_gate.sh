@@ -8,13 +8,15 @@
 # any occurrence is not vetted in tools/panic_allowlist.txt. Allowlist
 # entries are exact "<file>.rs: <trimmed source line>" strings, so moving a
 # vetted site is fine but changing or adding one trips the gate and forces
-# review.
+# review. It also fails on an entry that vets no site any more, so deleted
+# code takes its entries with it.
 # See docs/ROBUSTNESS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 allowlist=tools/panic_allowlist.txt
 status=0
+sites=""
 shopt -s nullglob
 
 for f in crates/region-rt/src/*.rs crates/region-rt/src/*/*.rs crates/rlang/src/*.rs \
@@ -23,7 +25,8 @@ for f in crates/region-rt/src/*.rs crates/region-rt/src/*/*.rs crates/rlang/src/
     while IFS= read -r line; do
         trimmed=$(printf '%s' "$line" | sed 's/^[[:space:]]*//;s/[[:space:]]*$//')
         key="$(basename "$f"): $trimmed"
-        if ! grep -qxF "$key" "$allowlist"; then
+        sites+="$key"$'\n'
+        if ! grep -qxF -- "$key" "$allowlist"; then
             echo "panic-gate: not allowlisted: $f: $trimmed" >&2
             status=1
         fi
@@ -33,7 +36,14 @@ for f in crates/region-rt/src/*.rs crates/region-rt/src/*/*.rs crates/rlang/src/
         || true)
 done
 
+while IFS= read -r entry; do
+    if ! grep -qxF -- "$entry" <<< "$sites"; then
+        echo "panic-gate: stale allowlist entry (vets no site): $entry" >&2
+        status=1
+    fi
+done < "$allowlist"
+
 if [ "$status" -eq 0 ]; then
-    echo "panic-gate: OK (every panic site in non-test region-rt, rlang and rc-lang code is allowlisted)"
+    echo "panic-gate: OK (every panic site in non-test region-rt, rlang and rc-lang code is allowlisted, every entry vets a site)"
 fi
 exit "$status"
