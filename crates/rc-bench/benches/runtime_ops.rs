@@ -9,7 +9,7 @@
 //! single branch and must stay in the noise).
 
 use rc_bench::microbench::Bench;
-use region_rt::{mask, Addr, Heap, PtrKind, SlotKind, TypeLayout, WriteMode};
+use region_rt::{Addr, Heap, PtrKind, SlotKind, TypeLayout, WriteMode};
 use std::hint::black_box;
 
 fn setup_two_regions() -> (Heap, region_rt::TypeId, Addr, Addr) {
@@ -37,7 +37,7 @@ fn bench_write_barriers(c: &Bench) {
     });
     g.bench("counted_cross_region_traced", {
         let (mut h, _, a, b) = setup_two_regions();
-        h.enable_tracing(mask::ALL, 4096);
+        h.enable_tracing(4096);
         move || {
             h.write_ptr(a, 0, black_box(b), WriteMode::Counted).unwrap();
             h.write_ptr(a, 0, Addr::NULL, WriteMode::Counted).unwrap();
@@ -65,7 +65,7 @@ fn bench_write_barriers(c: &Bench) {
         let (mut h, ty, a, _) = setup_two_regions();
         let r = h.region_of(a).unwrap();
         let peer = h.ralloc(r, ty).unwrap();
-        h.enable_tracing(mask::ALL, 4096);
+        h.enable_tracing(4096);
         move || {
             h.write_ptr(a, 1, black_box(peer), WriteMode::Check(PtrKind::SameRegion))
                 .unwrap();

@@ -214,7 +214,7 @@ pub fn leaks(s: &HeapSnapshot, limit: usize) -> String {
     let held = retained_by_region(s);
     let mut holders: Vec<&region_rt::RegionSnapshot> =
         s.regions.iter().filter(|r| held[r.region as usize].0 > 0).collect();
-    // Untouched regions (last_touch 0: spans off or notes decimated) sort
+    // Untouched regions (last_touch 0: spans off or never touched) sort
     // last — idleness is unknown, not maximal.
     holders.sort_by_key(|r| {
         let idle = if r.last_touch == 0 { 0 } else { s.at_cycles.saturating_sub(r.last_touch) };

@@ -28,7 +28,8 @@ use rc_lang::interp::{run, Outcome};
 use rc_lang::{site_verdicts, RunConfig, SiteVerdict};
 use rc_workloads::driver::prepare_workload;
 use rc_workloads::{Scale, Workload};
-use region_rt::{Json, PtrKind, SpanNote, SpanTree, NO_CHECK_SITE};
+use region_rt::trace::{check_kind_name, NO_REGION};
+use region_rt::{Event, Json, SpanTree, NO_CHECK_SITE};
 
 use crate::report::Row;
 
@@ -99,15 +100,6 @@ pub struct TraceExport {
     pub end_cycles: u64,
 }
 
-fn kind_name(k: PtrKind) -> &'static str {
-    match k {
-        PtrKind::Counted => "counted",
-        PtrKind::SameRegion => "sameregion",
-        PtrKind::ParentPtr => "parentptr",
-        PtrKind::Traditional => "traditional",
-    }
-}
-
 /// Runs `workload` under `config` (with spans forced on) and assembles
 /// the provenance join.
 ///
@@ -136,16 +128,13 @@ pub fn collect(
 
     let coverage: Vec<SiteCoverageRow> = verdicts
         .iter()
-        .map(|v| {
-            let fires = spans.site_fires(v.site);
-            SiteCoverageRow {
-                site: v.site,
-                line: v.line,
-                eliminated: v.safe,
-                reason: v.reason.clone(),
-                fires: fires.map_or(0, |f| f.fires),
-                fails: fires.map_or(0, |f| f.fails),
-            }
+        .map(|v| SiteCoverageRow {
+            site: v.site,
+            line: v.line,
+            eliminated: v.safe,
+            reason: v.reason.clone(),
+            fires: spans.check_sites().runs(v.site),
+            fails: spans.check_sites().fails(v.site),
         })
         .collect();
     let eliminated = coverage.iter().filter(|r| r.eliminated).count();
@@ -196,7 +185,7 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
             (
                 "args",
                 Json::obj(vec![
-                    ("parent", if s.parent == region_rt::trace::NO_REGION {
+                    ("parent", if s.parent == NO_REGION {
                         Json::Null
                     } else {
                         Json::U(s.parent as u64)
@@ -215,14 +204,14 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
 
     for n in x.spans.notes() {
         match *n {
-            SpanNote::Check { region, at, site, check_site, kind, passed, statically_safe } => {
+            Event::CheckRun { kind, region, site, check_site, passed, statically_safe, at } => {
                 let (line, reason) = match by_site.get(&check_site) {
                     Some(r) => (r.line, r.reason.as_str()),
                     None => (site, ""),
                 };
                 let verdict = if statically_safe { "eliminated" } else { "retained" };
                 events.push(Json::obj(vec![
-                    ("name", Json::S(format!("chk {}", kind_name(kind)))),
+                    ("name", Json::S(format!("chk {}", check_kind_name(kind)))),
                     ("cat", Json::s("check")),
                     ("ph", Json::s("i")),
                     ("s", Json::s("t")),
@@ -248,7 +237,7 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
                                     Json::U(check_site as u64)
                                 },
                             ),
-                            ("kind", Json::s(kind_name(kind))),
+                            ("kind", Json::s(check_kind_name(kind))),
                             ("passed", Json::Bool(passed)),
                             ("verdict", Json::s(verdict)),
                             ("reason", Json::s(reason)),
@@ -256,7 +245,7 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
                     ),
                 ]));
             }
-            SpanNote::Gc { at, marked_words, swept_objects } => {
+            Event::GcCollection { marked_words, swept_objects, at } => {
                 events.push(Json::obj(vec![
                     ("name", Json::s("gc collection")),
                     ("cat", Json::s("gc")),
@@ -274,7 +263,7 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
                     ),
                 ]));
             }
-            SpanNote::Fault { at, plane, op } => {
+            Event::Fault { plane, op, at } => {
                 events.push(Json::obj(vec![
                     ("name", Json::S(format!("fault {}", plane.name()))),
                     ("cat", Json::s("fault")),
@@ -288,7 +277,7 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
             }
             // Allocs and RC updates appear as exact aggregates in the
             // span args; raw instants for them would dwarf the trace.
-            SpanNote::Alloc { .. } | SpanNote::Rc { .. } => {}
+            _ => {}
         }
     }
 

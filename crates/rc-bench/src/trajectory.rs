@@ -440,22 +440,11 @@ mod tests {
     fn sampling_is_present_when_telemetry_is_on() {
         let rep = tiny_report();
         let rc = rep.runs.iter().find(|r| r.config == "RC").unwrap();
-        // rc-bench builds region-rt with its default features, but probe
-        // the runtime rather than hard-coding that assumption.
-        let telemetry_on = {
-            let mut h = region_rt::Heap::with_defaults();
-            h.enable_sampling(1, 8);
-            h.sampling_enabled()
-        };
-        if telemetry_on {
-            assert!(!rc.samples.is_empty(), "RC run must carry samples");
-            assert!(rc.samples.len() <= BENCH_SAMPLE_CAP);
-            let section = timeline_section(&rep);
-            assert!(section.contains("tile"), "{section}");
-            assert!(section.contains("live words"), "{section}");
-        } else {
-            assert!(rc.samples.is_empty());
-        }
+        assert!(!rc.samples.is_empty(), "RC run must carry samples");
+        assert!(rc.samples.len() <= BENCH_SAMPLE_CAP);
+        let section = timeline_section(&rep);
+        assert!(section.contains("tile"), "{section}");
+        assert!(section.contains("live words"), "{section}");
     }
 
     #[test]

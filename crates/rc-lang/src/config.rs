@@ -122,10 +122,10 @@ pub struct RunConfig {
     pub delete_semantics: DeleteSemantics,
     /// Hierarchy numbering scheme (ablation knob).
     pub numbering: NumberingScheme,
-    /// Telemetry event mask (see [`region_rt::mask`]); 0 = tracing off,
-    /// which costs a single predictable branch per instrumented
-    /// operation.
-    pub trace_mask: u32,
+    /// Record every runtime event into a [`region_rt::Tracer`] (ring
+    /// plus folded profile). Off by default: with no event consumer
+    /// attached, each instrumented operation pays one predictable branch.
+    pub trace: bool,
     /// Capacity of the telemetry ring buffer (recent raw events kept;
     /// folded profile totals stay exact regardless).
     pub trace_capacity: usize,
@@ -179,7 +179,7 @@ impl RunConfig {
             costs: CostModel::paper(),
             delete_semantics: DeleteSemantics::Abort,
             numbering: NumberingScheme::RenumberOnCreate,
-            trace_mask: 0,
+            trace: false,
             trace_capacity: region_rt::DEFAULT_RING_CAPACITY,
             sample_interval: 0,
             sample_cap: region_rt::DEFAULT_TIMELINE_CAP,
@@ -247,9 +247,9 @@ impl RunConfig {
         self
     }
 
-    /// The same configuration with full event tracing enabled.
+    /// The same configuration with event tracing enabled.
     pub fn traced(mut self) -> RunConfig {
-        self.trace_mask = region_rt::mask::ALL;
+        self.trace = true;
         self
     }
 

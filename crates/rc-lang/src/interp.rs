@@ -90,7 +90,7 @@ pub struct RunResult {
     pub steps: u64,
     /// Result of the final heap audit (`None` when auditing was off).
     pub audit: Option<Result<(), region_rt::AuditError>>,
-    /// The telemetry tracer, when [`RunConfig::trace_mask`] was nonzero:
+    /// The telemetry tracer, when [`RunConfig::trace`] was on:
     /// recent raw events plus the folded [`region_rt::Profile`].
     pub tracer: Option<Box<region_rt::Tracer>>,
     /// Per-site check-outcome tallies, when
@@ -98,16 +98,16 @@ pub struct RunResult {
     /// store's predicate ran and how often it would have fired.
     pub check_counts: Option<Box<region_rt::CheckCounter>>,
     /// The metrics timeline, when [`RunConfig::sample_interval`] was
-    /// nonzero (and the `telemetry` feature is on): periodic heap
-    /// snapshots plus one final forced sample at end of run.
+    /// nonzero: periodic heap snapshots plus one final forced sample at
+    /// end of run.
     pub timeline: Option<Box<region_rt::Timeline>>,
     /// The harvested fault-injection report, when [`RunConfig::faults`]
     /// armed any plane: which faults fired, at which operation ordinals
     /// and virtual times.
     pub faults: Option<FaultReport>,
-    /// The region-lifecycle span tree, when [`RunConfig::spans`] was on
-    /// (and the `telemetry` feature is compiled in): one span per region
-    /// with provenance-stamped alloc/RC/check annotations, already
+    /// The region-lifecycle span tree, when [`RunConfig::spans`] was on:
+    /// one span per region with provenance-stamped alloc/RC/check notes,
+    /// already
     /// verified against the heap's region table (see
     /// [`region_rt::SpanTree::verification`]).
     pub spans: Option<Box<region_rt::SpanTree>>,
@@ -530,9 +530,9 @@ struct Interp<'c, 'scope, 'env> {
     /// global arrays, the traditional descriptor): reported from
     /// `run_main` before any user code runs.
     startup_fault: Option<RtError>,
-    /// Cached `trace_mask != 0 || sample_interval != 0`, so site
-    /// attribution costs one local branch on the hot paths when both
-    /// tracing and sampling are off. Timeline samples reuse the trace
+    /// Cached "any facet that reads the source line is on" (tracing,
+    /// sampling, spans, snapshots), so site attribution costs one local
+    /// branch on the hot paths when all are off. Timeline samples reuse the trace
     /// site, which is how snapshots align with source `file:line` phases.
     observing: bool,
     /// Heap snapshots accumulated during the run (GC pauses, then the
@@ -589,8 +589,8 @@ where
             delete_policy,
             numbering: config.numbering,
         });
-        if config.trace_mask != 0 {
-            heap.enable_tracing(config.trace_mask, config.trace_capacity);
+        if config.trace {
+            heap.enable_tracing(config.trace_capacity);
         }
         if config.sample_interval != 0 {
             heap.enable_sampling(config.sample_interval, config.sample_cap);
@@ -717,7 +717,7 @@ where
             step_cap: if config.step_limit == 0 { u64::MAX } else { config.step_limit },
             base_op: config.costs.base_op,
             startup_fault,
-            observing: config.trace_mask != 0
+            observing: config.trace
                 || config.sample_interval != 0
                 || config.spans
                 || config.snapshots,

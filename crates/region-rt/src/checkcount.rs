@@ -11,10 +11,12 @@
 //! counting run is observationally identical to the paper's `nq`
 //! configuration (no aborts, counts maintained, heap audit-clean).
 //!
+//! The counter is a consumer of the heap's event stream: it tallies
+//! every [`Event::CheckRun`](crate::trace::Event) by its `check_site`.
 //! Attribution uses the front end's check-site ids (the same `SiteId`
 //! space rlang's verdicts are keyed by), published through
 //! [`Heap::set_check_site`] — deliberately separate from the telemetry
-//! `trace_site`, which carries source *lines* and may be off.
+//! `trace_site`, which carries source *lines*.
 
 use std::collections::BTreeMap;
 
@@ -110,38 +112,30 @@ impl CheckCounter {
 }
 
 impl Heap {
-    /// Starts recording per-site check outcomes into a fresh counter.
-    /// Replaces any existing counter.
+    /// Starts recording per-site check outcomes into a fresh counter, a
+    /// consumer of the heap's event stream. Replaces any existing
+    /// counter.
     pub fn enable_check_counting(&mut self) {
-        self.check_counter = Some(Box::new(CheckCounter::new()));
+        self.observers_mut().checks = Some(Box::new(CheckCounter::new()));
     }
 
     /// Stops counting and detaches the counter, returning it for oracle
     /// queries. `None` if counting was never enabled.
     pub fn take_check_counter(&mut self) -> Option<Box<CheckCounter>> {
-        self.check_counter.take()
+        self.detach(|o| o.checks.take())
     }
 
     /// Whether check counting is on.
     pub fn check_counting_enabled(&self) -> bool {
-        self.check_counter.is_some()
+        self.observers.as_ref().is_some_and(|o| o.checks.is_some())
     }
 
-    /// Publishes the front-end check-site id for subsequent counted
-    /// checks ([`NO_CHECK_SITE`] = unattributed). One store each; the
+    /// Publishes the front-end check-site id for subsequent checks
+    /// ([`NO_CHECK_SITE`] = unattributed). One store each; the
     /// interpreter calls this before annotated pointer stores.
     #[inline(always)]
     pub fn set_check_site(&mut self, site: u32) {
         self.check_site = site;
-    }
-
-    /// Tallies one predicate outcome against the current check site. With
-    /// counting off this is a single branch.
-    #[inline]
-    pub(crate) fn count_check(&mut self, passed: bool) {
-        if let Some(c) = self.check_counter.as_mut() {
-            c.record(self.check_site, passed);
-        }
     }
 }
 

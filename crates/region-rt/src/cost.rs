@@ -139,11 +139,6 @@ impl Clock {
     pub fn cycles(&self) -> Cycles {
         self.cycles
     }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.cycles = 0;
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +166,5 @@ mod tests {
         c.charge(5);
         c.charge(7);
         assert_eq!(c.cycles(), 12);
-        c.reset();
-        assert_eq!(c.cycles(), 0);
     }
 }

@@ -18,7 +18,7 @@ use crate::page::{PageOwner, PageStore};
 use crate::region::{renumber, renumber_gapped, RegionData, RegionId, TRADITIONAL};
 use crate::stats::Stats;
 use crate::timeline::{occupancy_bucket, HeapGauges, Timeline};
-use crate::trace::{mask, Event, Tracer};
+use crate::trace::{Event, Observers};
 
 /// How the region hierarchy is numbered for the `parentptr` interval
 /// check.
@@ -101,11 +101,10 @@ pub struct Heap {
     pub clock: Clock,
     /// Cost constants (public so ablations can tweak before running).
     pub costs: CostModel,
-    /// Enabled telemetry event kinds (a copy of the tracer's mask, kept
-    /// inline so disabled emission sites cost a single branch).
-    pub(crate) trace_mask: u32,
-    /// The attached event recorder, if tracing is enabled.
-    pub(crate) tracer: Option<Box<Tracer>>,
+    /// The consumers of the event stream (tracer, span tree, check
+    /// counter); `None` while nothing observes, so every emission site's
+    /// guard is one branch (see [`Heap::emit`]).
+    pub(crate) observers: Option<Box<Observers>>,
     /// Current source line for event attribution (0 = unattributed).
     pub(crate) trace_site: u32,
     /// Ticks until the next timeline sample; 0 means sampling is off, so
@@ -121,15 +120,11 @@ pub struct Heap {
     pub(crate) fault_rc: Option<Box<FaultArm>>,
     /// Armed fault plane for forced annotation-check failures.
     pub(crate) fault_check: Option<Box<FaultArm>>,
-    /// Per-site check-outcome counter, if check counting is enabled.
-    pub(crate) check_counter: Option<Box<crate::checkcount::CheckCounter>>,
-    /// Current front-end check-site id for counter attribution.
+    /// Current front-end check-site id for check attribution.
     pub(crate) check_site: u32,
     /// Static verdict of the current check site (see
-    /// [`Heap::set_check_verdict`]); stamped into span check notes.
+    /// [`Heap::set_check_verdict`]); stamped into check events.
     pub(crate) check_safe: bool,
-    /// The region-lifecycle span tree, if span recording is enabled.
-    pub(crate) span_tree: Option<Box<crate::span::SpanTree>>,
 }
 
 impl Heap {
@@ -157,18 +152,15 @@ impl Heap {
             stats: Stats::new(),
             clock: Clock::new(),
             costs: config.costs,
-            trace_mask: 0,
-            tracer: None,
+            observers: None,
             trace_site: 0,
             sample_countdown: 0,
             timeline: None,
             fault_alloc: None,
             fault_rc: None,
             fault_check: None,
-            check_counter: None,
             check_site: crate::checkcount::NO_CHECK_SITE,
             check_safe: false,
-            span_tree: None,
         }
     }
 
@@ -229,8 +221,9 @@ impl Heap {
     pub fn new_subregion(&mut self, parent: RegionId) -> Result<RegionId, RtError> {
         self.check_live_region(parent)?;
         let id = RegionId(self.regions.len() as u32);
+        let born_at = self.clock.cycles();
         let mut data = RegionData::new(Some(parent));
-        data.born_at = self.clock.cycles();
+        data.born_at = born_at;
         self.regions.push(data);
         self.region_mut(parent).children.push(id);
         match self.numbering {
@@ -269,23 +262,14 @@ impl Heap {
             }
         }
         self.stats.regions_created += 1;
-        if self.trace_on(mask::REGION_CREATED | mask::SUBREGION_CREATED) {
-            let at = self.clock.cycles();
-            let ev = if parent == TRADITIONAL {
-                Event::RegionCreated { region: id.0, at }
+        self.emit(|h| {
+            let (region, at) = (id.0, h.clock.cycles());
+            if parent == TRADITIONAL {
+                Event::RegionCreated { region, born_at, at }
             } else {
-                Event::SubregionCreated { region: id.0, parent: parent.0, at }
-            };
-            if self.trace_mask & ev.mask_bit() != 0 {
-                self.trace_emit(ev);
+                Event::SubregionCreated { region, parent: parent.0, born_at, at }
             }
-        }
-        if self.span_on() {
-            // Open at born_at so span durations equal the profile's
-            // lifetime_cycles exactly.
-            let born = self.regions[id.0 as usize].born_at;
-            self.span_open(id.0, parent.0, born);
-        }
+        });
         self.sample_tick();
         Ok(id)
     }
@@ -361,18 +345,11 @@ impl Heap {
             }
             self.stats.sub_live(freed);
             self.stats.regions_deleted += 1;
-            if self.trace_on(mask::REGION_DELETED) {
-                let lifetime_cycles = self.clock.cycles().saturating_sub(born_at);
-                self.trace_emit(Event::RegionDeleted {
-                    region: r.0,
-                    live_words: freed,
-                    lifetime_cycles,
-                });
-            }
-            if self.span_on() {
-                let now = self.clock.cycles();
-                self.span_close(r.0, now, freed);
-            }
+            self.emit(|h| {
+                let at = h.clock.cycles();
+                let lifetime_cycles = at.saturating_sub(born_at);
+                Event::RegionDeleted { region: r.0, live_words: freed, lifetime_cycles, at }
+            });
             self.sample_tick();
             // The unscan may have released counts on other doomed regions.
             for i in 0..self.regions.len() {
@@ -480,13 +457,8 @@ impl Heap {
         self.stats.objects_allocated += 1;
         self.stats.words_allocated += words as u64;
         self.stats.add_live(words as u64);
-        if self.trace_on(mask::ALLOC) {
-            let ev = Event::Alloc { region: r.0, site: self.trace_site, words: words as u32 };
-            self.trace_emit(ev);
-        }
-        if self.span_on() {
-            self.span_note_alloc(r.0, words as u32);
-        }
+        let words = words as u32;
+        self.emit(|h| Event::Alloc { region: r.0, site, words, at: h.clock.cycles() });
         self.sample_tick();
         Ok(out.addr)
     }
@@ -614,56 +586,15 @@ impl Heap {
             .sum()
     }
 
-    /// Resets every metric — all [`Stats`] counters including the cycle
-    /// accumulators, the virtual clock, the attribution site, and any
-    /// attached tracer (its mask and ring capacity are preserved; its ring
-    /// and folded profile start over). The heap contents are untouched;
-    /// used by harnesses that want to measure a steady-state phase.
-    pub fn reset_metrics(&mut self) {
-        self.stats = Stats::new();
-        self.clock.reset();
-        self.trace_site = 0;
-        if let Some(t) = self.tracer.as_ref() {
-            let (mask, capacity) = (t.mask(), t.capacity());
-            self.tracer = Some(Box::new(Tracer::new(mask, capacity)));
-        }
-        if let Some(tl) = self.timeline.as_mut() {
-            // Samples start over at the configured interval; the sampler
-            // itself stays attached.
-            tl.reset();
-            self.sample_countdown = tl.interval();
-        }
-        // Region birth stamps follow the clock back to zero so post-reset
-        // lifetimes (trace and spans alike) measure from the reset point.
-        for rd in &mut self.regions {
-            rd.born_at = 0;
-        }
-        if let Some(t) = self.span_tree.as_ref() {
-            // Spans restart with the clock: regions still live reopen at
-            // time 0 (their note bound is preserved).
-            let cap = t.note_cap();
-            self.span_tree =
-                Some(Box::new(crate::span::SpanTree::seeded(cap, &self.regions)));
-        }
-    }
-
     // ---- timeline sampling ------------------------------------------------
 
     /// Attaches a [`Timeline`] sampler that snapshots the heap every
     /// `interval` runtime events, retaining at most `cap` samples (older
-    /// samples are decimated). Under `--no-default-features` this is a
-    /// no-op and no timeline is ever attached.
+    /// samples are decimated).
     pub fn enable_sampling(&mut self, interval: u64, cap: usize) {
-        #[cfg(feature = "telemetry")]
-        {
-            let tl = Timeline::new(interval, cap);
-            self.sample_countdown = tl.interval();
-            self.timeline = Some(Box::new(tl));
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = (interval, cap);
-        }
+        let tl = Timeline::new(interval, cap);
+        self.sample_countdown = tl.interval();
+        self.timeline = Some(Box::new(tl));
     }
 
     /// Detaches and returns the timeline, disabling further sampling.
@@ -684,17 +615,13 @@ impl Heap {
 
     /// One sampling tick. Every instrumented runtime event (allocation,
     /// count update, check, free, collection, interpreter step) calls
-    /// this; with sampling disabled it is a single compare against zero,
-    /// and without the `telemetry` feature it compiles to nothing.
+    /// this; with sampling disabled it is a single compare against zero.
     #[inline(always)]
     pub fn sample_tick(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            if self.sample_countdown != 0 {
-                self.sample_countdown -= 1;
-                if self.sample_countdown == 0 {
-                    self.sample_take();
-                }
+        if self.sample_countdown != 0 {
+            self.sample_countdown -= 1;
+            if self.sample_countdown == 0 {
+                self.sample_take();
             }
         }
     }
@@ -702,20 +629,16 @@ impl Heap {
     /// Takes an immediate snapshot regardless of the tick countdown (used
     /// for the final sample at end of run). No-op when sampling is off.
     pub fn sample_now(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            if let Some(tl) = self.timeline.as_mut() {
-                // Account the ticks consumed from the current window.
-                let consumed = tl.interval() - self.sample_countdown.min(tl.interval());
-                tl.note_ticks(consumed);
-                self.sample_push();
-            }
+        if let Some(tl) = self.timeline.as_mut() {
+            // Account the ticks consumed from the current window.
+            let consumed = tl.interval() - self.sample_countdown.min(tl.interval());
+            tl.note_ticks(consumed);
+            self.sample_push();
         }
     }
 
     /// The scheduled (countdown-expired) sample: a full window of ticks
     /// elapsed.
-    #[cfg(feature = "telemetry")]
     #[cold]
     fn sample_take(&mut self) {
         if let Some(tl) = self.timeline.as_mut() {
@@ -725,7 +648,6 @@ impl Heap {
         self.sample_push();
     }
 
-    #[cfg(feature = "telemetry")]
     fn sample_push(&mut self) {
         let gauges = self.gauges();
         let cycles = self.clock.cycles();
@@ -735,7 +657,7 @@ impl Heap {
             // Decimation may have doubled the interval; reschedule from it.
             self.sample_countdown = tl.interval();
             // Surface lost resolution in the run's counters (assignment,
-            // not +=: both reset together via reset_metrics).
+            // not +=: the timeline's count is already cumulative).
             self.stats.samples_dropped = tl.samples_dropped();
         }
     }
@@ -915,6 +837,14 @@ impl Heap {
             self.note_fault_injected(FaultPlane::CheckFail, op, at);
         }
         fired
+    }
+
+    /// Records one injected fault: the `faults_injected` stat plus one
+    /// [`Event::Fault`].
+    #[cold]
+    pub(crate) fn note_fault_injected(&mut self, plane: FaultPlane, op: u64, at: u64) {
+        self.stats.faults_injected += 1;
+        self.emit(|_| Event::Fault { plane, op, at });
     }
 
     /// Back-fills the virtual-clock stamp on page-plane injections when an
@@ -1124,52 +1054,6 @@ mod tests {
         assert_eq!(h.read_word(a, 1).unwrap(), 99);
     }
 
-    #[test]
-    fn reset_metrics_zeroes_every_counter() {
-        use crate::rcops::WriteMode;
-        let mut h = Heap::with_defaults();
-        h.enable_tracing(crate::trace::mask::ALL, 64);
-        let counted = list_type(&mut h, PtrKind::Counted);
-        let checked = list_type(&mut h, PtrKind::SameRegion);
-        // Exercise every accumulator: regions, allocs, counted and checked
-        // stores, malloc/free, GC, unscan, pins.
-        let r1 = h.new_region();
-        let r2 = h.new_subregion(r1).unwrap();
-        let a = h.ralloc(r1, counted).unwrap();
-        let b = h.ralloc(r2, counted).unwrap();
-        h.write_ptr(a, 0, b, WriteMode::Counted).unwrap();
-        h.write_ptr(a, 0, Addr::NULL, WriteMode::Counted).unwrap();
-        let c = h.ralloc(r1, checked).unwrap();
-        h.write_ptr(c, 0, c, WriteMode::Check(PtrKind::SameRegion)).unwrap();
-        h.write_ptr(c, 0, c, WriteMode::Safe).unwrap();
-        h.write_ptr(c, 0, c, WriteMode::Raw).unwrap();
-        h.write_int(c, 1, 3).unwrap();
-        let m = h.m_alloc(counted, 1).unwrap();
-        h.m_free(m).unwrap();
-        h.gc_alloc(counted, 1).unwrap();
-        h.gc_collect(&[]);
-        h.pin_region(r1);
-        h.unpin_region(r1);
-        h.delete_region(r2).unwrap();
-        h.delete_region(r1).unwrap();
-        assert_ne!(h.stats, Stats::new(), "the workout touched the stats");
-        assert!(h.clock.cycles() > 0);
-        // Events only record when the telemetry feature compiled them in.
-        #[cfg(feature = "telemetry")]
-        assert!(h.tracer().unwrap().recorded() > 0);
-
-        h.reset_metrics();
-        // Every counter — including the cycle accumulators rc_cycles,
-        // check_cycles, unscan_cycles, alloc_cycles, gc_cycles and the
-        // live/peak gauges — reads as a fresh Stats.
-        assert_eq!(h.stats, Stats::new());
-        assert_eq!(h.clock.cycles(), 0);
-        let t = h.tracer().expect("tracer survives reset");
-        assert_eq!(t.recorded(), 0);
-        assert_eq!(t.profile().totals, crate::profile::ProfileTotals::default());
-        assert_eq!(t.mask(), crate::trace::mask::ALL, "mask preserved");
-    }
-
     /// A fixed workout touching regions, malloc, and GC, identical across
     /// sampled and unsampled heaps.
     fn workout(h: &mut Heap) {
@@ -1194,7 +1078,6 @@ mod tests {
         h.delete_region(r1).unwrap();
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn sampling_is_observation_only() {
         let mut plain = Heap::with_defaults();
@@ -1217,7 +1100,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn sample_now_takes_forced_snapshot_and_tracks_gauges() {
         let mut h = Heap::with_defaults();
@@ -1248,29 +1130,10 @@ mod tests {
         h.sample_tick(); // no-ops before enable_sampling
         h.sample_now();
         h.enable_sampling(4, 16);
-        assert_eq!(h.sampling_enabled(), cfg!(feature = "telemetry"));
+        assert!(h.sampling_enabled());
         h.sample_now();
-        let tl = h.take_timeline();
-        assert_eq!(tl.is_some(), cfg!(feature = "telemetry"));
+        assert!(h.take_timeline().is_some());
         assert!(!h.sampling_enabled());
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn reset_metrics_restarts_the_timeline() {
-        let mut h = Heap::with_defaults();
-        h.enable_sampling(2, 16);
-        let ty = list_type(&mut h, PtrKind::Counted);
-        let r = h.new_region();
-        for _ in 0..10 {
-            h.ralloc(r, ty).unwrap();
-        }
-        assert!(!h.timeline().unwrap().is_empty());
-        h.reset_metrics();
-        let tl = h.timeline().expect("sampler survives reset");
-        assert!(tl.is_empty());
-        assert_eq!(tl.interval(), 2);
-        assert_eq!(tl.ticks(), 0);
     }
 
     #[test]

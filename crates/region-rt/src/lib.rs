@@ -37,15 +37,16 @@
 //!   page, allocation, reference-count, and annotation-check planes, with
 //!   byte-reproducible injection logs ([`fault`]); see
 //!   `docs/ROBUSTNESS.md`;
-//! - a zero-dependency telemetry subsystem: a bounded ring of typed
-//!   dynamic events with per-site attribution ([`trace`]), folded
-//!   profiles — lifetime histograms, hot-region/hot-site tables, a region
-//!   flamegraph, JSONL export ([`profile`], [`json`]) — and a
+//! - a zero-dependency telemetry subsystem: one stream of typed dynamic
+//!   events with per-site attribution ([`trace`]), emitted once per site
+//!   and consumed by a bounded ring with folded profiles — lifetime
+//!   histograms, hot-region/hot-site tables, a region flamegraph, JSONL
+//!   export ([`profile`], [`json`]) — by a span tree modeling every
+//!   region lifecycle as a `newregion`…`deleteregion` interval with
+//!   span-scoped alloc/RC/check notes for provenance export ([`span`]),
+//!   and by per-site check counters ([`checkcount`]); plus a
 //!   deterministic virtual-clock timeline sampler for time-resolved
-//!   occupancy, fragmentation, and RC/check-rate metrics ([`timeline`]),
-//!   and a span tree modeling every region lifecycle as a
-//!   `newregion`…`deleteregion` interval with span-scoped alloc/RC/check
-//!   annotations for provenance export ([`span`]).
+//!   occupancy, fragmentation, and RC/check-rate metrics ([`timeline`]).
 //!   See `docs/OBSERVABILITY.md`;
 //! - per-task heap shards with typed region handoff for the parallel
 //!   `spawn`/`join` extension, plus exact merge operations on every
@@ -126,10 +127,10 @@ pub use snapshot::{
     HeapSnapshot, PageSnapshot, RegionSnapshot, SiteRetained, SnapOwner, SnapshotReason,
     SNAPSHOT_SCHEMA,
 };
-pub use span::{SiteFires, Span, SpanNote, SpanTree, DEFAULT_SPAN_NOTE_CAP};
+pub use span::{Span, SpanTree, DEFAULT_SPAN_NOTE_CAP};
 pub use stats::{AssignCategory, Stats};
 pub use timeline::{
     sparkline, HeapGauges, MetricsSnapshot, Timeline, DEFAULT_SAMPLE_INTERVAL,
     DEFAULT_TIMELINE_CAP,
 };
-pub use trace::{mask, Event, Tracer, DEFAULT_RING_CAPACITY};
+pub use trace::{Event, Tracer, DEFAULT_RING_CAPACITY};

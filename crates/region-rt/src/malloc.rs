@@ -170,18 +170,13 @@ impl Heap {
         self.stats.objects_allocated += 1;
         self.stats.words_allocated += words as u64;
         self.stats.add_live(words as u64);
-        if self.trace_on(crate::trace::mask::ALLOC) {
-            // malloc objects belong to the traditional region.
-            let ev = crate::trace::Event::Alloc {
-                region: TRADITIONAL.0,
-                site: self.trace_site,
-                words: words as u32,
-            };
-            self.trace_emit(ev);
-        }
-        if self.span_on() {
-            self.span_note_alloc(TRADITIONAL.0, words as u32);
-        }
+        // malloc objects belong to the traditional region.
+        self.emit(|h| crate::trace::Event::Alloc {
+            region: TRADITIONAL.0,
+            site: h.trace_site,
+            words: words as u32,
+            at: h.clock.cycles(),
+        });
         self.sample_tick();
         Ok(addr)
     }

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use crate::cost::Cycles;
 use crate::json::Json;
 use crate::layout::PtrKind;
-use crate::trace::{check_kind_name, Event};
+use crate::trace::Event;
 
 /// Exact totals per event kind (matching the `Stats` counters for the
 /// same run when all event kinds are enabled).
@@ -265,20 +265,20 @@ impl Profile {
     /// Folds one event into the profile.
     pub fn fold(&mut self, ev: &Event) {
         match *ev {
-            Event::RegionCreated { region, at } => {
+            Event::RegionCreated { region, at, .. } => {
                 self.totals.regions_created += 1;
                 let r = self.region_mut(region);
                 r.parent = Some(0);
                 r.created_at = at;
             }
-            Event::SubregionCreated { region, parent, at } => {
+            Event::SubregionCreated { region, parent, at, .. } => {
                 self.totals.regions_created += 1;
                 self.totals.subregions_created += 1;
                 let r = self.region_mut(region);
                 r.parent = Some(parent);
                 r.created_at = at;
             }
-            Event::RegionDeleted { region, live_words, lifetime_cycles } => {
+            Event::RegionDeleted { region, live_words, lifetime_cycles, .. } => {
                 self.totals.regions_deleted += 1;
                 let r = self.region_mut(region);
                 r.deleted = true;
@@ -286,7 +286,7 @@ impl Profile {
                 r.lifetime_cycles = lifetime_cycles;
                 self.lifetime_hist[log2_bucket(lifetime_cycles)] += 1;
             }
-            Event::Alloc { region, site, words } => {
+            Event::Alloc { region, site, words, .. } => {
                 self.totals.allocs += 1;
                 self.totals.alloc_words += words as u64;
                 let r = self.region_mut(region);
@@ -304,7 +304,7 @@ impl Profile {
                 }
                 self.site_mut(site).rc_updates += 1;
             }
-            Event::CheckRun { kind, site, passed } => {
+            Event::CheckRun { kind, site, passed, .. } => {
                 let s = self.site_mut(site);
                 match kind {
                     PtrKind::SameRegion => s.checks_sameregion += 1,
@@ -324,7 +324,7 @@ impl Profile {
                 }
             }
             Event::GcCollection { .. } => self.totals.gc_collections += 1,
-            Event::AuditRun { ok } => {
+            Event::AuditRun { ok, .. } => {
                 self.totals.audit_runs += 1;
                 if !ok {
                     self.totals.audit_failures += 1;
@@ -607,12 +607,6 @@ impl Profile {
     }
 }
 
-/// `check_kind_name` re-exported for report builders that format check
-/// kinds alongside profile tables.
-pub fn kind_name(kind: PtrKind) -> &'static str {
-    check_kind_name(kind)
-}
-
 fn log2_bucket(v: u64) -> usize {
     if v == 0 {
         0
@@ -627,20 +621,25 @@ mod tests {
     use crate::trace::NO_REGION;
 
     fn alloc(region: u32, site: u32, words: u32) -> Event {
-        Event::Alloc { region, site, words }
+        Event::Alloc { region, site, words, at: 0 }
+    }
+
+    fn check(kind: PtrKind, site: u32, passed: bool) -> Event {
+        let (region, check_site, statically_safe, at) = (1, site, false, 0);
+        Event::CheckRun { kind, region, site, check_site, passed, statically_safe, at }
     }
 
     #[test]
     fn fold_accumulates_totals_sites_and_regions() {
         let mut p = Profile::new();
-        p.fold(&Event::RegionCreated { region: 1, at: 10 });
-        p.fold(&Event::SubregionCreated { region: 2, parent: 1, at: 20 });
+        p.fold(&Event::RegionCreated { region: 1, born_at: 10, at: 10 });
+        p.fold(&Event::SubregionCreated { region: 2, parent: 1, born_at: 20, at: 20 });
         p.fold(&alloc(1, 5, 3));
         p.fold(&alloc(2, 5, 2));
         p.fold(&alloc(2, 9, 4));
-        p.fold(&Event::CheckRun { kind: PtrKind::SameRegion, site: 7, passed: true });
-        p.fold(&Event::RcUpdate { from: 1, to: NO_REGION, full: true, site: 7 });
-        p.fold(&Event::RegionDeleted { region: 2, live_words: 6, lifetime_cycles: 100 });
+        p.fold(&check(PtrKind::SameRegion, 7, true));
+        p.fold(&Event::RcUpdate { from: 1, to: NO_REGION, full: true, site: 7, at: 0 });
+        p.fold(&Event::RegionDeleted { region: 2, live_words: 6, lifetime_cycles: 100, at: 120 });
 
         assert_eq!(p.totals.regions_created, 2);
         assert_eq!(p.totals.subregions_created, 1);
@@ -670,7 +669,7 @@ mod tests {
         let mut p = Profile::new();
         for (site, n) in [(3u32, 5u64), (8, 9), (2, 9), (4, 1)] {
             for _ in 0..n {
-                p.fold(&Event::CheckRun { kind: PtrKind::ParentPtr, site, passed: true });
+                p.fold(&check(PtrKind::ParentPtr, site, true));
             }
         }
         let hot = p.hot_check_sites(3);
@@ -681,9 +680,9 @@ mod tests {
     #[test]
     fn flamegraph_indents_subregions_under_parents() {
         let mut p = Profile::new();
-        p.fold(&Event::RegionCreated { region: 1, at: 0 });
-        p.fold(&Event::SubregionCreated { region: 2, parent: 1, at: 0 });
-        p.fold(&Event::SubregionCreated { region: 3, parent: 2, at: 0 });
+        p.fold(&Event::RegionCreated { region: 1, born_at: 0, at: 0 });
+        p.fold(&Event::SubregionCreated { region: 2, parent: 1, born_at: 0, at: 0 });
+        p.fold(&Event::SubregionCreated { region: 3, parent: 2, born_at: 0, at: 0 });
         p.fold(&alloc(1, 0, 10));
         p.fold(&alloc(2, 0, 20));
         p.fold(&alloc(3, 0, 30));
@@ -713,8 +712,8 @@ mod tests {
     #[test]
     fn offset_regions_shifts_everything_but_the_traditional_region() {
         let mut p = Profile::new();
-        p.fold(&Event::RegionCreated { region: 1, at: 10 });
-        p.fold(&Event::SubregionCreated { region: 2, parent: 1, at: 20 });
+        p.fold(&Event::RegionCreated { region: 1, born_at: 10, at: 10 });
+        p.fold(&Event::SubregionCreated { region: 2, parent: 1, born_at: 20, at: 20 });
         p.fold(&alloc(0, 3, 4));
         p.offset_regions(10);
         let ids: Vec<u32> = p.regions().map(|r| r.region).collect();
@@ -726,14 +725,14 @@ mod tests {
     #[test]
     fn merge_unions_sites_and_regions_and_sums_totals() {
         let mut a = Profile::new();
-        a.fold(&Event::RegionCreated { region: 1, at: 10 });
+        a.fold(&Event::RegionCreated { region: 1, born_at: 10, at: 10 });
         a.fold(&alloc(1, 5, 3));
-        a.fold(&Event::CheckRun { kind: PtrKind::SameRegion, site: 7, passed: false });
+        a.fold(&check(PtrKind::SameRegion, 7, false));
         let mut b = Profile::new();
-        b.fold(&Event::RegionCreated { region: 1, at: 20 });
+        b.fold(&Event::RegionCreated { region: 1, born_at: 20, at: 20 });
         b.fold(&alloc(1, 5, 2));
         b.fold(&alloc(1, 9, 4));
-        b.fold(&Event::RegionDeleted { region: 1, live_words: 6, lifetime_cycles: 100 });
+        b.fold(&Event::RegionDeleted { region: 1, live_words: 6, lifetime_cycles: 100, at: 120 });
         // A shard merge always offsets the incoming profile first so only
         // the shared traditional region collides.
         b.offset_regions(1);
@@ -755,9 +754,9 @@ mod tests {
     fn merge_is_associative() {
         let mk = |region: u32, site: u32, at: u64| {
             let mut p = Profile::new();
-            p.fold(&Event::RegionCreated { region, at });
+            p.fold(&Event::RegionCreated { region, born_at: at, at });
             p.fold(&alloc(region, site, site + 1));
-            p.fold(&Event::CheckRun { kind: PtrKind::ParentPtr, site, passed: true });
+            p.fold(&check(PtrKind::ParentPtr, site, true));
             p
         };
         let (a, b, c) = (mk(1, 3, 5), mk(2, 4, 6), mk(1, 3, 7));

@@ -19,7 +19,7 @@ use crate::heap::Heap;
 use crate::layout::PtrKind;
 use crate::region::{is_ancestor, RegionId, TRADITIONAL};
 use crate::stats::AssignCategory;
-use crate::trace::{mask, Event, NO_REGION};
+use crate::trace::{Event, NO_REGION};
 
 /// How a heap pointer store is instrumented.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,15 +76,9 @@ impl Heap {
                 Ok(())
             }
             WriteMode::CountedCheck(kind) => {
-                let ok = self.eval_check(obj, val, kind)?;
-                self.count_check(ok);
-                if self.trace_on(mask::CHECK_RUN) {
-                    let ev = Event::CheckRun { kind, site: self.trace_site, passed: ok };
-                    self.trace_emit(ev);
-                }
-                if self.span_on() {
-                    self.span_note_check(obj, kind, ok);
-                }
+                // The outcome reaches the check counter through the event
+                // stream; the store itself never aborts.
+                self.eval_check(obj, val, kind)?;
                 self.write_counted(obj, slot, val)
             }
         }
@@ -103,18 +97,13 @@ impl Heap {
         let ro = self.try_region_of(old);
         let rn = self.try_region_of(val);
         let full = ro != rn;
-        if self.trace_on(mask::RC_UPDATE) {
-            let ev = Event::RcUpdate {
-                from: rp.0,
-                to: rn.map_or(NO_REGION, |r| r.0),
-                full,
-                site: self.trace_site,
-            };
-            self.trace_emit(ev);
-        }
-        if self.span_on() {
-            self.span_note_rc(rp.0, full);
-        }
+        self.emit(|h| Event::RcUpdate {
+            from: rp.0,
+            to: rn.map_or(NO_REGION, |r| r.0),
+            full,
+            site: h.trace_site,
+            at: h.clock.cycles(),
+        });
         let mut decremented = false;
         if full {
             if let Some(ro) = ro {
@@ -156,14 +145,6 @@ impl Heap {
         kind: PtrKind,
     ) -> Result<(), RtError> {
         let ok = self.eval_check(obj, val, kind)?;
-        self.count_check(ok);
-        if self.trace_on(mask::CHECK_RUN) {
-            let ev = Event::CheckRun { kind, site: self.trace_site, passed: ok };
-            self.trace_emit(ev);
-        }
-        if self.span_on() {
-            self.span_note_check(obj, kind, ok);
-        }
         self.sample_tick();
         if !ok {
             return Err(RtError::CheckFailed { kind, obj, field, val });
@@ -174,9 +155,10 @@ impl Heap {
     }
 
     /// Evaluates the Figure 3(b) predicate for one annotated store,
-    /// charging the per-kind statistics and cycle costs. The fault plane
-    /// may force a `false` result (its counters and cycle charges are
-    /// untouched, so the run stays comparable).
+    /// charging the per-kind statistics and cycle costs, and emits its
+    /// [`Event::CheckRun`] (the one emission both check paths share). The
+    /// fault plane may force a `false` result (its counters and cycle
+    /// charges are untouched, so the run stays comparable).
     fn eval_check(&mut self, obj: Addr, val: Addr, kind: PtrKind) -> Result<bool, RtError> {
         let ok = match kind {
             PtrKind::SameRegion => {
@@ -206,7 +188,17 @@ impl Heap {
         // Tick unconditionally so the fault schedule's ordinals are
         // independent of check outcomes.
         let forced = self.fault_check_tick();
-        Ok(ok && !forced)
+        let passed = ok && !forced;
+        self.emit(|h| Event::CheckRun {
+            kind,
+            region: h.try_region_of(obj).unwrap_or(TRADITIONAL).0,
+            site: h.trace_site,
+            check_site: h.check_site,
+            passed,
+            statically_safe: h.check_safe,
+            at: h.clock.cycles(),
+        });
+        Ok(passed)
     }
 
     /// Reads a pointer field.

@@ -104,8 +104,9 @@ pub struct RegionSnapshot {
     pub freed_words: u64,
     /// Virtual time of reclamation (`None` while live or spans off).
     pub closed_at: Option<u64>,
-    /// Virtual time of the last retained span note touching this region
-    /// (0 when spans off or every note was decimated) — the idle time the
+    /// Span aggregate: virtual time of the last alloc, count update or
+    /// check on this region (0 when spans off or never touched), exact
+    /// even when the note buffer dropped notes — the idle time the
     /// `leaks` query ranks by.
     pub last_touch: u64,
 }
@@ -239,18 +240,7 @@ impl Heap {
     /// no cycles, mutates nothing, and is safe at any point — including
     /// after a fault, where the capture shows the pre-unwind heap.
     pub fn snapshot(&self, reason: SnapshotReason) -> HeapSnapshot {
-        let spans = self.span_tree.as_deref();
-
-        // Last-touch per region, from the retained span notes.
-        let mut last_touch = vec![0u64; self.regions.len()];
-        if let Some(tree) = spans {
-            for note in tree.notes() {
-                let r = note.region() as usize;
-                if r < last_touch.len() && note.at() > last_touch[r] {
-                    last_touch[r] = note.at();
-                }
-            }
-        }
+        let spans = self.spans();
 
         let mut used = vec![0u32; self.store.page_count()];
         let mut sites: BTreeMap<(u32, u32), (u64, u64)> = BTreeMap::new();
@@ -295,7 +285,7 @@ impl Heap {
                 checks_failed: span.map_or(0, |s| s.checks_failed),
                 freed_words: span.map_or(0, |s| s.freed_words),
                 closed_at: span.and_then(|s| s.closed_at),
-                last_touch: last_touch[i],
+                last_touch: span.map_or(0, |s| s.last_touch),
             });
         }
 
@@ -869,6 +859,27 @@ mod tests {
         assert!(r2.pages.is_empty());
         assert!(r2.closed_at.is_some(), "span recorded the reclamation");
         assert!(r2.freed_words > 0);
+    }
+
+    /// `last_touch` is folded at emission time like the other span
+    /// aggregates, so a full note buffer cannot make it stale.
+    #[test]
+    fn last_touch_is_exact_when_notes_are_dropped() {
+        let probe = |note_cap: usize| {
+            let mut h = Heap::with_defaults();
+            let ty = h.register_type(TypeLayout::data("cell", 1));
+            h.enable_spans(note_cap);
+            let r = h.new_region();
+            for _ in 0..40 {
+                h.ralloc(r, ty).unwrap();
+            }
+            let at_last_alloc = h.clock.cycles();
+            let dropped = h.spans().unwrap().notes_dropped();
+            let row = &h.snapshot(SnapshotReason::Exit).regions[r.0 as usize];
+            (dropped, row.allocs, row.last_touch, at_last_alloc)
+        };
+        assert_eq!(probe(16), (24, 40, 536, 536));
+        assert_eq!(probe(1024), (0, 40, 536, 536));
     }
 
     #[test]

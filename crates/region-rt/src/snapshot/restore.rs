@@ -49,7 +49,7 @@ use crate::malloc::{size_class, MallocObj, MallocState, SIZE_CLASSES};
 use crate::page::{PageOwner, PageStore};
 use crate::region::{RegionData, RegionId};
 use crate::snapshot::{HeapSnapshot, RegionSnapshot, SnapOwner};
-use crate::span::{Span, SpanNote, SpanTree};
+use crate::span::{Span, SpanTree};
 use crate::trace::NO_REGION;
 
 /// Restore refuses snapshots claiming more committed pages than this
@@ -1039,38 +1039,20 @@ impl Heap {
             stats: snap.stats.clone(),
             clock,
             costs: CostModel::paper(),
-            trace_mask: 0,
-            tracer: None,
+            observers: None,
             trace_site: 0,
             sample_countdown: 0,
             timeline: None,
             fault_alloc: None,
             fault_rc: None,
             fault_check: None,
-            check_counter: None,
             check_site: crate::checkcount::NO_CHECK_SITE,
             check_safe: false,
-            span_tree: None,
         };
 
         if shape.spans_on {
-            let spans: Vec<Span> = snap
-                .regions
-                .iter()
-                .map(span_from)
-                .collect();
-            let notes: Vec<SpanNote> = snap
-                .regions
-                .iter()
-                .filter(|rs| rs.last_touch > 0)
-                .map(|rs| SpanNote::Rc {
-                    region: rs.region,
-                    at: rs.last_touch,
-                    site: 0,
-                    full: false,
-                })
-                .collect();
-            heap.span_tree = Some(Box::new(SpanTree::from_snapshot(spans, notes)));
+            let spans = snap.regions.iter().map(span_from).collect();
+            heap.observers_mut().spans = Some(Box::new(SpanTree::from_snapshot(spans)));
         }
 
         // The three exit gates: a restored heap must verify, audit clean,
@@ -1116,6 +1098,7 @@ fn span_from(rs: &RegionSnapshot) -> Span {
         checks_failed: rs.checks_failed,
         faults: 0,
         freed_words: rs.freed_words,
+        last_touch: rs.last_touch,
     }
 }
 

@@ -1,43 +1,39 @@
-//! Region lifecycle spans: the causality layer over the flat event ring.
+//! Region lifecycle spans: the causality layer over the event stream.
 //!
 //! The trace ring ([`crate::trace`]) answers *which event*; the timeline
 //! ([`crate::timeline`]) answers *when*. This module adds *structure*:
 //! every region's lifecycle (`newregion` → `deleteregion`) is a [`Span`]
 //! in a parent/child tree mirroring the DFS `id`/`nextid` hierarchy of
 //! [`crate::region`], and every alloc / rc-update / check / collection /
-//! injected fault is attached to its owning span as a virtual-clock-
-//! stamped [`SpanNote`]. The tree is what the Perfetto exporter in
-//! `rc-bench` renders (spans on tracks, notes as instants) and what the
-//! fuzzer's well-formedness oracle cross-checks.
+//! injected fault [`Event`] is attached to its owning span as a note.
+//! The tree is what the Perfetto exporter in `rc-bench` renders (spans on
+//! tracks, notes as instants) and what the fuzzer's well-formedness
+//! oracle cross-checks.
 //!
 //! Design constraints, shared with the rest of the telemetry stack (see
 //! `docs/OBSERVABILITY.md`):
 //!
-//! - **Pay only when enabled.** Every hook site tests one `Option`
-//!   discriminant ([`Heap::span_on`]); the tree is `None` — the default —
-//!   unless [`Heap::enable_spans`] was called. `--no-default-features`
-//!   compiles the branch away entirely.
+//! - **One stream.** The tree is a consumer of the heap's event stream:
+//!   [`SpanTree::fold`] sees the same [`Event`]s as the tracer, emitted
+//!   once per site behind the heap's one observer guard.
 //! - **Bounded notes, exact aggregates.** Raw notes live in a bounded
 //!   vector (newest dropped when full, never reallocated past the cap),
-//!   but per-span counters and the per-check-site fire table are folded
-//!   at emission time, so totals stay exact no matter how many notes
-//!   were dropped.
+//!   but per-span counters, last-touch stamps and the per-check-site
+//!   tally are folded at emission time, so they stay exact no matter how
+//!   many notes were dropped.
 //! - **Deterministic.** Spans and notes are stamped by the virtual
 //!   clock only; two runs of the same program produce identical trees.
 //!
 //! Span indices equal region indices: the runtime never reuses a region
 //! slot, so `spans()[r]` is region `r`'s span for the whole run.
 
-use std::collections::BTreeMap;
-
+use crate::checkcount::{CheckCounter, NO_CHECK_SITE};
 use crate::cost::Cycles;
-use crate::fault::FaultPlane;
 use crate::heap::Heap;
-use crate::layout::PtrKind;
 use crate::region::{is_ancestor, RegionData, TRADITIONAL};
-use crate::trace::NO_REGION;
+use crate::trace::{Event, NO_REGION};
 
-/// Default bound on retained raw [`SpanNote`]s.
+/// Default bound on retained raw notes.
 pub const DEFAULT_SPAN_NOTE_CAP: usize = 256 * 1024;
 
 /// One region lifecycle. `region` is the raw
@@ -70,6 +66,9 @@ pub struct Span {
     pub faults: u64,
     /// Words of storage freed when the span closed.
     pub freed_words: u64,
+    /// Virtual time of the latest note attributed to this span (0 =
+    /// never touched): what post-mortem tools rank idle regions by.
+    pub last_touch: Cycles,
 }
 
 impl Span {
@@ -86,6 +85,7 @@ impl Span {
             checks_failed: 0,
             faults: 0,
             freed_words: 0,
+            last_touch: 0,
         }
     }
 
@@ -95,118 +95,16 @@ impl Span {
     }
 }
 
-/// One span-scoped annotation, stamped by the virtual clock. `site`
-/// fields are 1-based source lines (0 = unattributed); `check_site` is
-/// the front-end check-site id
-/// ([`NO_CHECK_SITE`](crate::checkcount::NO_CHECK_SITE) when the
-/// interpreter did not publish one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanNote {
-    /// An object was allocated into `region`.
-    Alloc {
-        /// Owning region (the traditional region for malloc/GC objects).
-        region: u32,
-        /// Virtual time.
-        at: Cycles,
-        /// Source line (0 = unattributed).
-        site: u32,
-        /// Size in words.
-        words: u32,
-    },
-    /// A reference-count update ran on an object of `region`.
-    Rc {
-        /// Region of the object containing the updated slot.
-        region: u32,
-        /// Virtual time.
-        at: Cycles,
-        /// Source line (0 = unattributed).
-        site: u32,
-        /// Whether the counts actually changed (Figure 3(a) full path).
-        full: bool,
-    },
-    /// An annotation check ran on a store into an object of `region`.
-    Check {
-        /// Region of the stored-into object.
-        region: u32,
-        /// Virtual time.
-        at: Cycles,
-        /// Source line (0 = unattributed).
-        site: u32,
-        /// Front-end check-site id for static↔dynamic attribution.
-        check_site: u32,
-        /// Which annotation was checked.
-        kind: PtrKind,
-        /// Whether the check passed.
-        passed: bool,
-        /// The static verdict the inference reached for this site
-        /// (`true` = eliminable in principle; the check ran anyway
-        /// because the configuration keeps all checks).
-        statically_safe: bool,
-    },
-    /// A mark–sweep collection ran (attributed to the root span).
-    Gc {
-        /// Virtual time.
-        at: Cycles,
-        /// Words examined by marking.
-        marked_words: u64,
-        /// Objects reclaimed by the sweep.
-        swept_objects: u64,
-    },
-    /// A fault plane injected a failure (attributed to the root span).
-    Fault {
-        /// Virtual time.
-        at: Cycles,
-        /// The plane that fired.
-        plane: FaultPlane,
-        /// 1-based operation ordinal on that plane.
-        op: u64,
-    },
-}
-
-impl SpanNote {
-    /// Virtual-clock stamp of the note.
-    pub fn at(&self) -> Cycles {
-        match *self {
-            SpanNote::Alloc { at, .. }
-            | SpanNote::Rc { at, .. }
-            | SpanNote::Check { at, .. }
-            | SpanNote::Gc { at, .. }
-            | SpanNote::Fault { at, .. } => at,
-        }
-    }
-
-    /// The span (region index) the note is attributed to.
-    pub fn region(&self) -> u32 {
-        match *self {
-            SpanNote::Alloc { region, .. }
-            | SpanNote::Rc { region, .. }
-            | SpanNote::Check { region, .. } => region,
-            SpanNote::Gc { .. } | SpanNote::Fault { .. } => TRADITIONAL.0,
-        }
-    }
-}
-
-/// Exact per-check-site dynamic outcome tally (folded at emission time,
-/// immune to note drops). Keyed by the front-end check-site id.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SiteFires {
-    /// Times the check executed.
-    pub fires: u64,
-    /// The subset of `fires` that failed.
-    pub fails: u64,
-    /// The static verdict the interpreter published for the site.
-    pub statically_safe: bool,
-}
-
 /// The span tree of one run: one [`Span`] per region (index = region
-/// id), bounded raw [`SpanNote`]s, and exact folded tallies.
+/// id), bounded raw notes (the alloc / rc-update / check / collection /
+/// fault [`Event`]s, in emission order), and exact folded tallies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanTree {
     spans: Vec<Span>,
-    notes: Vec<SpanNote>,
+    notes: Vec<Event>,
     note_cap: usize,
     notes_dropped: u64,
-    check_sites: BTreeMap<u32, SiteFires>,
+    check_sites: CheckCounter,
     verified: Option<Result<(), String>>,
 }
 
@@ -219,24 +117,15 @@ impl SpanTree {
             notes: Vec::new(),
             note_cap: note_cap.max(16),
             notes_dropped: 0,
-            check_sites: BTreeMap::new(),
+            check_sites: CheckCounter::new(),
             verified: None,
         }
     }
 
     /// Rebuilds a tree from snapshot-recorded span aggregates (restore
-    /// path). Raw notes are not part of a snapshot, so the restore layer
-    /// passes at most one synthetic note per region — just enough to
-    /// reproduce the snapshot's `last_touch` stamps.
-    pub(crate) fn from_snapshot(spans: Vec<Span>, notes: Vec<SpanNote>) -> SpanTree {
-        SpanTree {
-            spans,
-            notes,
-            note_cap: DEFAULT_SPAN_NOTE_CAP,
-            notes_dropped: 0,
-            check_sites: BTreeMap::new(),
-            verified: None,
-        }
+    /// path). Raw notes are not part of a snapshot.
+    pub(crate) fn from_snapshot(spans: Vec<Span>) -> SpanTree {
+        SpanTree { spans, ..SpanTree::new(DEFAULT_SPAN_NOTE_CAP) }
     }
 
     /// A tree seeded from an existing region table: every region already
@@ -255,9 +144,81 @@ impl SpanTree {
         t
     }
 
-    /// Opens the span for a newly created region.
-    pub fn open(&mut self, region: u32, parent: u32, at: Cycles) {
+    /// Folds one event into the tree: creations open spans (at the
+    /// region's `born_at`, so durations equal the profile's
+    /// `lifetime_cycles`), reclamations close them, and allocs, count
+    /// updates, checks, collections and faults become notes on their
+    /// span (collections and faults on the root: fault planes and the
+    /// collector are process-level).
+    pub fn fold(&mut self, ev: &Event) {
+        match *ev {
+            Event::RegionCreated { region, born_at, .. } => {
+                self.open(region, TRADITIONAL.0, born_at)
+            }
+            Event::SubregionCreated { region, parent, born_at, .. } => {
+                self.open(region, parent, born_at)
+            }
+            Event::RegionDeleted { region, live_words, at, .. } => {
+                self.close(region, at, live_words)
+            }
+            Event::Alloc { region, words, at, .. } => {
+                if let Some(s) = self.note(region, at, ev) {
+                    s.allocs += 1;
+                    s.alloc_words += words as u64;
+                }
+            }
+            Event::RcUpdate { from, at, .. } => {
+                if let Some(s) = self.note(from, at, ev) {
+                    s.rc_updates += 1;
+                }
+            }
+            Event::CheckRun { region, check_site, passed, at, .. } => {
+                if check_site != NO_CHECK_SITE {
+                    self.check_sites.record(check_site, passed);
+                }
+                if let Some(s) = self.note(region, at, ev) {
+                    s.checks += 1;
+                    s.checks_failed += u64::from(!passed);
+                }
+            }
+            Event::GcCollection { at, .. } => {
+                self.note(TRADITIONAL.0, at, ev);
+            }
+            Event::Fault { at, .. } => {
+                if let Some(s) = self.note(TRADITIONAL.0, at, ev) {
+                    s.faults += 1;
+                }
+            }
+            Event::AuditRun { .. } => {}
+        }
+    }
+
+    fn open(&mut self, region: u32, parent: u32, at: Cycles) {
         self.spans.push(Span::new(region, parent, at));
+    }
+
+    fn close(&mut self, region: u32, at: Cycles, freed_words: u64) {
+        if let Some(s) = self.spans.get_mut(region as usize) {
+            s.closed_at = Some(at);
+            s.freed_words = freed_words;
+        }
+    }
+
+    fn push_note(&mut self, ev: Event) {
+        if self.notes.len() < self.note_cap {
+            self.notes.push(ev);
+        } else {
+            self.notes_dropped += 1;
+        }
+    }
+
+    /// Retains `ev` as a note on `region`'s span and stamps the span's
+    /// last touch; returns the span for the caller's counters.
+    fn note(&mut self, region: u32, at: Cycles, ev: &Event) -> Option<&mut Span> {
+        self.push_note(*ev);
+        let s = self.spans.get_mut(region as usize)?;
+        s.last_touch = s.last_touch.max(at);
+        Some(s)
     }
 
     /// Grafts another tree's spans into this one under a shard-global
@@ -267,8 +228,9 @@ impl SpanTree {
     /// region — folds its counters into this tree's root span; every
     /// other region `r ≥ 1` is renumbered to `len(self) + r - 1`, which
     /// keeps the `spans[i].region == i` index invariant dense. Notes are
-    /// appended in emission order with the same renumbering (still
-    /// bounded by this tree's note cap), and per-check-site tallies sum.
+    /// appended in emission order with every region field renumbered the
+    /// same way (still bounded by this tree's note cap), and
+    /// per-check-site tallies sum.
     /// The merge is associative: `(a ⊔ b) ⊔ c` and `a ⊔ (b ⊔ c)` assign
     /// every region the same global index and the same counters. It is
     /// deliberately *not* commutative — shard order is join order.
@@ -300,6 +262,7 @@ impl SpanTree {
                     root.checks_failed += s.checks_failed;
                     root.faults += s.faults;
                     root.freed_words += s.freed_words;
+                    root.last_touch = root.last_touch.max(s.last_touch);
                 }
                 continue;
             }
@@ -310,21 +273,22 @@ impl SpanTree {
         }
         for n in &other.notes {
             let mut nn = *n;
+            // Collections and faults, the other note kinds, carry no
+            // region.
             match &mut nn {
-                SpanNote::Alloc { region, .. }
-                | SpanNote::Rc { region, .. }
-                | SpanNote::Check { region, .. } => *region = remap(*region),
-                SpanNote::Gc { .. } | SpanNote::Fault { .. } => {}
+                Event::Alloc { region, .. } | Event::CheckRun { region, .. } => {
+                    *region = remap(*region)
+                }
+                Event::RcUpdate { from, to, .. } => {
+                    *from = remap(*from);
+                    *to = remap(*to);
+                }
+                _ => {}
             }
             self.push_note(nn);
         }
         self.notes_dropped += other.notes_dropped;
-        for (site, f) in &other.check_sites {
-            let e = self.check_sites.entry(*site).or_default();
-            e.fires += f.fires;
-            e.fails += f.fails;
-            e.statically_safe = f.statically_safe;
-        }
+        self.check_sites.merge(&other.check_sites);
         if let Some(Err(e)) = &other.verified {
             if !matches!(self.verified, Some(Err(_))) {
                 self.verified = Some(Err(e.clone()));
@@ -353,101 +317,13 @@ impl SpanTree {
         Ok(())
     }
 
-    /// Closes a span at reclamation time.
-    pub fn close(&mut self, region: u32, at: Cycles, freed_words: u64) {
-        if let Some(s) = self.spans.get_mut(region as usize) {
-            s.closed_at = Some(at);
-            s.freed_words = freed_words;
-        }
-    }
-
-    fn push_note(&mut self, note: SpanNote) {
-        if self.notes.len() < self.note_cap {
-            self.notes.push(note);
-        } else {
-            self.notes_dropped += 1;
-        }
-    }
-
-    fn span_mut(&mut self, region: u32) -> Option<&mut Span> {
-        self.spans.get_mut(region as usize)
-    }
-
-    /// Records an allocation into `region`.
-    pub fn note_alloc(&mut self, region: u32, at: Cycles, site: u32, words: u32) {
-        if let Some(s) = self.span_mut(region) {
-            s.allocs += 1;
-            s.alloc_words += words as u64;
-        }
-        self.push_note(SpanNote::Alloc { region, at, site, words });
-    }
-
-    /// Records a reference-count update on an object of `region`.
-    pub fn note_rc(&mut self, region: u32, at: Cycles, site: u32, full: bool) {
-        if let Some(s) = self.span_mut(region) {
-            s.rc_updates += 1;
-        }
-        self.push_note(SpanNote::Rc { region, at, site, full });
-    }
-
-    /// Records an annotation check on a store into an object of
-    /// `region`, folding the exact per-check-site tally.
-    #[allow(clippy::too_many_arguments)]
-    pub fn note_check(
-        &mut self,
-        region: u32,
-        at: Cycles,
-        site: u32,
-        check_site: u32,
-        kind: PtrKind,
-        passed: bool,
-        statically_safe: bool,
-    ) {
-        if let Some(s) = self.span_mut(region) {
-            s.checks += 1;
-            if !passed {
-                s.checks_failed += 1;
-            }
-        }
-        if check_site != crate::checkcount::NO_CHECK_SITE {
-            let e = self.check_sites.entry(check_site).or_default();
-            e.fires += 1;
-            if !passed {
-                e.fails += 1;
-            }
-            e.statically_safe = statically_safe;
-        }
-        self.push_note(SpanNote::Check {
-            region,
-            at,
-            site,
-            check_site,
-            kind,
-            passed,
-            statically_safe,
-        });
-    }
-
-    /// Records a mark–sweep collection (root span).
-    pub fn note_gc(&mut self, at: Cycles, marked_words: u64, swept_objects: u64) {
-        self.push_note(SpanNote::Gc { at, marked_words, swept_objects });
-    }
-
-    /// Records an injected fault (root span).
-    pub fn note_fault(&mut self, at: Cycles, plane: FaultPlane, op: u64) {
-        if let Some(s) = self.span_mut(TRADITIONAL.0) {
-            s.faults += 1;
-        }
-        self.push_note(SpanNote::Fault { at, plane, op });
-    }
-
     /// All spans, region id ascending (index = region id).
     pub fn spans(&self) -> &[Span] {
         &self.spans
     }
 
     /// Retained raw notes, emission order.
-    pub fn notes(&self) -> &[SpanNote] {
+    pub fn notes(&self) -> &[Event] {
         &self.notes
     }
 
@@ -456,19 +332,10 @@ impl SpanTree {
         self.notes_dropped
     }
 
-    /// The note bound this tree was created with.
-    pub fn note_cap(&self) -> usize {
-        self.note_cap
-    }
-
-    /// Exact per-check-site outcome tallies, site id ascending.
-    pub fn check_sites(&self) -> impl Iterator<Item = (u32, &SiteFires)> {
-        self.check_sites.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// The tally for one check site, if it ever fired.
-    pub fn site_fires(&self, check_site: u32) -> Option<SiteFires> {
-        self.check_sites.get(&check_site).copied()
+    /// Exact per-check-site outcome tallies (checks whose site the
+    /// interpreter published).
+    pub fn check_sites(&self) -> &CheckCounter {
+        &self.check_sites
     }
 
     /// Spans still open.
@@ -499,11 +366,6 @@ impl SpanTree {
     /// Sum of `checks` over all spans.
     pub fn total_checks(&self) -> u64 {
         self.spans.iter().map(|s| s.checks).sum()
-    }
-
-    /// Sum of `faults` over all spans.
-    pub fn total_faults(&self) -> u64 {
-        self.spans.iter().map(|s| s.faults).sum()
     }
 
     /// Stamps the outcome of [`Heap::seal_spans`]' well-formedness
@@ -612,53 +474,32 @@ impl SpanTree {
 }
 
 impl Heap {
-    /// Whether span recording is active. One branch; compiled out
-    /// without the `telemetry` feature.
-    #[inline(always)]
-    pub(crate) fn span_on(&self) -> bool {
-        #[cfg(feature = "telemetry")]
-        {
-            self.span_tree.is_some()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            false
-        }
-    }
-
     /// Attaches a [`SpanTree`] retaining at most `note_cap` raw notes.
     /// Regions that already exist are seeded (the traditional region's
-    /// span opens at time 0). Replaces any existing tree. Under
-    /// `--no-default-features` this is a no-op.
+    /// span opens at time 0). Replaces any existing tree.
     pub fn enable_spans(&mut self, note_cap: usize) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.span_tree = Some(Box::new(SpanTree::seeded(note_cap, &self.regions)));
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = note_cap;
-        }
+        let tree = SpanTree::seeded(note_cap, &self.regions);
+        self.observers_mut().spans = Some(Box::new(tree));
     }
 
     /// Detaches and returns the span tree, disabling further recording.
     pub fn take_spans(&mut self) -> Option<Box<SpanTree>> {
-        self.span_tree.take()
+        self.detach(|o| o.spans.take())
     }
 
     /// The attached span tree, if any.
     pub fn spans(&self) -> Option<&SpanTree> {
-        self.span_tree.as_deref()
+        self.observers.as_ref()?.spans.as_deref()
     }
 
     /// Whether a span tree is attached.
     pub fn spans_enabled(&self) -> bool {
-        self.span_tree.is_some()
+        self.spans().is_some()
     }
 
     /// Publishes the static verdict of the next annotation check's site
-    /// (pairs with [`Heap::set_check_site`]); stamped into span check
-    /// notes as `statically_safe`.
+    /// (pairs with [`Heap::set_check_site`]); stamped into
+    /// [`Event::CheckRun`] as `statically_safe`.
     #[inline(always)]
     pub fn set_check_verdict(&mut self, safe: bool) {
         self.check_safe = safe;
@@ -668,91 +509,11 @@ impl Heap {
     /// the outcome into the tree (see [`SpanTree::verification`]).
     /// No-op when spans are disabled. Returns the outcome.
     pub fn seal_spans(&mut self) -> Result<(), String> {
-        let outcome = match self.span_tree.as_deref() {
-            Some(t) => t.verify(&self.regions),
-            None => return Ok(()),
-        };
-        if let Some(t) = self.span_tree.as_mut() {
-            t.set_verified(outcome.clone());
-        }
+        let Some(o) = self.observers.as_deref_mut() else { return Ok(()) };
+        let Some(t) = o.spans.as_deref_mut() else { return Ok(()) };
+        let outcome = t.verify(&self.regions);
+        t.set_verified(outcome.clone());
         outcome
-    }
-
-    /// Opens a span for a new region. Callers guard with
-    /// [`Heap::span_on`].
-    #[cold]
-    pub(crate) fn span_open(&mut self, region: u32, parent: u32, at: Cycles) {
-        if let Some(t) = self.span_tree.as_mut() {
-            t.open(region, parent, at);
-        }
-    }
-
-    /// Closes a region's span at reclamation.
-    #[cold]
-    pub(crate) fn span_close(&mut self, region: u32, at: Cycles, freed_words: u64) {
-        if let Some(t) = self.span_tree.as_mut() {
-            t.close(region, at, freed_words);
-        }
-    }
-
-    /// Records an allocation note.
-    #[cold]
-    pub(crate) fn span_note_alloc(&mut self, region: u32, words: u32) {
-        let at = self.clock.cycles();
-        let site = self.trace_site;
-        if let Some(t) = self.span_tree.as_mut() {
-            t.note_alloc(region, at, site, words);
-        }
-    }
-
-    /// Records a reference-count-update note.
-    #[cold]
-    pub(crate) fn span_note_rc(&mut self, region: u32, full: bool) {
-        let at = self.clock.cycles();
-        let site = self.trace_site;
-        if let Some(t) = self.span_tree.as_mut() {
-            t.note_rc(region, at, site, full);
-        }
-    }
-
-    /// Records a check note on the store into `obj`, carrying both
-    /// attribution channels (source line + front-end check site) and
-    /// the published static verdict.
-    #[cold]
-    pub(crate) fn span_note_check(&mut self, obj: crate::addr::Addr, kind: PtrKind, passed: bool) {
-        let region = self.try_region_of(obj).map_or(TRADITIONAL, |r| r).0;
-        let at = self.clock.cycles();
-        let site = self.trace_site;
-        let check_site = self.check_site;
-        let safe = self.check_safe;
-        if let Some(t) = self.span_tree.as_mut() {
-            t.note_check(region, at, site, check_site, kind, passed, safe);
-        }
-    }
-
-    /// Records a collection note.
-    #[cold]
-    pub(crate) fn span_note_gc(&mut self, marked_words: u64, swept_objects: u64) {
-        let at = self.clock.cycles();
-        if let Some(t) = self.span_tree.as_mut() {
-            t.note_gc(at, marked_words, swept_objects);
-        }
-    }
-
-    /// Records one injected fault everywhere the observability stack can
-    /// see it: the `faults_injected` stat, the trace ring (satellite fix
-    /// — fault-plane events used to bypass it), and the span tree.
-    #[cold]
-    pub(crate) fn note_fault_injected(&mut self, plane: FaultPlane, op: u64, at: Cycles) {
-        self.stats.faults_injected += 1;
-        if self.trace_on(crate::trace::mask::FAULT) {
-            self.trace_emit(crate::trace::Event::Fault { plane, op, at });
-        }
-        if self.span_on() {
-            if let Some(t) = self.span_tree.as_mut() {
-                t.note_fault(at, plane, op);
-            }
-        }
     }
 }
 
@@ -760,7 +521,12 @@ impl Heap {
 mod tests {
     use super::*;
     use crate::heap::Heap;
-    use crate::layout::{SlotKind, TypeLayout};
+    use crate::layout::{PtrKind, SlotKind, TypeLayout};
+
+    fn check(region: u32, at: Cycles, check_site: u32, passed: bool) -> Event {
+        let kind = PtrKind::SameRegion;
+        Event::CheckRun { kind, region, site: 1, check_site, passed, statically_safe: false, at }
+    }
 
     fn ty(h: &mut Heap) -> crate::layout::TypeId {
         h.register_type(TypeLayout::new("t", vec![SlotKind::Data, SlotKind::Data]))
@@ -811,14 +577,14 @@ mod tests {
         let mut t = SpanTree::new(16);
         t.open(0, NO_REGION, 0);
         for i in 0..40 {
-            t.note_check(0, i, 1, 7, PtrKind::SameRegion, i % 2 == 0, false);
+            t.fold(&check(0, i, 7, i % 2 == 0));
         }
         assert_eq!(t.notes().len(), 16);
         assert_eq!(t.notes_dropped(), 24);
-        let f = t.site_fires(7).unwrap();
-        assert_eq!(f.fires, 40, "fold is exact despite drops");
-        assert_eq!(f.fails, 20);
+        assert_eq!(t.check_sites().runs(7), 40, "fold is exact despite drops");
+        assert_eq!(t.check_sites().fails(7), 20);
         assert_eq!(t.total_checks(), 40);
+        assert_eq!(t.spans()[0].last_touch, 39, "so is the last touch");
     }
 
     #[test]
@@ -858,12 +624,18 @@ mod tests {
     fn shard_tree(extra: u32, salt: u64) -> SpanTree {
         let mut t = SpanTree::new(64);
         t.open(0, NO_REGION, 0);
-        t.note_alloc(0, salt, 1, salt as u32 + 1);
+        t.fold(&Event::Alloc { region: 0, site: 1, words: salt as u32 + 1, at: salt });
         for r in 1..=extra {
-            t.open(r, r - 1, salt + r as u64);
-            t.note_alloc(r, salt + r as u64, r, r);
-            t.note_check(r, salt + r as u64, r, 10 + r, PtrKind::SameRegion, r % 2 == 0, false);
-            t.close(r, salt + 100 + r as u64, r as u64);
+            let at = salt + r as u64;
+            t.fold(&Event::SubregionCreated { region: r, parent: r - 1, born_at: at, at });
+            t.fold(&Event::Alloc { region: r, site: r, words: r, at });
+            t.fold(&check(r, at, 10 + r, r % 2 == 0));
+            t.fold(&Event::RegionDeleted {
+                region: r,
+                live_words: r as u64,
+                lifetime_cycles: 100,
+                at: at + 100,
+            });
         }
         t
     }
@@ -885,10 +657,10 @@ mod tests {
         assert_eq!(a.spans()[0].allocs, root_allocs + 1);
         assert_eq!(a.spans()[0].alloc_words, root_words + 51);
         // Exact tallies: site 11 fired once in each tree.
-        assert_eq!(a.site_fires(11).unwrap().fires, 2);
+        assert_eq!(a.check_sites().runs(11), 2);
         // Grafted notes kept emission order with remapped regions.
         let last = *a.notes().last().unwrap();
-        assert!(matches!(last, SpanNote::Check { region: 5, .. }), "{last:?}");
+        assert!(matches!(last, Event::CheckRun { region: 5, .. }), "{last:?}");
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //!
 //! Cost discipline matches the tracer (see `docs/OBSERVABILITY.md`):
 //! emission sites call [`Heap::sample_tick`](crate::heap::Heap), which is
-//! a single compare-with-zero branch while sampling is disabled, and the
-//! whole path compiles out under `--no-default-features` (the `telemetry`
-//! cargo feature). Sampling is observation-only: it never changes
-//! `Stats`, virtual cycles, or program outcome.
+//! a single compare-with-zero branch while sampling is disabled.
+//! Sampling is observation-only: it never changes `Stats`, virtual
+//! cycles, or program outcome.
 //!
 //! Memory is bounded by decimation: when the sample buffer reaches its
 //! cap, every other sample is dropped and the interval doubles — the
@@ -141,9 +140,6 @@ impl MetricsSnapshot {
 }
 
 /// Cumulative counter values at the previous sample, for delta taking.
-// Without the `telemetry` feature the heap never pushes samples, so the
-// delta machinery is only reachable from in-crate tests.
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 #[derive(Debug, Clone, Copy, Default)]
 struct Baseline {
     cycles: Cycles,
@@ -158,7 +154,6 @@ struct Baseline {
     gc_cycles: Cycles,
 }
 
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 impl Baseline {
     fn of(stats: &Stats, cycles: Cycles) -> Baseline {
         Baseline {
@@ -182,8 +177,6 @@ impl Baseline {
 /// [`MetricsSnapshot`]s.
 #[derive(Debug, Clone)]
 pub struct Timeline {
-    /// Ticks between samples as originally configured.
-    initial_interval: u64,
     /// Current ticks between samples (doubles on decimation).
     interval: u64,
     /// Sample cap; reaching it drops every other sample.
@@ -197,14 +190,12 @@ pub struct Timeline {
     samples_dropped: u64,
 }
 
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 impl Timeline {
     /// A sampler taking a snapshot every `interval` ticks, decimating at
     /// `cap` retained samples (both clamped to sane minimums).
     pub fn new(interval: u64, cap: usize) -> Timeline {
         let interval = interval.max(1);
         Timeline {
-            initial_interval: interval,
             interval,
             cap: cap.max(8),
             samples: Vec::new(),
@@ -256,17 +247,6 @@ impl Timeline {
     /// Extracts one metric as a series, for charting.
     pub fn series(&self, f: impl Fn(&MetricsSnapshot) -> u64) -> Vec<u64> {
         self.samples.iter().map(f).collect()
-    }
-
-    /// Clears the samples and restores the configured interval; used by
-    /// `Heap::reset_metrics`.
-    pub fn reset(&mut self) {
-        self.samples.clear();
-        self.seq = 0;
-        self.ticks = 0;
-        self.interval = self.initial_interval;
-        self.last = Baseline::default();
-        self.samples_dropped = 0;
     }
 
     /// Records ticks observed by the heap between samples (keeps
@@ -459,8 +439,6 @@ mod tests {
         // Three decimations: at pushes 8, 12, and 16 the buffer refills
         // to cap and halves again, dropping 4 each time.
         assert_eq!(tl.samples_dropped(), 12);
-        tl.reset();
-        assert_eq!(tl.samples_dropped(), 0);
     }
 
     #[test]
@@ -515,19 +493,6 @@ mod tests {
         left.merge(&a);
         right.merge(&a);
         assert_eq!(left.to_json().render(), right.to_json().render());
-    }
-
-    #[test]
-    fn reset_restores_initial_interval() {
-        let mut tl = Timeline::new(2, 8);
-        for i in 1..=9u64 {
-            tl.push(HeapGauges::default(), &tick_stats(i), i, 0);
-        }
-        assert!(tl.interval() > 2);
-        tl.reset();
-        assert_eq!(tl.interval(), 2);
-        assert!(tl.is_empty());
-        assert_eq!(tl.ticks(), 0);
     }
 
     #[test]

@@ -1,75 +1,62 @@
-//! Structured event tracing for the region runtime.
+//! The runtime event stream.
 //!
 //! Every dynamic event the paper's evaluation is built on — region
 //! creation/deletion, allocation, reference-count updates, annotation
-//! checks, collections, audits — can be captured as a typed [`Event`].
+//! checks, collections, audits, injected faults — is one typed [`Event`],
+//! emitted once at its site and handed to every attached consumer:
+//!
+//! - the [`Tracer`]: a bounded ring of raw events plus the exact
+//!   [`Profile`](crate::profile::Profile) fold;
+//! - the [`SpanTree`](crate::span::SpanTree): region lifecycles with
+//!   span-scoped notes and exact per-span aggregates;
+//! - the [`CheckCounter`](crate::checkcount::CheckCounter): per-check-site
+//!   outcome tallies for the differential harness.
+//!
 //! The [`Stats`](crate::stats::Stats) counters answer *how many*; the
-//! trace answers *which region*, *which allocation site*, and *which
+//! stream answers *which region*, *which allocation site*, and *which
 //! check site*, which is what lifetime and locality tuning needs.
 //!
 //! Design constraints (see `docs/OBSERVABILITY.md`):
 //!
 //! - **Zero dependencies.** The ring buffer, the profile fold, and the
 //!   JSONL encoder are all in-tree.
-//! - **Pay only when enabled.** Emission sites test one word
-//!   ([`Heap::trace_on`] is `self.trace_mask & bit != 0`); with the mask
-//!   zero — the default — the entire subsystem costs a predictable branch
-//!   per event site. Building `region-rt` with `--no-default-features`
-//!   removes even that branch (the `telemetry` cargo feature).
+//! - **Pay only when observed.** The consumers share one slot on
+//!   [`Heap`]; every emission site builds its event inside one guard on
+//!   that slot ([`Heap::emit`]). With nothing attached — the default —
+//!   the guard is one load and one branch, and the event (its clock read,
+//!   its region lookup) is never built.
 //! - **Bounded memory, exact totals.** Raw events live in a bounded ring:
 //!   old events are overwritten, never reallocated. But every event is
-//!   folded into the [`Profile`](crate::profile::Profile) *at emission
-//!   time*, so folded totals equal the `Stats` counters exactly no matter
-//!   how small the ring is.
+//!   folded into the profile *at emission time*, so folded totals equal
+//!   the `Stats` counters exactly no matter how small the ring is.
 //!
 //! Per-site attribution: events carry a `site`, the 1-based source line
 //! of the RC program statement that caused them (0 = unattributed, e.g.
 //! events from runtime-internal activity). The interpreter publishes the
 //! current line via [`Heap::set_trace_site`] before entering the runtime.
 
+use crate::checkcount::CheckCounter;
 use crate::cost::Cycles;
 use crate::fault::FaultPlane;
 use crate::heap::Heap;
 use crate::json::Json;
 use crate::layout::PtrKind;
 use crate::profile::Profile;
+use crate::span::SpanTree;
 
-/// Bit flags selecting which event kinds a [`Tracer`] records. Combine
-/// with `|`; [`mask::ALL`] enables everything.
-pub mod mask {
-    /// Top-level region creation (`newregion`).
-    pub const REGION_CREATED: u32 = 1 << 0;
-    /// Subregion creation (`newsubregion`).
-    pub const SUBREGION_CREATED: u32 = 1 << 1;
-    /// Region reclamation (successful `deleteregion`, or deferred
-    /// reclamation when a doomed region's count reaches zero).
-    pub const REGION_DELETED: u32 = 1 << 2;
-    /// Object allocation, from any allocator (ralloc / malloc / GC).
-    pub const ALLOC: u32 = 1 << 3;
-    /// A Figure 3(a) reference-count update (full or early-exit).
-    pub const RC_UPDATE: u32 = 1 << 4;
-    /// A Figure 3(b) annotation check execution.
-    pub const CHECK_RUN: u32 = 1 << 5;
-    /// A mark–sweep collection of the GC baseline.
-    pub const GC_COLLECTION: u32 = 1 << 6;
-    /// A run of the heap auditor.
-    pub const AUDIT_RUN: u32 = 1 << 7;
-    /// An injected fault (see [`crate::fault`]).
-    pub const FAULT: u32 = 1 << 8;
-    /// All event kinds.
-    pub const ALL: u32 = (1 << 9) - 1;
-}
-
-/// One dynamic event. Region fields are raw [`RegionId`]
-/// (crate::region::RegionId) indices; `site` fields are 1-based source
-/// lines (0 = unattributed).
+/// One dynamic event, stamped with the virtual time `at` of its
+/// emission. Region fields are raw [`RegionId`](crate::region::RegionId)
+/// indices; `site` fields are 1-based source lines (0 = unattributed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A top-level region was created (child of the traditional region).
     RegionCreated {
         /// The new region.
         region: u32,
-        /// Virtual time of creation.
+        /// Virtual time the creation began, before its cost was charged
+        /// (where the region's span opens).
+        born_at: Cycles,
+        /// Virtual time after the creation charge.
         at: Cycles,
     },
     /// A subregion was created.
@@ -78,7 +65,10 @@ pub enum Event {
         region: u32,
         /// Its parent.
         parent: u32,
-        /// Virtual time of creation.
+        /// Virtual time the creation began (see
+        /// [`Event::RegionCreated`]).
+        born_at: Cycles,
+        /// Virtual time after the creation charge.
         at: Cycles,
     },
     /// A region was reclaimed.
@@ -89,6 +79,8 @@ pub enum Event {
         live_words: u64,
         /// Virtual time elapsed between creation and reclamation.
         lifetime_cycles: Cycles,
+        /// Virtual time of reclamation.
+        at: Cycles,
     },
     /// An object (or array) was allocated.
     Alloc {
@@ -98,6 +90,8 @@ pub enum Event {
         site: u32,
         /// Size in words.
         words: u32,
+        /// Virtual time.
+        at: Cycles,
     },
     /// A reference-count update ran.
     RcUpdate {
@@ -110,15 +104,29 @@ pub enum Event {
         full: bool,
         /// Source line of the store (0 = unattributed).
         site: u32,
+        /// Virtual time.
+        at: Cycles,
     },
     /// An annotation check ran.
     CheckRun {
         /// Which annotation was checked.
         kind: PtrKind,
+        /// Region of the stored-into object.
+        region: u32,
         /// Source line of the store (0 = unattributed).
         site: u32,
+        /// Front-end check-site id for static↔dynamic attribution
+        /// ([`NO_CHECK_SITE`](crate::checkcount::NO_CHECK_SITE) when the
+        /// interpreter did not publish one).
+        check_site: u32,
         /// Whether the check passed (a failed check aborts the program).
         passed: bool,
+        /// The static verdict published for the site (`true` =
+        /// eliminable in principle; the check ran anyway because the
+        /// configuration keeps all checks).
+        statically_safe: bool,
+        /// Virtual time.
+        at: Cycles,
     },
     /// A mark–sweep collection ran.
     GcCollection {
@@ -126,11 +134,15 @@ pub enum Event {
         marked_words: u64,
         /// Objects reclaimed by the sweep.
         swept_objects: u64,
+        /// Virtual time after the collection's charge.
+        at: Cycles,
     },
     /// The heap auditor ran.
     AuditRun {
         /// Whether the reference-count invariant held.
         ok: bool,
+        /// Virtual time.
+        at: Cycles,
     },
     /// A fault plane injected a failure.
     Fault {
@@ -147,66 +159,53 @@ pub enum Event {
 pub const NO_REGION: u32 = u32::MAX;
 
 impl Event {
-    /// The [`mask`] bit for this event's kind.
-    pub fn mask_bit(&self) -> u32 {
-        match self {
-            Event::RegionCreated { .. } => mask::REGION_CREATED,
-            Event::SubregionCreated { .. } => mask::SUBREGION_CREATED,
-            Event::RegionDeleted { .. } => mask::REGION_DELETED,
-            Event::Alloc { .. } => mask::ALLOC,
-            Event::RcUpdate { .. } => mask::RC_UPDATE,
-            Event::CheckRun { .. } => mask::CHECK_RUN,
-            Event::GcCollection { .. } => mask::GC_COLLECTION,
-            Event::AuditRun { .. } => mask::AUDIT_RUN,
-            Event::Fault { .. } => mask::FAULT,
-        }
-    }
-
-    /// Encodes the event as one JSON object (one JSONL line).
+    /// Encodes the event as one JSON object (one JSONL line). The keys
+    /// predate the `at` stamps of most kinds and the span-only fields,
+    /// which stay out of the encoding.
     pub fn to_json(&self) -> Json {
         match *self {
-            Event::RegionCreated { region, at } => Json::obj(vec![
+            Event::RegionCreated { region, at, .. } => Json::obj(vec![
                 ("ev", Json::s("region_created")),
                 ("region", Json::U(region as u64)),
                 ("at", Json::U(at)),
             ]),
-            Event::SubregionCreated { region, parent, at } => Json::obj(vec![
+            Event::SubregionCreated { region, parent, at, .. } => Json::obj(vec![
                 ("ev", Json::s("subregion_created")),
                 ("region", Json::U(region as u64)),
                 ("parent", Json::U(parent as u64)),
                 ("at", Json::U(at)),
             ]),
-            Event::RegionDeleted { region, live_words, lifetime_cycles } => Json::obj(vec![
+            Event::RegionDeleted { region, live_words, lifetime_cycles, .. } => Json::obj(vec![
                 ("ev", Json::s("region_deleted")),
                 ("region", Json::U(region as u64)),
                 ("live_words", Json::U(live_words)),
                 ("lifetime_cycles", Json::U(lifetime_cycles)),
             ]),
-            Event::Alloc { region, site, words } => Json::obj(vec![
+            Event::Alloc { region, site, words, .. } => Json::obj(vec![
                 ("ev", Json::s("alloc")),
                 ("region", Json::U(region as u64)),
                 ("site", Json::U(site as u64)),
                 ("words", Json::U(words as u64)),
             ]),
-            Event::RcUpdate { from, to, full, site } => Json::obj(vec![
+            Event::RcUpdate { from, to, full, site, .. } => Json::obj(vec![
                 ("ev", Json::s("rc_update")),
                 ("from", Json::U(from as u64)),
                 ("to", if to == NO_REGION { Json::Null } else { Json::U(to as u64) }),
                 ("full", Json::Bool(full)),
                 ("site", Json::U(site as u64)),
             ]),
-            Event::CheckRun { kind, site, passed } => Json::obj(vec![
+            Event::CheckRun { kind, site, passed, .. } => Json::obj(vec![
                 ("ev", Json::s("check")),
                 ("kind", Json::s(check_kind_name(kind))),
                 ("site", Json::U(site as u64)),
                 ("passed", Json::Bool(passed)),
             ]),
-            Event::GcCollection { marked_words, swept_objects } => Json::obj(vec![
+            Event::GcCollection { marked_words, swept_objects, .. } => Json::obj(vec![
                 ("ev", Json::s("gc")),
                 ("marked_words", Json::U(marked_words)),
                 ("swept_objects", Json::U(swept_objects)),
             ]),
-            Event::AuditRun { ok } => {
+            Event::AuditRun { ok, .. } => {
                 Json::obj(vec![("ev", Json::s("audit")), ("ok", Json::Bool(ok))])
             }
             Event::Fault { plane, op, at } => Json::obj(vec![
@@ -236,7 +235,6 @@ pub fn check_kind_name(kind: PtrKind) -> &'static str {
 /// into the global profile.
 #[derive(Debug, Clone)]
 pub struct Tracer {
-    mask: u32,
     capacity: usize,
     ring: Vec<Event>,
     /// Next write position once the ring is full.
@@ -250,29 +248,17 @@ pub struct Tracer {
 pub const DEFAULT_RING_CAPACITY: usize = 64 * 1024;
 
 impl Tracer {
-    /// A tracer recording the event kinds in `mask` into a ring of at
-    /// most `capacity` raw events (clamped to at least 16).
-    pub fn new(mask: u32, capacity: usize) -> Tracer {
-        let capacity = capacity.max(16);
+    /// A tracer keeping at most `capacity` raw events (clamped to at
+    /// least 16).
+    pub fn new(capacity: usize) -> Tracer {
         Tracer {
-            mask,
-            capacity,
+            capacity: capacity.max(16),
             ring: Vec::new(),
             head: 0,
             recorded: 0,
             dropped: 0,
             profile: Profile::new(),
         }
-    }
-
-    /// The enabled-kinds mask.
-    pub fn mask(&self) -> u32 {
-        self.mask
-    }
-
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Records one event: folds it into the profile and appends it to the
@@ -353,53 +339,79 @@ impl Tracer {
     }
 }
 
+/// The consumers of the event stream: the one observer slot on [`Heap`].
+/// The slot is empty whenever all three are detached, so the disabled
+/// path stays one branch.
+#[derive(Debug, Default)]
+pub(crate) struct Observers {
+    pub(crate) tracer: Option<Box<Tracer>>,
+    pub(crate) spans: Option<Box<SpanTree>>,
+    pub(crate) checks: Option<Box<CheckCounter>>,
+}
+
 impl Heap {
-    /// Whether events of the kinds in `bit` are currently being recorded.
-    /// This is the one branch the disabled path pays.
+    /// The one guard every emission site pays: when a consumer is
+    /// attached, builds the event and hands it to all of them. With none
+    /// attached this is one load and one branch, and `ev` never runs.
     #[inline(always)]
-    pub(crate) fn trace_on(&self, bit: u32) -> bool {
-        #[cfg(feature = "telemetry")]
-        {
-            self.trace_mask & bit != 0
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = bit;
-            false
+    pub(crate) fn emit(&mut self, ev: impl FnOnce(&Heap) -> Event) {
+        if self.observers.is_some() {
+            let ev = ev(self);
+            self.dispatch(ev);
         }
     }
 
-    /// Hands an event to the tracer. Callers guard with [`Heap::trace_on`].
     #[cold]
-    pub(crate) fn trace_emit(&mut self, ev: Event) {
-        if let Some(t) = self.tracer.as_mut() {
+    #[inline(never)]
+    fn dispatch(&mut self, ev: Event) {
+        let Some(o) = self.observers.as_deref_mut() else { return };
+        if let Some(t) = o.tracer.as_deref_mut() {
             t.record(ev);
         }
+        if let Some(s) = o.spans.as_deref_mut() {
+            s.fold(&ev);
+        }
+        if let (Some(c), Event::CheckRun { check_site, passed, .. }) = (o.checks.as_deref_mut(), ev)
+        {
+            c.record(check_site, passed);
+        }
     }
 
-    /// Starts recording the event kinds in `mask` into a fresh tracer
-    /// with the given ring capacity. Replaces any existing tracer.
-    pub fn enable_tracing(&mut self, mask: u32, capacity: usize) {
-        self.tracer = Some(Box::new(Tracer::new(mask, capacity)));
-        self.trace_mask = mask;
+    /// The observer slot, created on first attach.
+    pub(crate) fn observers_mut(&mut self) -> &mut Observers {
+        self.observers.get_or_insert_with(Default::default)
+    }
+
+    /// Detaches one consumer, emptying the slot when it was the last.
+    pub(crate) fn detach<T>(&mut self, take: impl FnOnce(&mut Observers) -> Option<T>) -> Option<T> {
+        let o = self.observers.as_deref_mut()?;
+        let taken = take(o);
+        if o.tracer.is_none() && o.spans.is_none() && o.checks.is_none() {
+            self.observers = None;
+        }
+        taken
+    }
+
+    /// Starts recording every event into a fresh tracer keeping at most
+    /// `capacity` raw events. Replaces any existing tracer.
+    pub fn enable_tracing(&mut self, capacity: usize) {
+        self.observers_mut().tracer = Some(Box::new(Tracer::new(capacity)));
     }
 
     /// Stops recording and detaches the tracer, returning it for report
     /// building. Returns `None` if tracing was never enabled.
     pub fn take_tracer(&mut self) -> Option<Box<Tracer>> {
-        self.trace_mask = 0;
-        self.tracer.take()
+        self.detach(|o| o.tracer.take())
     }
 
     /// The attached tracer, if any.
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_deref()
+        self.observers.as_ref()?.tracer.as_deref()
     }
 
-    /// Whether any event kind is being recorded.
-    #[inline]
+    /// Whether events are being recorded.
     pub fn tracing_enabled(&self) -> bool {
-        self.trace_mask != 0
+        self.tracer().is_some()
     }
 
     /// Publishes the current source line (1-based; 0 = unattributed) for
@@ -413,9 +425,7 @@ impl Heap {
     /// Records an [`Event::AuditRun`]. The auditor itself takes `&self`,
     /// so harnesses report its outcome through this separate call.
     pub fn record_audit_run(&mut self, ok: bool) {
-        if self.trace_on(mask::AUDIT_RUN) {
-            self.trace_emit(Event::AuditRun { ok });
-        }
+        self.emit(|h| Event::AuditRun { ok, at: h.clock.cycles() });
     }
 }
 
@@ -423,11 +433,15 @@ impl Heap {
 mod tests {
     use super::*;
 
+    fn alloc(site: u32) -> Event {
+        Event::Alloc { region: 1, site, words: 1, at: 0 }
+    }
+
     #[test]
     fn ring_is_bounded_and_keeps_newest() {
-        let mut t = Tracer::new(mask::ALL, 16);
+        let mut t = Tracer::new(16);
         for i in 0..40u32 {
-            t.record(Event::Alloc { region: 1, site: i, words: 1 });
+            t.record(alloc(i));
         }
         assert_eq!(t.len(), 16);
         assert_eq!(t.recorded(), 40);
@@ -448,9 +462,9 @@ mod tests {
 
     #[test]
     fn jsonl_lines_are_tagged_and_one_per_event() {
-        let mut t = Tracer::new(mask::ALL, 16);
-        t.record(Event::RegionCreated { region: 1, at: 5 });
-        t.record(Event::AuditRun { ok: true });
+        let mut t = Tracer::new(16);
+        t.record(Event::RegionCreated { region: 1, born_at: 0, at: 5 });
+        t.record(Event::AuditRun { ok: true, at: 5 });
         let jsonl = t.events_jsonl("figure1");
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -460,7 +474,27 @@ mod tests {
 
     #[test]
     fn null_target_serializes_as_null() {
-        let ev = Event::RcUpdate { from: 2, to: NO_REGION, full: true, site: 7 };
+        let ev = Event::RcUpdate { from: 2, to: NO_REGION, full: true, site: 7, at: 0 };
         assert!(ev.to_json().render().contains(r#""to":null"#));
+    }
+
+    #[test]
+    fn events_stay_small_and_copy() {
+        fn is_copy<T: Copy>() {}
+        is_copy::<Event>();
+        assert!(std::mem::size_of::<Event>() <= 40, "{}", std::mem::size_of::<Event>());
+    }
+
+    #[test]
+    fn the_slot_empties_with_its_last_consumer() {
+        let mut h = Heap::with_defaults();
+        assert!(h.observers.is_none());
+        h.enable_tracing(16);
+        h.enable_check_counting();
+        assert!(h.take_tracer().is_some());
+        assert!(h.observers.is_some(), "the counter is still attached");
+        assert!(h.take_check_counter().is_some());
+        assert!(h.observers.is_none(), "nothing observes: one branch per site again");
+        assert!(h.take_tracer().is_none());
     }
 }

@@ -80,7 +80,6 @@ fn random_region_dag_with_counted_pointers_passes_audit() {
 /// equal what the page map itself says, the committed pages must
 /// partition exactly into in-use and free, and the allocator-side count
 /// of region pages must match the page map's owner entries.
-#[cfg(feature = "telemetry")]
 #[test]
 fn snapshot_page_accounting_matches_page_map_ground_truth() {
     for seed in 0..48u64 {

@@ -1,10 +1,8 @@
 //! Telemetry integration: the folded profile must agree exactly with the
-//! `Stats` counters for the same run, the ring must stay bounded, a
-//! zero mask must record nothing, and every event kind keeps its encoding.
+//! `Stats` counters for the same run, the ring must stay bounded, and
+//! every event kind keeps its encoding.
 
-use region_rt::{
-    mask, Addr, Heap, HeapConfig, PtrKind, SlotKind, TypeLayout, WriteMode,
-};
+use region_rt::{Addr, Heap, HeapConfig, PtrKind, SlotKind, TypeLayout, WriteMode};
 
 fn workout(h: &mut Heap) {
     let counted = h.register_type(TypeLayout::new(
@@ -45,7 +43,7 @@ fn workout(h: &mut Heap) {
 fn folded_profile_totals_equal_stats() {
     let mut h = Heap::with_defaults();
     // A deliberately tiny ring: totals must stay exact anyway.
-    h.enable_tracing(mask::ALL, 16);
+    h.enable_tracing(16);
     workout(&mut h);
 
     let t = h.tracer().expect("tracing enabled");
@@ -69,7 +67,7 @@ fn folded_profile_totals_equal_stats() {
 #[test]
 fn site_attribution_reaches_events() {
     let mut h = Heap::with_defaults();
-    h.enable_tracing(mask::ALL, 4096);
+    h.enable_tracing(4096);
     workout(&mut h);
     let p = h.tracer().unwrap().profile();
     let site10 = p.sites().find(|s| s.line == 10).expect("alloc site 10");
@@ -85,27 +83,11 @@ fn site_attribution_reaches_events() {
 }
 
 #[test]
-fn zero_mask_records_nothing_and_selective_masks_filter() {
-    let mut h = Heap::with_defaults();
-    h.enable_tracing(0, 1024);
-    workout(&mut h);
-    assert_eq!(h.tracer().unwrap().recorded(), 0);
-
-    let mut h = Heap::with_defaults();
-    h.enable_tracing(mask::CHECK_RUN, 1024);
-    workout(&mut h);
-    let t = h.take_tracer().unwrap();
-    assert!(t.recorded() > 0);
-    assert!(t.events().all(|e| matches!(e, region_rt::Event::CheckRun { .. })));
-    assert_eq!(t.profile().totals.allocs, 0, "alloc events were masked out");
-}
-
-#[test]
 fn tracing_does_not_change_stats_or_clock() {
     let mut plain = Heap::with_defaults();
     workout(&mut plain);
     let mut traced = Heap::with_defaults();
-    traced.enable_tracing(mask::ALL, 64 * 1024);
+    traced.enable_tracing(64 * 1024);
     workout(&mut traced);
     assert_eq!(plain.stats, traced.stats, "telemetry must be observation-only");
     assert_eq!(plain.clock.cycles(), traced.clock.cycles());
@@ -114,7 +96,7 @@ fn tracing_does_not_change_stats_or_clock() {
 #[test]
 fn events_jsonl_round_trip_shape() {
     let mut h = Heap::new(HeapConfig::default());
-    h.enable_tracing(mask::ALL, 4096);
+    h.enable_tracing(4096);
     workout(&mut h);
     let t = h.take_tracer().unwrap();
     let jsonl = t.events_jsonl("workout");
@@ -137,7 +119,7 @@ fn events_jsonl_round_trip_shape() {
 fn every_event_kind_has_a_pinned_encoding() {
     use region_rt::{FaultMode, FaultPlan, RtError};
     let mut h = Heap::with_defaults();
-    h.enable_tracing(mask::ALL, 1024);
+    h.enable_tracing(1024);
     h.enable_spans(1024);
     h.enable_check_counting();
     let counted = h.register_type(TypeLayout::new(
