@@ -125,11 +125,6 @@ impl Heap {
         self.detach(|o| o.checks.take())
     }
 
-    /// Whether check counting is on.
-    pub fn check_counting_enabled(&self) -> bool {
-        self.observers.as_ref().is_some_and(|o| o.checks.is_some())
-    }
-
     /// Publishes the front-end check-site id for subsequent checks
     /// ([`NO_CHECK_SITE`] = unattributed). One store each; the
     /// interpreter calls this before annotated pointer stores.

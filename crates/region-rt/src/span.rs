@@ -492,11 +492,6 @@ impl Heap {
         self.observers.as_ref()?.spans.as_deref()
     }
 
-    /// Whether a span tree is attached.
-    pub fn spans_enabled(&self) -> bool {
-        self.spans().is_some()
-    }
-
     /// Publishes the static verdict of the next annotation check's site
     /// (pairs with [`Heap::set_check_site`]); stamped into
     /// [`Event::CheckRun`] as `statically_safe`.

@@ -383,7 +383,10 @@ impl Heap {
     }
 
     /// Detaches one consumer, emptying the slot when it was the last.
-    pub(crate) fn detach<T>(&mut self, take: impl FnOnce(&mut Observers) -> Option<T>) -> Option<T> {
+    pub(crate) fn detach<T>(
+        &mut self,
+        take: impl FnOnce(&mut Observers) -> Option<T>,
+    ) -> Option<T> {
         let o = self.observers.as_deref_mut()?;
         let taken = take(o);
         if o.tracer.is_none() && o.spans.is_none() && o.checks.is_none() {
@@ -407,11 +410,6 @@ impl Heap {
     /// The attached tracer, if any.
     pub fn tracer(&self) -> Option<&Tracer> {
         self.observers.as_ref()?.tracer.as_deref()
-    }
-
-    /// Whether events are being recorded.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracer().is_some()
     }
 
     /// Publishes the current source line (1-based; 0 = unattributed) for
