@@ -22,7 +22,7 @@
 //!   JSONL encoder are all in-tree.
 //! - **Pay only when observed.** The consumers share one slot on
 //!   [`Heap`]; every emission site builds its event inside one guard on
-//!   that slot ([`Heap::emit`]). With nothing attached — the default —
+//!   that slot (`Heap::emit`). With nothing attached — the default —
 //!   the guard is one load and one branch, and the event (its clock read,
 //!   its region lookup) is never built.
 //! - **Bounded memory, exact totals.** Raw events live in a bounded ring:
