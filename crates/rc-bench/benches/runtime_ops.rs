@@ -190,7 +190,7 @@ fn bench_numbering_ablation(c: &Bench) {
 }
 
 fn main() {
-    let bench = Bench::from_args().sample_size(30);
+    let bench = Bench::from_args();
     bench_write_barriers(&bench);
     bench_allocators(&bench);
     bench_region_lifecycle(&bench);

@@ -10,7 +10,7 @@
 //! exports the raw event stream as JSON Lines to `<path>`. `--sample`
 //! reruns the Figure 7/8 matrix with the timeline sampler on, appends
 //! heap-timeline sparklines, and writes the schema-versioned trajectory
-//! report to `target/experiments/BENCH_rc.json` (the `bench-diff` input).
+//! report to `target/experiments/BENCH_rc.json`.
 //! A check-site provenance section (static verdicts joined with dynamic
 //! fire counts from the span layer) is always included; per-site Perfetto
 //! traces export separately via the `trace-export` binary.
@@ -80,8 +80,8 @@ fn main() {
         let path = out_dir.join("BENCH_rc.json");
         std::fs::write(&path, traj.render()).expect("write BENCH_rc.json");
         eprintln!("wrote {}", path.display());
-        // The samples-stripped variant, sized for committing: copy it to
-        // baselines/BENCH_baseline.json to refresh the regression gate.
+        // The samples-stripped variant, sized for committing as
+        // baselines/BENCH_baseline.json (`tools/pins.sh refresh`).
         let base = out_dir.join("BENCH_baseline.json");
         std::fs::write(&base, traj.render_baseline()).expect("write baseline variant");
         eprintln!("wrote {} (commit as baselines/BENCH_baseline.json)", base.display());
@@ -243,12 +243,10 @@ fn main() {
             md,
             "The full trajectory — every Figure 7/8 run with its sample series \
              — is `target/experiments/BENCH_rc.json` \
-             (`{}`). CI diffs it against `baselines/BENCH_baseline.json` with \
-             `bench-diff`, which fails on >{}% cycle or >{}% peak-memory \
-             regressions.\n",
+             (`{}`). `tools/pins.sh` pins it and its samples-stripped \
+             `baselines/BENCH_baseline.json` byte for byte, so any moved \
+             cycle or word fails CI.\n",
             rc_bench::trajectory::SCHEMA,
-            rc_bench::trajectory::CYCLE_REGRESSION_PCT,
-            rc_bench::trajectory::PEAK_REGRESSION_PCT,
         );
     }
 

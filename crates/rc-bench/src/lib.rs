@@ -7,13 +7,8 @@
 //!
 //! | Artifact | Generator |
 //! |---|---|
-//! | Table 1 (benchmark characteristics) | `cargo run -p rc-bench --bin table1` |
-//! | Table 2 (refcount overhead)         | `cargo run -p rc-bench --bin table2` |
-//! | Table 3 (annotation statistics)     | `cargo run -p rc-bench --bin table3` |
-//! | Figure 7 (exec time, 5 allocators)  | `cargo run -p rc-bench --bin fig7` |
-//! | Figure 8 (nq/qs/inf/nc)             | `cargo run -p rc-bench --bin fig8` |
-//! | Figure 9 (assignment categories)    | `cargo run -p rc-bench --bin fig9` |
-//! | All of the above → EXPERIMENTS.md   | `cargo run -p rc-bench --bin experiments` |
+//! | Tables 1–3 and Figures 7–9 → `EXPERIMENTS.md`, `target/experiments/<name>.json` | `cargo run -p rc-bench --bin experiments` |
+//! | Design-choice ablations             | `cargo run -p rc-bench --bin ablations` |
 //! | Fault-injection torture matrix      | `cargo run -p rc-bench --bin fault-matrix` |
 //! | Checkpoint-recovery matrix          | `cargo run -p rc-bench --bin recovery-matrix` |
 //! | Parallel spawn/join matrix          | `cargo run -p rc-bench --bin parallel-matrix` |
@@ -21,8 +16,10 @@
 //! | Perfetto provenance trace           | `cargo run -p rc-bench --bin trace-export` |
 //! | Heap snapshot dump + analysis       | `cargo run -p rc-bench --bin rc-inspect` |
 //!
-//! Wall-clock benchmarks live in `benches/` (run with `cargo bench -p
-//! rc-bench`), on the dependency-free harness in [`microbench`]. Passing
+//! Runtime-operation wall-clock benchmarks live in `benches/runtime_ops.rs`
+//! (run with `cargo bench -p rc-bench`), on the dependency-free harness in
+//! [`microbench`]; `bench/` (rc-perf) times whole workloads. Every output
+//! above that is byte-deterministic is pinned by `tools/pins.sh`. Passing
 //! `--profile` to `experiments` or `ablations` adds a telemetry section
 //! (per-site hot spots, region flamegraph); `--trace <path>` exports the
 //! raw event stream as JSON Lines. See `docs/OBSERVABILITY.md`.

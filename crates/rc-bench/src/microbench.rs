@@ -40,13 +40,6 @@ impl Bench {
         Bench { filter, samples }
     }
 
-    /// As [`Bench::from_args`], with an explicit sample count (criterion's
-    /// `sample_size`).
-    pub fn sample_size(mut self, samples: usize) -> Bench {
-        self.samples = samples;
-        self
-    }
-
     /// Starts a named benchmark group.
     pub fn group(&self, name: &str) -> Group<'_> {
         Group { bench: self, name: name.to_string() }

@@ -1,8 +1,10 @@
 //! The registry of rc-bench JSON schema identifiers.
 //!
 //! Every machine-readable artifact this crate emits is stamped with a
-//! schema string (`"<family>/v<N>"`); consumers — the CI determinism
-//! gates, `bench-diff`, the docs — refuse mismatched versions. This
+//! schema string (`"<family>/v<N>"`). `tools/pins.sh` pins each artifact
+//! byte for byte, so a layout change fails CI until its digest is
+//! refreshed; the version bump that goes with it lets readers
+//! (`rc-inspect` for snapshots, the docs) tell the layouts apart. This
 //! module is the single source of those strings: each report module
 //! re-exports its own `SCHEMA` from here, and the exhaustive-match test
 //! below guarantees a new artifact cannot ship without registering its
@@ -11,7 +13,7 @@
 /// Every schema-versioned artifact rc-bench produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Schema {
-    /// Benchmark trajectories + regression gate (`BENCH_rc.json`).
+    /// Benchmark trajectories (`BENCH_rc.json`).
     Trajectory,
     /// Fault-injection torture matrix.
     FaultMatrix,

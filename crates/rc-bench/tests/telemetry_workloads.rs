@@ -65,7 +65,7 @@ fn tracing_is_observation_only_on_workload_runs() {
 
 #[test]
 fn figure8_workloads_attribute_checks_to_source_lines() {
-    // The Figure 8 subset benched in `benches/fig8_annotations.rs`.
+    // A subset of the Figure 8 workloads.
     for wname in ["lcc", "mudlle", "moss"] {
         let w = rc_workloads::by_name(wname).expect("known workload");
         let c = prepare_workload(&w, SCALE);

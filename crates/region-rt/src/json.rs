@@ -1,11 +1,11 @@
 //! A minimal JSON document model, serializer, and parser.
 //!
 //! The build environment is offline and the workspace carries no external
-//! crates, so the telemetry JSONL export, the bench-harness artifact dumps,
-//! and the `bench-diff` regression gate share this hand-rolled
-//! implementation instead of `serde_json`. The parser exists so the bench
-//! trajectory (`BENCH_rc.json`) can be read back and diffed; it is a plain
-//! recursive-descent RFC 8259 reader with byte offsets in its errors.
+//! crates, so the telemetry JSONL export and the bench-harness artifact
+//! dumps share this hand-rolled implementation instead of `serde_json`.
+//! The parser reads artifacts back (heap snapshots for `rc-inspect` and
+//! restore, reports in round-trip tests); it is a plain recursive-descent
+//! RFC 8259 reader with byte offsets in its errors.
 
 use std::fmt::Write as _;
 

@@ -456,8 +456,8 @@ impl Stats {
     /// # Errors
     ///
     /// Returns a message naming the missing or mistyped key. Externally
-    /// supplied reports go through this (e.g. `bench-diff` inputs), so
-    /// malformed data must surface as an error, never a panic.
+    /// supplied reports go through this (e.g. snapshots read from disk),
+    /// so malformed data must surface as an error, never a panic.
     pub fn from_json(doc: &Json) -> Result<Stats, String> {
         let field = |key: &str| -> Result<u64, String> {
             doc.get(key)
