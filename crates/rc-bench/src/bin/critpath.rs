@@ -8,7 +8,7 @@
 //! scheduler, computes the work/span decomposition from the per-task
 //! reports, and prints the critical path link by link with
 //! `workload:line` spawn-site attribution. With `--out`, also writes the
-//! byte-deterministic JSON report (CI runs the binary twice and `cmp`s).
+//! byte-deterministic JSON report (pinned by `tools/pins.sh`).
 //! Exits 0 when the work/span identities hold, 1 when they do not, 2 on
 //! bad arguments or I/O errors.
 
@@ -20,23 +20,10 @@ use rc_lang::{CheckMode, RunConfig};
 fn main() -> ExitCode {
     let scale = rc_bench::scale_from_args();
     let wname = rc_bench::value_from_args("--workload").unwrap_or_else(|| "moss".to_string());
-    let tasks: u32 = match rc_bench::value_from_args("--tasks").map(|v| v.parse()) {
-        None => 4,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("critpath: --tasks wants a number");
-            return ExitCode::from(2);
-        }
-    };
-    let seed: u64 = match rc_bench::value_from_args("--det-seed").map(|v| v.parse()) {
-        None => critpath::DET_SEED,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("critpath: --det-seed wants a number");
-            return ExitCode::from(2);
-        }
-    };
+    let tasks = rc_bench::parsed_from_args("--tasks").unwrap_or(4);
+    let seed = rc_bench::parsed_from_args("--det-seed").unwrap_or(critpath::DET_SEED);
     let cname = rc_bench::value_from_args("--config").unwrap_or_else(|| "lea".to_string());
+    let out = rc_bench::value_from_args("--out");
     let config = match cname.as_str() {
         "lea" => RunConfig::lea(),
         "GC" => RunConfig::gc(),
@@ -57,7 +44,7 @@ fn main() -> ExitCode {
 
     print!("{}", run.render_text());
 
-    if let Some(path) = rc_bench::value_from_args("--out") {
+    if let Some(path) = out {
         if let Some(dir) = std::path::Path::new(&path).parent() {
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("critpath: {}: {e}", dir.display());

@@ -9,7 +9,8 @@
 //! squeezes) with trap-and-unwind recovery on. Prints a summary, writes
 //! the byte-deterministic JSON report when `--out` is given, and exits 0
 //! when the gate passes (no panics, post-fault audits clean, allocator
-//! configs agreeing on OOM landings), 1 on a violation, 2 on I/O errors.
+//! configs agreeing on OOM landings), 1 on a violation, 2 on bad
+//! arguments or I/O errors.
 
 use std::process::ExitCode;
 
@@ -17,9 +18,10 @@ use rc_bench::faultmatrix;
 
 fn main() -> ExitCode {
     let scale = rc_bench::scale_from_args();
+    let out = rc_bench::value_from_args("--out");
     let report = faultmatrix::collect(scale);
     print!("{}", report.summary());
-    if let Some(path) = rc_bench::value_from_args("--out") {
+    if let Some(path) = out {
         if let Err(e) = std::fs::write(&path, report.render()) {
             eprintln!("fault-matrix: {path}: {e}");
             return ExitCode::from(2);

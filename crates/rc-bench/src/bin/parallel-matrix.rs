@@ -8,10 +8,10 @@
 //! 1/2/4/8 tasks × `lea`/`GC`/`qs`, running every cell both sequentially
 //! and under the seeded deterministic scheduler. Prints a summary, writes
 //! the byte-deterministic JSON report when `--out` is given (virtual
-//! clock only — CI runs the binary twice and `cmp`s), and exits 0 when
-//! the gate passes (every cell outcome-equivalent, audit-clean and
-//! report-identical across schedulers), 1 on a violation, 2 on I/O
-//! errors.
+//! clock only — `tools/pins.sh` pins it), and exits 0 when the gate
+//! passes (every cell outcome-equivalent, audit-clean and
+//! report-identical across schedulers), 1 on a violation, 2 on bad
+//! arguments or I/O errors.
 //!
 //! `--speedup` instead measures real-thread wall-clock scaling (1 vs 4
 //! workers on each workload's 4-task variant) and requires a ≥2×
@@ -25,12 +25,13 @@ use rc_bench::parallelmatrix;
 
 fn main() -> ExitCode {
     let scale = rc_bench::scale_from_args();
+    let out = rc_bench::value_from_args("--out");
     if rc_bench::flag_from_args("--speedup") {
         return speedup(scale);
     }
     let report = parallelmatrix::collect(scale);
     print!("{}", report.summary());
-    if let Some(path) = rc_bench::value_from_args("--out") {
+    if let Some(path) = out {
         if let Err(e) = std::fs::write(&path, report.render()) {
             eprintln!("parallel-matrix: {path}: {e}");
             return ExitCode::from(2);

@@ -51,7 +51,7 @@ fn load_file(path: &str) -> Result<region_rt::HeapSnapshot, String> {
 }
 
 fn limit_from_args() -> usize {
-    rc_bench::value_from_args("--limit").and_then(|v| v.parse().ok()).unwrap_or(20)
+    rc_bench::parsed_from_args("--limit").unwrap_or(20)
 }
 
 /// The first positional (non `--flag value`) arguments after the
@@ -75,11 +75,12 @@ fn cmd_dump() -> Result<(), String> {
     let wname = rc_bench::value_from_args("--workload").ok_or("dump needs --workload")?;
     let cname = rc_bench::value_from_args("--config").ok_or("dump needs --config")?;
     let out = rc_bench::value_from_args("--out").ok_or("dump needs --out")?;
+    let scale = rc_bench::scale_from_args();
     let workload =
         rc_workloads::by_name(&wname).ok_or_else(|| format!("unknown workload {wname:?}"))?;
     let config =
         config_by_name(&cname).ok_or_else(|| format!("unknown config {cname:?}"))?;
-    let snap = inspect::dump(&workload, &cname, &config, rc_bench::scale_from_args())?;
+    let snap = inspect::dump(&workload, &cname, &config, scale)?;
     if let Some(dir) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     }
@@ -105,6 +106,7 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "dump" => cmd_dump(),
         "summary" | "top" | "leaks" => {
+            let limit = limit_from_args();
             let pos = positionals();
             match pos.first() {
                 None => Err(format!("{cmd} needs a snapshot path\n{USAGE}")),
@@ -113,19 +115,20 @@ fn main() -> ExitCode {
                         "{}",
                         match cmd.as_str() {
                             "summary" => inspect::summary(&s),
-                            "top" => inspect::top(&s, limit_from_args()),
-                            _ => inspect::leaks(&s, limit_from_args()),
+                            "top" => inspect::top(&s, limit),
+                            _ => inspect::leaks(&s, limit),
                         }
                     );
                 }),
             }
         }
         "diff" => {
+            let limit = limit_from_args();
             let pos = positionals();
             match (pos.first(), pos.get(1)) {
                 (Some(a), Some(b)) => load_file(a).and_then(|sa| {
                     load_file(b).map(|sb| {
-                        print!("{}", inspect::diff(&sa, &sb, limit_from_args()));
+                        print!("{}", inspect::diff(&sa, &sb, limit));
                     })
                 }),
                 _ => Err(format!("diff needs two snapshot paths\n{USAGE}")),

@@ -12,13 +12,13 @@
 //! report when `--out` is given, and exits 0 when the gate passes (no
 //! panics, every checkpoint restorable, post-recovery audits clean,
 //! recoverable scenarios completed, unrecoverable ones exhausted in
-//! order), 1 on a violation, 2 on I/O errors.
+//! order), 1 on a violation, 2 on bad arguments or I/O errors.
 //!
 //! `--dump-pair DIR` instead replays one budget-squeeze recovery on
 //! `moss/qs` and writes the pre-unwind trap snapshot
 //! (`recovery_trap.json`) and the recovered retry's exit snapshot
-//! (`recovery_exit.json`) for `rc-inspect diff` — the CI job greps the
-//! diff for non-empty site attribution.
+//! (`recovery_exit.json`) for `rc-inspect diff` — `tools/pins.sh` greps
+//! the diff for non-empty site attribution.
 
 use std::process::ExitCode;
 
@@ -30,12 +30,13 @@ use region_rt::SnapshotReason;
 
 fn main() -> ExitCode {
     let scale = rc_bench::scale_from_args();
+    let out = rc_bench::value_from_args("--out");
     if let Some(dir) = rc_bench::value_from_args("--dump-pair") {
         return dump_pair(&dir, scale);
     }
     let report = recoverymatrix::collect(scale);
     print!("{}", report.summary());
-    if let Some(path) = rc_bench::value_from_args("--out") {
+    if let Some(path) = out {
         if let Err(e) = std::fs::write(&path, report.render()) {
             eprintln!("recovery-matrix: {path}: {e}");
             return ExitCode::from(2);

@@ -14,8 +14,8 @@
 //! seeded deterministic scheduler and writes a *multi-track* trace: one
 //! track per task (an `"X"` slice over the task's shared-clock lifetime,
 //! scheduler events as instants), with the work/span headline numbers in
-//! `otherData`. Both exports are byte-deterministic — CI runs them twice
-//! and `cmp`s. Exits 0 on success, 2 on bad arguments or I/O errors.
+//! `otherData`. Both exports are byte-deterministic and pinned by
+//! `tools/pins.sh`. Exits 0 on success, 2 on bad arguments or I/O errors.
 
 use std::process::ExitCode;
 
@@ -29,6 +29,8 @@ fn main() -> ExitCode {
     let scale = rc_bench::scale_from_args();
     let wname = rc_bench::value_from_args("--workload").unwrap_or_else(|| "cfrac".to_string());
     let cname = rc_bench::value_from_args("--config").unwrap_or_else(|| "qs".to_string());
+    let out = rc_bench::value_from_args("--out")
+        .unwrap_or_else(|| format!("target/experiments/trace_{wname}_{cname}.json"));
 
     let Some(workload) = rc_workloads::by_name(&wname) else {
         eprintln!("trace-export: unknown workload {wname:?}");
@@ -46,8 +48,6 @@ fn main() -> ExitCode {
     };
 
     let export = provenance::collect(&workload, &cname, &config, scale);
-    let out = rc_bench::value_from_args("--out")
-        .unwrap_or_else(|| format!("target/experiments/trace_{wname}_{cname}.json"));
 
     print!("{}", provenance::coverage_markdown(&export));
     println!(
@@ -65,22 +65,10 @@ fn main() -> ExitCode {
 fn parallel() -> ExitCode {
     let scale = rc_bench::scale_from_args();
     let wname = rc_bench::value_from_args("--workload").unwrap_or_else(|| "moss".to_string());
-    let tasks: u32 = match rc_bench::value_from_args("--tasks").map(|v| v.parse()) {
-        None => 4,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("trace-export: --tasks wants a number");
-            return ExitCode::from(2);
-        }
-    };
-    let seed: u64 = match rc_bench::value_from_args("--det-seed").map(|v| v.parse()) {
-        None => critpath::DET_SEED,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("trace-export: --det-seed wants a number");
-            return ExitCode::from(2);
-        }
-    };
+    let tasks = rc_bench::parsed_from_args("--tasks").unwrap_or(4);
+    let seed = rc_bench::parsed_from_args("--det-seed").unwrap_or(critpath::DET_SEED);
+    let out = rc_bench::value_from_args("--out")
+        .unwrap_or_else(|| format!("target/experiments/trace_par_{wname}_t{tasks}.json"));
     let run = match critpath::collect(&wname, tasks, "lea", &RunConfig::lea(), scale, seed) {
         Ok(r) => r,
         Err(e) => {
@@ -100,8 +88,6 @@ fn parallel() -> ExitCode {
         run.cp.work,
         run.cp.span
     );
-    let out = rc_bench::value_from_args("--out")
-        .unwrap_or_else(|| format!("target/experiments/trace_par_{wname}_t{tasks}.json"));
     write_trace(&out, critpath::multi_track_trace(&run).render_pretty())
 }
 

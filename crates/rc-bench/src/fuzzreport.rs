@@ -1,11 +1,11 @@
 //! The differential-fuzzing report schema (`rc-fuzz-report/v1`).
 //!
 //! Pure data: the rc-fuzz harness fills these rows in; this module owns
-//! the JSON layout so report consumers (CI's determinism gate, the docs)
+//! the JSON layout so report consumers (`tools/pins.sh`, the docs)
 //! depend on rc-bench alone. Like the fault matrix and the trajectory
 //! exports, every field is virtual — seeds, step counts, outcome keys —
 //! so two reports generated from the same tree are byte-identical, which
-//! is exactly what CI's double-run `cmp` asserts.
+//! is exactly what the pinned digest asserts.
 
 use region_rt::Json;
 

@@ -39,17 +39,10 @@ pub mod trajectory;
 use rc_workloads::Scale;
 
 /// Parses a scale from argv (e.g. `--scale 8`), defaulting to
-/// [`Scale::SMALL`].
+/// [`Scale::SMALL`]; a missing or non-integer value is a usage error, as
+/// in [`value_from_args`].
 pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--scale" {
-            if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                return Scale(v);
-            }
-        }
-    }
-    Scale::SMALL
+    parsed_from_args("--scale").map(Scale).unwrap_or(Scale::SMALL)
 }
 
 /// Whether a bare `--flag` is present in argv.
@@ -57,10 +50,36 @@ pub fn flag_from_args(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// The value following `--option` in argv, if any.
+/// The value following `--option` in argv, if the option is present.
+///
+/// An option followed by nothing or by another `--flag` is a usage error:
+/// the process prints a message on stderr and exits 2. Binaries read
+/// their options before doing any work, so a typo never silently runs a
+/// different experiment.
 pub fn value_from_args(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Some(v.clone()),
+        _ => usage_error(&format!("{name} wants a value")),
+    }
+}
+
+/// [`value_from_args`], parsed; a value that does not parse is a usage
+/// error too.
+pub fn parsed_from_args<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let v = value_from_args(name)?;
+    match v.parse() {
+        Ok(t) => Some(t),
+        Err(_) => usage_error(&format!("bad value {v:?} for {name}")),
+    }
+}
+
+fn usage_error(msg: &str) -> ! {
+    let arg0 = std::env::args().next().unwrap_or_default();
+    let program = std::path::Path::new(&arg0).file_name().unwrap_or_default();
+    eprintln!("{}: {msg}", program.to_string_lossy());
+    std::process::exit(2)
 }
 
 /// The message of a caught panic, for reporting a crashed cell.

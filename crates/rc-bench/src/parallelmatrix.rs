@@ -23,8 +23,8 @@
 //!    between the two runs: telemetry is an exact merge over shards, not
 //!    an approximation;
 //! 4. **determinism** — the report contains only virtual-clock numbers,
-//!    so two runs of the binary are byte-identical (CI `cmp`s a double
-//!    run).
+//!    so two runs of the binary are byte-identical (`tools/pins.sh`
+//!    pins the report).
 //!
 //! Real-thread wall-clock scaling is measured separately by
 //! [`speedup_probe`] — wall-clock never enters the JSON report, and the

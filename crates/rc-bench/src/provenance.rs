@@ -19,8 +19,8 @@
 //! track per region), check/GC/fault notes as `"i"` instants whose args
 //! carry `file:line`, the dynamic outcome and the static reason. Every
 //! timestamp is virtual-clock, so two exports of the same workload ×
-//! configuration are byte-identical — which is what the CI determinism
-//! job `cmp`s.
+//! configuration are byte-identical — which is what `tools/pins.sh`
+//! checks.
 
 use std::collections::BTreeMap;
 

@@ -26,7 +26,7 @@
 //! Violations are collected into the report (and fail the gate) rather
 //! than thrown, so one bad cell never hides the rest. Every number is
 //! virtual-clock, so two reports from the same tree are byte-identical —
-//! CI runs the binary twice and `cmp`s. The schema string [`SCHEMA`]
+//! `tools/pins.sh` pins the report. The schema string [`SCHEMA`]
 //! names the layout; see `docs/ROBUSTNESS.md`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -2,8 +2,8 @@
 //! assemble the `rc-fuzz-report/v1` report.
 //!
 //! A campaign is a pure function of its [`CampaignConfig`]: the report —
-//! rendered JSON included — is byte-identical across runs, which CI
-//! exploits by running the harness twice and `cmp`-ing the outputs.
+//! rendered JSON included — is byte-identical across runs, which
+//! `tools/pins.sh` exploits by pinning the report's digest.
 
 use std::path::PathBuf;
 

@@ -20,8 +20,8 @@
 //!   (`--violations` switches the generator to violation-planting mode,
 //!   `--no-spawn` suppresses `spawn`/`join` sections).
 //!
-//! The output is byte-deterministic for fixed options: CI runs the
-//! campaign twice and `cmp`s the reports. Exits 0 when every oracle
+//! The output is byte-deterministic for fixed options: `tools/pins.sh`
+//! pins the campaign report. Exits 0 when every oracle
 //! assertion held, 1 otherwise.
 
 use std::path::PathBuf;
