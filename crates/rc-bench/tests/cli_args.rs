@@ -1,7 +1,7 @@
 //! A value flag with a missing or bad value is a usage error: the binary
 //! prints a message on stderr and exits 2 before doing any work, instead
-//! of silently running a different experiment (`--scale one` once ran at
-//! the default scale; `--out` with no path once skipped the report).
+//! of silently running a different experiment (at the default scale, say,
+//! or without writing its report).
 
 use std::process::Command;
 
