@@ -86,12 +86,15 @@ run_manifest() {
     manifest
 }
 
+# --target-dir keeps the binaries where $bin looks, whatever the environment says.
+build() { cargo build --release --workspace --bins --examples --target-dir target; }
+
 # The files a run wrote, one path per line, sorted.
 outputs() { (cd "$1" && find . -type f | sed 's|^\./||' | LC_ALL=C sort); }
 
 case "${1:-}" in
 "")
-    cargo build --release --workspace --bins --examples
+    build
     run_manifest run1
     run_manifest run2
     status=0
@@ -109,7 +112,7 @@ case "${1:-}" in
     exit "$status"
     ;;
 refresh)
-    cargo build --release --workspace --bins --examples
+    build
     run_manifest run1
     outputs target/pins/run1 | (cd target/pins/run1 && xargs sha256sum) > "$digests"
     while read -r from to; do cp "target/pins/run1/$from" "$to"; done <<< "$committed"
