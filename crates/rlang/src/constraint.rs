@@ -45,17 +45,6 @@ impl Kind {
     fn unary(self) -> bool {
         matches!(self, Kind::IsTop | Kind::NotTop)
     }
-
-    /// Whether some binary rule takes premises of kinds `self` and
-    /// `other`: equality rewrites any fact, and the other rules pair ≤
-    /// with ≤, or ≤ or null-or-equal with a unary fact.
-    fn pairs_with(self, other: Kind) -> bool {
-        match (self, other) {
-            (Kind::Eq, _) | (_, Kind::Eq) | (Kind::Sub, Kind::Sub) => true,
-            (Kind::Sub | Kind::EqOrNull, k) | (k, Kind::Sub | Kind::EqOrNull) => k.unary(),
-            _ => false,
-        }
-    }
 }
 
 /// A fact over table positions. A unary fact repeats its position
@@ -63,9 +52,11 @@ impl Kind {
 /// [`Fact::normalise`] orders its sides.
 type PosFact = (Kind, usize, usize);
 
-/// The positions a fact mentions (binary facts have distinct sides).
-fn positions((_, a, b): PosFact) -> impl Iterator<Item = usize> {
-    std::iter::once(a).chain((a != b).then_some(b))
+/// ORs `src` into `dst`.
+fn or(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
 }
 
 /// The positions whose bit is set in `row`, ascending.
@@ -165,88 +156,253 @@ impl ConstraintSet {
             table.dedup();
             *self = self.relayout(table);
         }
-        let work = fresh.into_iter().filter_map(|f| self.locate(f)).collect();
-        self.saturate_from(work);
+        for f in fresh {
+            if let Some(f) = self.locate(f) {
+                self.insert(f);
+            }
+        }
+        self.saturate();
     }
 
     fn set_contradictory(&mut self) {
         *self = ConstraintSet::contradiction();
     }
 
-    /// Conjoins the facts `work`, whose expressions the table already
-    /// holds, and closes the set under the saturation rules. All rules are
-    /// sound for the heap model of Figure 4 (regions ordered by the
-    /// subregion relation, ⊤ above everything, constants denoting distinct
-    /// live regions). No rule concludes about an expression its premises
-    /// do not mention, so positions stay fixed throughout.
+    /// Closes the set under the saturation rules. All rules are sound for
+    /// the heap model of Figure 4 (regions ordered by the subregion
+    /// relation, ⊤ above everything, constants denoting distinct live
+    /// regions). No rule concludes about an expression its premises do
+    /// not mention, so positions stay fixed throughout, and so does the
+    /// set of mentioned expressions that ⊤-weakening ranges over.
     ///
-    /// Semi-naive worklist closure. The set is closed on entry, so only
-    /// rule instances with a fresh premise can derive anything new. A fact
-    /// becomes a premise when it is inserted: it is paired with every held
-    /// fact that shares an expression with it (that expression's two unary
-    /// bits, its row and its column) and is of a kind some rule pairs with
-    /// its own, so the later-inserted premise of any instance meets the
-    /// earlier one. That suffices because every binary
-    /// rule except ⊤-weakening (`σ = ⊤` with *any* expression σ₂ of the
-    /// set) needs premises that share an expression. ⊤-weakening instead
-    /// fires when an `IsTop` fact is inserted, over every mentioned
-    /// expression, and when an expression is first mentioned, over every
-    /// `IsTop` fact.
-    fn saturate_from(&mut self, mut work: Vec<PosFact>) {
-        let mut mentioned = self.mentioned();
-        while let Some(f) = work.pop() {
-            if !self.insert(f) {
-                continue;
+    /// Each rule applies to whole rows at once and is idempotent, so it
+    /// runs again only when a relation it reads has changed since it last
+    /// ran; the closure is reached when no rule has anything left to read.
+    /// [`ConstraintSet::congruence`] reads only `Eq`: the other rules map a
+    /// set whose equality classes share their rows, columns and unary
+    /// bits to one that still does, so only a new equality calls for it
+    /// again. Premises are stored facts only: a rule clears the
+    /// conclusions [`Fact::normalise`] drops before another rule can read
+    /// them (see [`ConstraintSet::tidy`]). The weakenings keep the set
+    /// closed downward, so that the intersection in `meet` loses nothing a
+    /// common weaker fact could save.
+    fn saturate(&mut self) {
+        // The relations each rule reads, in the order of the `match` below.
+        const READS: [&[Kind]; 4] = [
+            &[Kind::Eq],
+            &[Kind::IsTop],
+            &[Kind::IsTop, Kind::NotTop, Kind::EqOrNull],
+            &[Kind::IsTop, Kind::NotTop, Kind::Sub],
+        ];
+        let mentioned = self.mentioned();
+        let mut consts = vec![0; self.words];
+        for p in (0..self.exprs.len()).filter(|&p| self.is_const(p)) {
+            consts[p / 64] |= 1 << (p % 64);
+        }
+        // Constants are never ⊤.
+        let not_top = self.row(Kind::NotTop, 0);
+        for (i, (c, m)) in consts.iter().zip(&mentioned).enumerate() {
+            self.bits[not_top + i] |= c & m;
+        }
+        let mut stale = [true; 4];
+        let mut before = Vec::new();
+        while let Some(rule) = stale.iter().position(|&s| s) {
+            stale[rule] = false;
+            before.clone_from(&self.bits);
+            match rule {
+                0 => self.congruence(),
+                1 => self.weaken_top(&mentioned),
+                2 => self.strengthen(),
+                _ => self.order(),
             }
-            let (k, a, b) = f;
-            match k {
-                // σ = ⊤ for a region constant is impossible, and so is a
-                // direct contradiction against the facts already held.
-                Kind::IsTop if self.is_const(a) || self.has((Kind::NotTop, a, a)) => {
-                    return self.set_contradictory()
-                }
-                Kind::NotTop if self.has((Kind::IsTop, a, a)) => return self.set_contradictory(),
-                // Distinct constants are distinct regions.
-                Kind::Eq if self.is_const(a) && self.is_const(b) => {
-                    return self.set_contradictory()
-                }
-                _ => {}
-            }
-
-            // Unary weakenings. These keep the set closed downward so that
-            // the intersection in `meet` loses nothing a common weaker fact
-            // could save.
-            if k == Kind::Eq {
-                // Equal ⇒ null-or-equal (both ways) and mutually ≤.
-                for (x, y) in [(a, b), (b, a)] {
-                    self.push(&mut work, (Kind::EqOrNull, x, y));
-                    self.push(&mut work, (Kind::Sub, x, y));
-                }
-            }
-            // Constants are never ⊤.
-            for e in positions(f) {
-                if self.is_const(e) {
-                    self.push(&mut work, (Kind::NotTop, e, e));
-                }
-            }
-
-            if k == Kind::IsTop {
-                for e in ones(&mentioned) {
-                    self.weaken_top(a, e, &mut work);
-                }
-            }
-            for e in positions(f) {
-                if mentioned[e / 64] & (1 << (e % 64)) == 0 {
-                    mentioned[e / 64] |= 1 << (e % 64);
-                    for t in ones(self.row_bits(Kind::IsTop, 0)) {
-                        self.weaken_top(t, e, &mut work);
+            for k in KINDS {
+                let rows = self.rows_of(k);
+                if self.bits[rows.clone()] != before[rows] {
+                    for (other, reads) in READS.iter().enumerate() {
+                        stale[other] |= other != rule && reads.contains(&k);
                     }
                 }
-                self.each_sharing(e, k, |g| {
-                    self.derive(f, g, &mut work);
-                    self.derive(g, f, &mut work);
-                });
             }
+        }
+        if self.clashes(&consts) {
+            self.set_contradictory();
+        }
+    }
+
+    /// Equality congruence, with equal ⇒ null-or-equal and ≤ both ways:
+    /// the members of each `Eq` class relate to one another and share
+    /// their unary bits, their rows and their columns.
+    fn congruence(&mut self) {
+        let (n, w) = (self.exprs.len(), self.words);
+        let mut done = vec![0; w];
+        for a in 0..n {
+            let seen = done[a / 64] >> (a % 64) & 1 != 0;
+            if seen || self.row_bits(Kind::Eq, a).iter().all(|&x| x == 0) {
+                continue;
+            }
+            // `a`'s class: everything `Eq` reaches from it.
+            let mut class = vec![0; w];
+            class[a / 64] |= 1 << (a % 64);
+            loop {
+                let mut next = class.clone();
+                for m in ones(&class) {
+                    or(&mut next, self.row_bits(Kind::Eq, m));
+                }
+                if next == class {
+                    break;
+                }
+                class = next;
+            }
+            or(&mut done, &class);
+            for m in ones(&class) {
+                let at = self.row(Kind::Eq, m);
+                self.bits[at..at + w].copy_from_slice(&class);
+            }
+            for k in [Kind::IsTop, Kind::NotTop] {
+                let at = self.row(k, 0);
+                if self.meets(at, &class) {
+                    or(&mut self.bits[at..at + w], &class);
+                }
+            }
+            for k in [Kind::Sub, Kind::EqOrNull] {
+                let mut shared = class.clone();
+                for m in ones(&class) {
+                    or(&mut shared, self.row_bits(k, m));
+                }
+                for m in ones(&class) {
+                    let at = self.row(k, m);
+                    self.bits[at..at + w].copy_from_slice(&shared);
+                }
+                for x in 0..n {
+                    let at = self.row(k, x);
+                    if self.meets(at, &class) {
+                        or(&mut self.bits[at..at + w], &class);
+                    }
+                }
+            }
+        }
+        self.tidy();
+    }
+
+    /// ⊤-weakening: σ = ⊤ ⇒ σ = ⊤ ∨ σ = σ₂ and σ₂ ≤ σ, for every mentioned
+    /// expression σ₂.
+    fn weaken_top(&mut self, mentioned: &[u64]) {
+        let w = self.words;
+        let tops = self.row_bits(Kind::IsTop, 0).to_vec();
+        for a in ones(&tops) {
+            let at = self.row(Kind::EqOrNull, a);
+            or(&mut self.bits[at..at + w], mentioned);
+        }
+        for e in ones(mentioned) {
+            let at = self.row(Kind::Sub, e);
+            or(&mut self.bits[at..at + w], &tops);
+        }
+        self.tidy();
+    }
+
+    /// Null-or-equal strengthening: σ₁ = ⊤ ∨ σ₁ = σ₂ gives σ₁ = σ₂ when
+    /// σ₁ ≠ ⊤, and σ₁ = ⊤ when σ₂ = ⊤ (repeated, as each such σ₁ may be
+    /// the σ₂ of another fact).
+    fn strengthen(&mut self) {
+        let n = self.exprs.len();
+        let not_top = self.row_bits(Kind::NotTop, 0).to_vec();
+        for a in ones(&not_top) {
+            let row = self.row_bits(Kind::EqOrNull, a).to_vec();
+            for b in ones(&row) {
+                self.insert((Kind::Eq, a, b));
+            }
+        }
+        let top = self.row(Kind::IsTop, 0);
+        let mut grown = true;
+        while grown {
+            grown = false;
+            for a in 0..n {
+                let row = self.row(Kind::EqOrNull, a);
+                if !self.bit(top, a) && self.meets(row, self.row_bits(Kind::IsTop, 0)) {
+                    self.set((Kind::IsTop, a, a));
+                    grown = true;
+                }
+            }
+        }
+    }
+
+    /// ≤ transitivity and antisymmetry; then σ₁ = ⊤ ∧ σ₁ ≤ σ₂ ⇒ σ₂ = ⊤
+    /// (only ⊤ is above ⊤) and σ₂ ≠ ⊤ ∧ σ₁ ≤ σ₂ ⇒ σ₁ ≠ ⊤ (a real
+    /// region's descendants are real).
+    fn order(&mut self) {
+        let (n, w) = (self.exprs.len(), self.words);
+        let mut via = vec![0; w];
+        for k in 0..n {
+            via.copy_from_slice(self.row_bits(Kind::Sub, k));
+            if via.iter().all(|&x| x == 0) {
+                continue;
+            }
+            for i in 0..n {
+                let at = self.row(Kind::Sub, i);
+                if self.bit(at, k) {
+                    or(&mut self.bits[at..at + w], &via);
+                }
+            }
+        }
+        // Transitivity has put each position on a cycle on the diagonal,
+        // which then holds its cycle's members.
+        for a in 0..n {
+            let at = self.row(Kind::Sub, a);
+            if self.bit(at, a) {
+                via.copy_from_slice(self.row_bits(Kind::Sub, a));
+                for b in ones(&via).filter(|&b| b != a) {
+                    if self.bit(self.row(Kind::Sub, b), a) {
+                        self.set((Kind::Eq, a, b));
+                    }
+                }
+            }
+        }
+        self.tidy();
+        let (top, not_top) = (self.row(Kind::IsTop, 0), self.row(Kind::NotTop, 0));
+        for a in 0..n {
+            let at = self.row(Kind::Sub, a);
+            if self.bit(top, a) {
+                via.copy_from_slice(self.row_bits(Kind::Sub, a));
+                or(&mut self.bits[top..top + w], &via);
+            }
+            if self.meets(at, self.row_bits(Kind::NotTop, 0)) {
+                self.bits[not_top + a / 64] |= 1 << (a % 64);
+            }
+        }
+    }
+
+    /// Whether the set holds a contradiction: `σ = ⊤` with `σ ≠ ⊤`, a
+    /// constant `= ⊤`, or two (distinct) constants equal. `⊤ ≠ ⊤` alone
+    /// is none, as `⊤ = ⊤` is never stored.
+    fn clashes(&self, consts: &[u64]) -> bool {
+        let top = self.row(Kind::IsTop, 0);
+        self.meets(top, self.row_bits(Kind::NotTop, 0))
+            || self.meets(top, consts)
+            || ones(consts).any(|c| self.meets(self.row(Kind::Eq, c), consts))
+    }
+
+    /// Clears the bits of the facts [`Fact::normalise`] drops: every
+    /// diagonal bit, and (⊤ sorts last) `σ ≤ ⊤`, `⊤ = ⊤ ∨ ⊤ = σ` and
+    /// `⊤ = ⊤`.
+    fn tidy(&mut self) {
+        let n = self.exprs.len();
+        for k in [Kind::Sub, Kind::EqOrNull, Kind::Eq] {
+            for a in 0..n {
+                let at = self.row(k, a);
+                self.bits[at + a / 64] &= !(1 << (a % 64));
+            }
+        }
+        if self.exprs.last() == Some(&RegionExpr::Top) {
+            let t = n - 1;
+            let (w, mask) = (t / 64, !(1u64 << (t % 64)));
+            for a in 0..n {
+                let at = self.row(Kind::Sub, a);
+                self.bits[at + w] &= mask;
+            }
+            let at = self.row(Kind::EqOrNull, t);
+            self.bits[at..at + self.words].fill(0);
+            let at = self.row(Kind::IsTop, 0);
+            self.bits[at + w] &= mask;
         }
     }
 
@@ -345,13 +501,32 @@ impl ConstraintSet {
     /// its elimination (see `infer::ProvenanceReason::MeetPoint`).
     pub fn meet_with_loss(&self, other: &ConstraintSet) -> (ConstraintSet, Vec<Fact>) {
         let met = self.meet(other);
-        let mut lost: Vec<Fact> = Vec::new();
-        for f in self.facts().chain(other.facts()) {
-            if !met.entails(f) && !lost.contains(&f) {
-                lost.push(f);
-            }
-        }
+        // `met` stores the facts both operands store, and a stored fact is
+        // entailed. So only a fact one operand stores and the other lacks
+        // can be lost, and `other`'s such facts are not `self`'s.
+        let lost = self
+            .minus(other)
+            .facts()
+            .chain(other.minus(self).facts())
+            .filter(|&f| !met.entails(f))
+            .collect();
         (met, lost)
+    }
+
+    /// The facts `self` stores and `other` does not, unsaturated.
+    fn minus(&self, other: &ConstraintSet) -> ConstraintSet {
+        let mut out = self.clone();
+        let relaid;
+        let theirs = if other.exprs == self.exprs {
+            other
+        } else {
+            relaid = other.relayout(self.exprs.clone());
+            &relaid
+        };
+        for (w, o) in out.bits.iter_mut().zip(&theirs.bits) {
+            *w &= !o;
+        }
+        out
     }
 
     /// Forgets everything about `rho`, keeping implied consequences that do
@@ -414,6 +589,12 @@ impl ConstraintSet {
             }
     }
 
+    /// Word range of all rows of kind `k`.
+    fn rows_of(&self, k: Kind) -> std::ops::Range<usize> {
+        let at = self.row(k, 0);
+        at..at + self.words * if k.unary() { 1 } else { self.exprs.len() }
+    }
+
     fn row_bits(&self, k: Kind, i: usize) -> &[u64] {
         let at = self.row(k, i);
         &self.bits[at..at + self.words]
@@ -435,16 +616,22 @@ impl ConstraintSet {
         self.bits[w] |= mask;
     }
 
-    /// Sets `f`'s bits (both for `Eq`); false if the set already held it.
-    fn insert(&mut self, f: PosFact) -> bool {
-        if self.has(f) {
-            return false;
-        }
+    /// Sets `f`'s bits (both for `Eq`).
+    fn insert(&mut self, f: PosFact) {
         self.set(f);
         if let (Kind::Eq, a, b) = f {
             self.set((Kind::Eq, b, a));
         }
-        true
+    }
+
+    /// Whether bit `p` of the row at word offset `at` is set.
+    fn bit(&self, at: usize, p: usize) -> bool {
+        self.bits[at + p / 64] >> (p % 64) & 1 != 0
+    }
+
+    /// Whether the row at word offset `at` shares a bit with `mask`.
+    fn meets(&self, at: usize, mask: &[u64]) -> bool {
+        self.bits[at..at + self.words].iter().zip(mask).any(|(x, y)| x & y != 0)
     }
 
     /// The stored (normalised) fact `fact`, by position, if the table
@@ -513,11 +700,10 @@ impl ConstraintSet {
     /// the position of every nonempty relation row.
     fn mentioned(&self) -> Vec<u64> {
         let mut mask = vec![0; self.words];
-        for (k, a, row) in self.rows() {
-            for (m, w) in mask.iter_mut().zip(row) {
-                *m |= w;
-            }
-            if !k.unary() && row.iter().any(|&w| w != 0) {
+        for (i, row) in self.bits.chunks_exact(self.words).enumerate() {
+            or(&mut mask, row);
+            if i >= 2 && row.iter().any(|&w| w != 0) {
+                let a = (i - 2) % self.exprs.len();
                 mask[a / 64] |= 1 << (a % 64);
             }
         }
@@ -535,106 +721,6 @@ impl ConstraintSet {
             let at = self.row(k, p);
             self.bits[at..at + self.words].fill(0);
         }
-    }
-
-    /// Calls `visit` on every held fact mentioning position `e` that a
-    /// rule pairs with a fact of kind `with`: `e`'s unary bits, its row
-    /// and its column of each relation (`Eq` is symmetric, so its row is
-    /// its column).
-    fn each_sharing(&self, e: usize, with: Kind, mut visit: impl FnMut(PosFact)) {
-        for k in [Kind::IsTop, Kind::NotTop] {
-            if with.pairs_with(k) && self.has((k, e, e)) {
-                visit((k, e, e));
-            }
-        }
-        let (w, mask) = (e / 64, 1 << (e % 64));
-        for k in [Kind::Sub, Kind::EqOrNull].into_iter().filter(|&k| with.pairs_with(k)) {
-            for b in ones(self.row_bits(k, e)) {
-                visit((k, e, b));
-            }
-            let column = self.bits[self.row(k, 0)..].chunks_exact(self.words);
-            for (a, row) in column.take(self.exprs.len()).enumerate() {
-                if row[w] & mask != 0 {
-                    visit((k, a, e));
-                }
-            }
-        }
-        for b in ones(self.row_bits(Kind::Eq, e)) {
-            visit((Kind::Eq, e.min(b), e.max(b)));
-        }
-    }
-
-    /// [`Fact::normalise`] over positions, which follow expression order.
-    fn normalise(&self, (k, a, b): PosFact) -> Option<PosFact> {
-        let top = |p: usize| self.exprs[p] == RegionExpr::Top;
-        match k {
-            Kind::IsTop if top(a) => None,
-            Kind::Sub if a == b || top(b) => None,
-            Kind::EqOrNull if a == b || top(a) => None,
-            Kind::Eq if a == b => None,
-            Kind::Eq => Some((k, a.min(b), a.max(b))),
-            _ => Some((k, a, b)),
-        }
-    }
-
-    /// Queues the normalised `f` unless the set already holds it.
-    fn push(&self, work: &mut Vec<PosFact>, f: PosFact) {
-        if let Some(f) = self.normalise(f) {
-            if !self.has(f) {
-                work.push(f);
-            }
-        }
-    }
-
-    /// The binary saturation rules whose premises share an expression, in
-    /// the ordered form `(f, g)`; callers fire both orders.
-    fn derive(&self, f: PosFact, g: PosFact, work: &mut Vec<PosFact>) {
-        // Equality congruence: rewrite g by f's equality, in both
-        // directions.
-        if let (Kind::Eq, a, b) = f {
-            let (k, c, d) = g;
-            for (from, to) in [(a, b), (b, a)] {
-                let r = |e| if e == from { to } else { e };
-                self.push(work, (k, r(c), r(d)));
-            }
-        }
-        match (f, g) {
-            // null-or-equal + non-null ⇒ equal.
-            ((Kind::EqOrNull, a, b), (Kind::NotTop, c, _)) if a == c => {
-                self.push(work, (Kind::Eq, a, b))
-            }
-            // null-or-equal + the other side null ⇒ null.
-            ((Kind::EqOrNull, a, b), (Kind::IsTop, c, _)) if b == c => {
-                self.push(work, (Kind::IsTop, a, a))
-            }
-            ((Kind::Sub, a, b), (Kind::Sub, c, d)) if b == c => {
-                // ≤ transitivity.
-                self.push(work, (Kind::Sub, a, d));
-                // ≤ antisymmetry.
-                if a == d {
-                    self.push(work, (Kind::Eq, a, b));
-                }
-            }
-            // σ₁ = ⊤ and σ₁ ≤ σ₂ ⇒ σ₂ = ⊤ (only ⊤ is above ⊤).
-            ((Kind::IsTop, a, _), (Kind::Sub, c, d)) if a == c => {
-                self.push(work, (Kind::IsTop, d, d))
-            }
-            // σ₂ ≠ ⊤ and σ₁ ≤ σ₂ ⇒ σ₁ ≠ ⊤ (a real region's descendants
-            // are real).
-            ((Kind::NotTop, b, _), (Kind::Sub, c, d)) if b == d => {
-                self.push(work, (Kind::NotTop, c, c))
-            }
-            _ => {}
-        }
-    }
-
-    /// ⊤-weakening of `a = ⊤` by the expression `b`; the saturated set
-    /// applies it for every expression its facts mention.
-    fn weaken_top(&self, a: usize, b: usize, work: &mut Vec<PosFact>) {
-        // σ = ⊤ ⇒ (σ = ⊤ ∨ σ = σ₂) for any σ₂.
-        self.push(work, (Kind::EqOrNull, a, b));
-        // σ = ⊤ ⇒ σ₂ ≤ σ for any σ₂ (everything ≤ ⊤).
-        self.push(work, (Kind::Sub, b, a));
     }
 }
 
@@ -1058,13 +1144,13 @@ mod tests {
         }
 
         /// `IsTop` is rare so that most sets stay consistent, and rarer
-        /// still over many regions, where each one weakens against every
-        /// expression of the set and the brute-force closure would grow
-        /// quadratically.
+        /// still over more than 24 regions, where each one weakens against
+        /// every expression of the set and the brute-force closure would
+        /// grow quadratically.
         fn fact(&mut self) -> Fact {
             let (a, b) = (self.expr(), self.expr());
             match self.below(10) {
-                0 if self.rhos <= 8 || self.below(8) == 0 => Fact::IsTop(a),
+                0 if self.rhos <= 24 || self.below(8) == 0 => Fact::IsTop(a),
                 0..=2 => Fact::NotTop(a),
                 3..=5 => Fact::Sub(a, b),
                 6 | 7 => Fact::EqOrNull(a, b),
@@ -1078,14 +1164,21 @@ mod tests {
     /// every saturating entry point, interleaved with the operations that
     /// shrink or rewrite a set, mirroring each step on reference sets, and
     /// compares the two after every step. The first 512 seeds draw from
-    /// ρ0–ρ7; the last 32 draw from ρ0–ρ149 with more facts per set, so
-    /// tables outgrow one 64-bit word per row.
+    /// ρ0–ρ7; the next 32 draw from ρ0–ρ149 with more facts per set, so
+    /// tables outgrow one 64-bit word per row; the last 96 draw from
+    /// ρ0–ρ23 with `IsTop` as common as over ρ0–ρ7, for the table sizes
+    /// (17–32 positions) and the ⊤ facts that inference meets most.
     #[test]
     fn indexed_saturation_equals_reference_closure() {
         let (mut consistent, mut contradictory, mut with_top, mut wide) = (0, 0, 0, 0);
-        for seed in 0..544u64 {
+        let mut mid = 0;
+        for seed in 0..640u64 {
             // (abstract regions, fact budget, facts per call)
-            let (rhos, mut budget, max) = if seed < 512 { (8, 24, 8) } else { (150, 100, 80) };
+            let (rhos, mut budget, max) = match seed {
+                0..512 => (8, 24, 8),
+                512..544 => (150, 100, 80),
+                _ => (24, 64, 24),
+            };
             let mut rng = SplitMix64 { state: seed, rhos };
             let first = rng.facts(&mut budget, max);
             let mut pool: Vec<(ConstraintSet, Reference)> =
@@ -1142,15 +1235,21 @@ mod tests {
                     contradictory += 1;
                 } else {
                     consistent += 1;
-                    with_top += usize::from(s.facts().any(|f| matches!(f, Fact::IsTop(_))));
+                    let top = s.facts().any(|f| matches!(f, Fact::IsTop(_)));
+                    with_top += usize::from(top);
                     wide += usize::from(s.exprs.len() > 64);
+                    let n = s.exprs.len();
+                    let class = (0..n).any(|a| ones(s.row_bits(Kind::Eq, a)).count() >= 2);
+                    mid += usize::from(top && class && (17..=32).contains(&n));
                 }
             }
         }
-        // Not vacuous: both outcomes occur, ⊤-weakening has work, and some
-        // consistent sets need two words per row.
+        // Not vacuous: both outcomes occur, ⊤-weakening has work, some
+        // consistent sets need two words per row, and some have 17–32
+        // positions, an `IsTop` fact and an `Eq` class of three or more.
         assert!(consistent > 1000 && contradictory > 200, "{consistent} / {contradictory}");
         assert!(with_top > 200, "{with_top} consistent sets hold an IsTop fact");
         assert!(wide > 40, "{wide} consistent sets have more than 64 positions");
+        assert!(mid > 40, "{mid} consistent mid-sized sets with ⊤ and an Eq class");
     }
 }
