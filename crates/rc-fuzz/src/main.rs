@@ -22,29 +22,29 @@
 //!
 //! The output is byte-deterministic for fixed options: `tools/pins.sh`
 //! pins the campaign report. Exits 0 when every oracle
-//! assertion held, 1 otherwise.
+//! assertion held, 1 otherwise, and 2 on a usage error (a value option
+//! with a missing or unparsable value).
 
 use std::path::PathBuf;
 
-use rc_bench::{flag_from_args, value_from_args};
+use rc_bench::{flag_from_args, parsed_from_args, value_from_args};
 use rc_fuzz::campaign::{run_campaign, CampaignConfig};
 
 fn main() {
-    let seeds = value_from_args("--seeds").and_then(|v| v.parse().ok()).unwrap_or(64);
-    let size = value_from_args("--size").and_then(|v| v.parse().ok()).unwrap_or(6);
-    let budget_steps =
-        value_from_args("--budget-steps").and_then(|v| v.parse().ok()).unwrap_or(20_000_000);
+    let seeds = parsed_from_args("--seeds").unwrap_or(64);
+    let size = parsed_from_args("--size").unwrap_or(6);
+    let budget_steps = parsed_from_args("--budget-steps").unwrap_or(20_000_000);
+    let dump: Option<u64> = parsed_from_args("--dump");
+    let regressions = value_from_args("--regressions").map(PathBuf::from);
     let regressions_dir = if flag_from_args("--no-write") {
         None
     } else {
-        Some(
-            value_from_args("--regressions").map(PathBuf::from).unwrap_or_else(|| {
-                PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus/regressions")
-            }),
-        )
+        Some(regressions.unwrap_or_else(|| {
+            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus/regressions")
+        }))
     };
 
-    if let Some(seed) = value_from_args("--dump").and_then(|v| v.parse().ok()) {
+    if let Some(seed) = dump {
         let gen_cfg = rc_fuzz::GenConfig {
             size,
             violations: flag_from_args("--violations"),
