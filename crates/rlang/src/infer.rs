@@ -16,15 +16,26 @@
 //!   the facts provable at all of its call sites (empty for exported
 //!   functions, matching "any non-static C function ... has empty input,
 //!   output and result constraint sets"); its *output/result* set is
-//!   whatever its body proves about its region parameters and result;
-//! - finally, a verdict pass records the flow state at every `chk` site:
-//!   "we can safely eliminate any chk statement that asserts a property
-//!   that is implied by its input constraint set."
+//!   whatever its body proves about its region parameters and result.
+//!   The descent runs in rounds, each reading the previous round's
+//!   summaries. A function's analysis reads only its own input summary
+//!   and its callees' output summaries, so round k+1 re-analyses only the
+//!   functions for which one of those changed in round k; the others
+//!   keep their latest analysis (call-site contributions and `chk`
+//!   records), which a re-analysis would repeat;
+//! - each `chk` site's verdict and flow state come from its function's
+//!   last analysis: "we can safely eliminate any chk statement that
+//!   asserts a property that is implied by its input constraint set." A
+//!   function that retains a check is analysed once more with loss
+//!   tracking, to name the meet or ⊤-weakening that blocked elimination.
+//!
+//! Debug builds hold every result to a reference that analyses every
+//! function in every round and then runs a verdict pass over all of them.
 
 use std::collections::{BTreeMap, HashMap};
 
 use crate::constraint::ConstraintSet;
-use crate::program::{Callee, FuncDef, Program, SiteId, Stmt, VarId};
+use crate::program::{Callee, FuncDef, FuncId, Program, SiteId, Stmt, VarId};
 use crate::types::{Fact, FieldType, RegionExpr, RhoId, VarType};
 
 /// Which control-flow construct performed a provenance-recorded meet.
@@ -151,7 +162,12 @@ pub struct Analysis {
     /// consumers iterate deterministically. Covers exactly the sites in
     /// `site_safe`.
     pub provenance: BTreeMap<SiteId, SiteProvenance>,
-    /// Global fixpoint rounds taken.
+    /// Global fixpoint rounds taken, counting the last one, which changes
+    /// no summary; the cap (200) when the sound fallback to empty
+    /// summaries was taken. Each round reads the previous round's
+    /// summaries. Round 1 analyses every function; a later round
+    /// re-analyses only those whose input summary or some callee's output
+    /// summary the previous round changed.
     pub rounds: usize,
 }
 
@@ -184,19 +200,144 @@ const MAX_ROUNDS: usize = 200;
 
 /// Runs the whole-program inference.
 pub fn analyse(prog: &Program) -> Analysis {
-    let nf = prog.funcs.len();
-    let mut summaries: Vec<Summary> = prog
-        .funcs
-        .iter()
-        .map(|f| Summary {
-            // Greatest fixed point: start optimistically at the
-            // contradictory top and descend; exported functions are pinned
-            // to the empty set.
-            input: if f.exported { ConstraintSet::empty() } else { ConstraintSet::contradiction() },
-            output: ConstraintSet::contradiction(),
-        })
-        .collect();
+    analyse_capped(prog, MAX_ROUNDS)
+}
 
+/// A `chk` site as the latest analysis of its function saw it.
+struct CheckRecord {
+    site: SiteId,
+    fact: Fact,
+    safe: bool,
+    state: ConstraintSet,
+}
+
+/// What a function's latest analysis left for later rounds. It stays valid
+/// while neither the function's input summary nor any callee's output
+/// summary changes, since the analysis reads nothing else.
+#[derive(Default)]
+struct LastAnalysis {
+    /// Per non-exported callee, the meet of this function's call-site
+    /// contributions to the callee's input summary.
+    contribs: Vec<(FuncId, ConstraintSet)>,
+    /// One record per `chk` site; inside a loop, the last iteration's.
+    checks: Vec<CheckRecord>,
+}
+
+/// [`analyse`] with the round cap as a parameter, so that tests reach the
+/// fallback.
+fn analyse_capped(prog: &Program, cap: usize) -> Analysis {
+    let nf = prog.funcs.len();
+    let callees: Vec<Vec<FuncId>> = prog.funcs.iter().map(FuncDef::callees).collect();
+    let mut callers: Vec<Vec<usize>> = vec![Vec::new(); nf];
+    for (c, gs) in callees.iter().enumerate() {
+        for g in gs {
+            callers[g.0 as usize].push(c);
+        }
+    }
+    let mut summaries = initial_summaries(prog);
+    let mut last: Vec<LastAnalysis> = (0..nf).map(|_| LastAnalysis::default()).collect();
+    // The analysed function's call-site contributions, by callee; drained
+    // into its `LastAnalysis` after each analysis.
+    let mut in_acc: Vec<Option<ConstraintSet>> = vec![None; nf];
+    let mut dirty = vec![true; nf];
+    let mut rounds = 0;
+    let fell_back = loop {
+        rounds += 1;
+        // Every analysis in a round reads the previous round's summaries,
+        // so new outputs are applied only once the round is done.
+        let mut new_outputs: Vec<Option<ConstraintSet>> = vec![None; nf];
+        for (i, f) in prog.funcs.iter().enumerate().filter(|&(i, _)| dirty[i]) {
+            let mut checks = Vec::new();
+            let mut ctx = Ctx::new(prog, f, &summaries);
+            ctx.in_acc = Some(&mut in_acc);
+            ctx.records = Some(&mut checks);
+            let end = ctx.exec(&f.body, summaries[i].input.clone());
+            // Output summary: the meet over all exits (explicit returns and
+            // void fall-through).
+            let exit = ctx.ret_acc.meet(&end);
+            new_outputs[i] = Some(project_output(f, &exit));
+            let contribs = callees[i]
+                .iter()
+                .filter_map(|&g| Some((g, in_acc[g.0 as usize].take()?)))
+                .collect();
+            last[i] = LastAnalysis { contribs, checks };
+        }
+        let mut output_changed = vec![false; nf];
+        for (i, out) in new_outputs.into_iter().enumerate() {
+            if let Some(out) = out.filter(|out| *out != summaries[i].output) {
+                summaries[i].output = out;
+                output_changed[i] = true;
+            }
+        }
+        let mut input_changed = vec![false; nf];
+        for (g, f) in prog.funcs.iter().enumerate() {
+            if f.exported || !callers[g].iter().any(|&c| dirty[c]) {
+                continue;
+            }
+            let new_in = callers[g]
+                .iter()
+                .flat_map(|&c| &last[c].contribs)
+                .filter(|(h, _)| h.0 as usize == g)
+                .fold(ConstraintSet::contradiction(), |acc, (_, contrib)| acc.meet(contrib));
+            if new_in != summaries[g].input {
+                summaries[g].input = new_in;
+                input_changed[g] = true;
+            }
+        }
+
+        if !output_changed.contains(&true) && !input_changed.contains(&true) {
+            break false;
+        }
+        if rounds >= cap {
+            fall_back(&mut summaries);
+            break true;
+        }
+        dirty = (0..nf)
+            .map(|i| input_changed[i] || callees[i].iter().any(|g| output_changed[g.0 as usize]))
+            .collect();
+    };
+
+    let mut verdicts = Verdicts::default();
+    for (i, analysed) in last.into_iter().enumerate() {
+        if fell_back || analysed.checks.iter().any(|c| !c.safe) {
+            // After the fallback the records are stale. A retained check
+            // needs loss tracking to name what blocked it; meet ordinals
+            // are function-local, so analysing this function alone keeps
+            // them exact.
+            verdicts.verdict_pass(prog, &summaries, i);
+            continue;
+        }
+        for c in analysed.checks {
+            let reason = if c.state.is_contradictory() {
+                ProvenanceReason::Unreachable
+            } else {
+                ProvenanceReason::Entailed
+            };
+            verdicts.insert(c.site, c.state, SiteProvenance { fact: c.fact, safe: true, reason });
+        }
+    }
+    let analysis = verdicts.into_analysis(summaries, rounds);
+
+    #[cfg(debug_assertions)]
+    {
+        let r = reference(prog, cap);
+        debug_assert_eq!(analysis.summaries, r.summaries, "summaries differ from the reference");
+        debug_assert_eq!(analysis.site_safe, r.site_safe, "site_safe differs from the reference");
+        debug_assert_eq!(analysis.site_states, r.site_states, "site_states differ");
+        debug_assert_eq!(analysis.eliminated_sites, r.eliminated_sites, "eliminated_sites differ");
+        debug_assert_eq!(analysis.provenance, r.provenance, "provenance differs");
+        debug_assert_eq!(analysis.rounds, r.rounds, "rounds differ from the reference");
+    }
+    analysis
+}
+
+/// The analysis [`analyse_capped`] must equal: every round analyses every
+/// function, and a verdict pass then analyses each once more with loss
+/// tracking.
+#[cfg(debug_assertions)]
+fn reference(prog: &Program, cap: usize) -> Analysis {
+    let nf = prog.funcs.len();
+    let mut summaries = initial_summaries(prog);
     let mut rounds = 0;
     loop {
         rounds += 1;
@@ -205,20 +346,9 @@ pub fn analyse(prog: &Program) -> Analysis {
 
         let mut new_outputs: Vec<ConstraintSet> = Vec::with_capacity(nf);
         for (i, f) in prog.funcs.iter().enumerate() {
-            let entry = summaries[i].input.clone();
-            let mut ctx = Ctx {
-                prog,
-                func: f,
-                summaries: &summaries,
-                in_acc: Some(&mut in_acc),
-                verdicts: None,
-                ret_acc: ConstraintSet::contradiction(),
-                violations: None,
-                meets: Vec::new(),
-            };
-            let end = ctx.exec(&f.body, entry);
-            // Output summary: the meet over all exits (explicit returns and
-            // void fall-through).
+            let mut ctx = Ctx::new(prog, f, &summaries);
+            ctx.in_acc = Some(&mut in_acc);
+            let end = ctx.exec(&f.body, summaries[i].input.clone());
             let exit = ctx.ret_acc.meet(&end);
             new_outputs.push(project_output(f, &exit));
         }
@@ -242,40 +372,78 @@ pub fn analyse(prog: &Program) -> Analysis {
         if !changed {
             break;
         }
-        if rounds >= MAX_ROUNDS {
-            // Sound fallback: drop to empty summaries everywhere.
-            for s in &mut summaries {
-                s.input = ConstraintSet::empty();
-                s.output = ConstraintSet::empty();
-            }
+        if rounds >= cap {
+            fall_back(&mut summaries);
             break;
         }
     }
 
-    // Verdict pass with the stable summaries.
-    let mut site_safe = HashMap::new();
-    let mut site_states = HashMap::new();
-    let mut provenance = BTreeMap::new();
-    for (i, f) in prog.funcs.iter().enumerate() {
-        let entry = summaries[i].input.clone();
-        let mut ctx = Ctx {
-            prog,
-            func: f,
-            summaries: &summaries,
-            in_acc: None,
-            verdicts: Some((&mut site_safe, &mut site_states, &mut provenance)),
-            ret_acc: ConstraintSet::contradiction(),
-            violations: None,
-            meets: Vec::new(),
-        };
-        ctx.exec(&f.body, entry);
+    let mut verdicts = Verdicts::default();
+    for i in 0..nf {
+        verdicts.verdict_pass(prog, &summaries, i);
+    }
+    verdicts.into_analysis(summaries, rounds)
+}
+
+/// The greatest fixed point's starting point: optimistically the
+/// contradictory top, except that exported functions' inputs are pinned to
+/// the empty set.
+fn initial_summaries(prog: &Program) -> Vec<Summary> {
+    prog.funcs
+        .iter()
+        .map(|f| Summary {
+            input: if f.exported { ConstraintSet::empty() } else { ConstraintSet::contradiction() },
+            output: ConstraintSet::contradiction(),
+        })
+        .collect()
+}
+
+/// The sound fallback once the round cap is reached: empty summaries
+/// everywhere.
+fn fall_back(summaries: &mut [Summary]) {
+    for s in summaries {
+        s.input = ConstraintSet::empty();
+        s.output = ConstraintSet::empty();
+    }
+}
+
+/// The per-site results that become [`Analysis`]'s verdict fields.
+#[derive(Default)]
+struct Verdicts {
+    site_safe: HashMap<SiteId, bool>,
+    site_states: HashMap<SiteId, ConstraintSet>,
+    provenance: BTreeMap<SiteId, SiteProvenance>,
+}
+
+impl Verdicts {
+    fn insert(&mut self, site: SiteId, state: ConstraintSet, prov: SiteProvenance) {
+        self.site_safe.insert(site, prov.safe);
+        self.site_states.insert(site, state);
+        self.provenance.insert(site, prov);
     }
 
-    let mut eliminated_sites: Vec<SiteId> =
-        site_safe.iter().filter(|&(_, &safe)| safe).map(|(&s, _)| s).collect();
-    eliminated_sites.sort_unstable();
+    /// The verdict pass for function `i`: analyses it against `summaries`
+    /// with loss tracking and records each of its `chk` sites.
+    fn verdict_pass(&mut self, prog: &Program, summaries: &[Summary], i: usize) {
+        let f = &prog.funcs[i];
+        let mut ctx = Ctx::new(prog, f, summaries);
+        ctx.verdicts = Some(self);
+        ctx.exec(&f.body, summaries[i].input.clone());
+    }
 
-    Analysis { summaries, site_safe, site_states, eliminated_sites, provenance, rounds }
+    fn into_analysis(self, summaries: Vec<Summary>, rounds: usize) -> Analysis {
+        let mut eliminated_sites: Vec<SiteId> =
+            self.site_safe.iter().filter(|&(_, &safe)| safe).map(|(&s, _)| s).collect();
+        eliminated_sites.sort_unstable();
+        Analysis {
+            summaries,
+            site_safe: self.site_safe,
+            site_states: self.site_states,
+            eliminated_sites,
+            provenance: self.provenance,
+            rounds,
+        }
+    }
 }
 
 /// Validates a program against an inferred (or hand-written) analysis,
@@ -291,18 +459,9 @@ pub fn analyse(prog: &Program) -> Analysis {
 pub fn validate(prog: &Program, analysis: &Analysis) -> Vec<String> {
     let mut violations = Vec::new();
     for (i, f) in prog.funcs.iter().enumerate() {
-        let entry = analysis.summaries[i].input.clone();
-        let mut ctx = Ctx {
-            prog,
-            func: f,
-            summaries: &analysis.summaries,
-            in_acc: None,
-            verdicts: None,
-            ret_acc: ConstraintSet::contradiction(),
-            violations: Some(&mut violations),
-            meets: Vec::new(),
-        };
-        let end = ctx.exec(&f.body, entry);
+        let mut ctx = Ctx::new(prog, f, &analysis.summaries);
+        ctx.violations = Some(&mut violations);
+        let end = ctx.exec(&f.body, analysis.summaries[i].input.clone());
         let exit = ctx.ret_acc.meet(&end);
         let out = project_output(f, &exit);
         if !out.entails_all(&analysis.summaries[i].output) {
@@ -376,12 +535,6 @@ fn project_call_site(
     ConstraintSet::from_facts(out)
 }
 
-type Verdicts<'a> = (
-    &'a mut HashMap<SiteId, bool>,
-    &'a mut HashMap<SiteId, ConstraintSet>,
-    &'a mut BTreeMap<SiteId, SiteProvenance>,
-);
-
 /// Per-function execution context.
 struct Ctx<'a> {
     prog: &'a Program,
@@ -390,8 +543,11 @@ struct Ctx<'a> {
     /// When present, call-site facts are accumulated for the callees'
     /// input summaries.
     in_acc: Option<&'a mut Vec<Option<ConstraintSet>>>,
-    /// When present, `chk` verdicts are recorded.
-    verdicts: Option<Verdicts<'a>>,
+    /// When present, each `chk` execution records its site, replacing the
+    /// site's earlier record.
+    records: Option<&'a mut Vec<CheckRecord>>,
+    /// When present, `chk` verdicts are recorded with loss tracking.
+    verdicts: Option<&'a mut Verdicts>,
     /// Meet of the flow states at every `return` executed so far (starts
     /// contradictory: no returns seen).
     ret_acc: ConstraintSet,
@@ -403,6 +559,24 @@ struct Ctx<'a> {
     /// (function-local). Empty unless `verdicts` is active — the fixpoint
     /// passes never pay for loss tracking.
     meets: Vec<MeetEvent>,
+}
+
+impl<'a> Ctx<'a> {
+    /// A context that only runs the dataflow; callers switch on what to
+    /// collect.
+    fn new(prog: &'a Program, func: &'a FuncDef, summaries: &'a [Summary]) -> Ctx<'a> {
+        Ctx {
+            prog,
+            func,
+            summaries,
+            in_acc: None,
+            records: None,
+            verdicts: None,
+            ret_acc: ConstraintSet::contradiction(),
+            violations: None,
+            meets: Vec::new(),
+        }
+    }
 }
 
 impl Ctx<'_> {
@@ -445,7 +619,9 @@ impl Ctx<'_> {
                 loop {
                     let refined = self.refine_true(*cond, entry.clone());
                     // Inner iterations must not record verdicts — only the
-                    // final stable pass below does.
+                    // final stable pass below does. `chk` records are
+                    // rewritten on every iteration instead: the last one
+                    // runs the body from the stable entry state too.
                     let saved = self.verdicts.take();
                     let after = self.exec(body, refined);
                     self.verdicts = saved;
@@ -565,13 +741,17 @@ impl Ctx<'_> {
                     } else {
                         self.classify_retained(&d, *fact)
                     };
-                    if let Some((safe, states, prov)) = self.verdicts.as_mut() {
-                        safe.insert(*site, is_safe);
-                        states.insert(*site, d.clone());
-                        prov.insert(
-                            *site,
-                            SiteProvenance { fact: *fact, safe: is_safe, reason },
-                        );
+                    if let Some(verdicts) = self.verdicts.as_deref_mut() {
+                        let prov = SiteProvenance { fact: *fact, safe: is_safe, reason };
+                        verdicts.insert(*site, d.clone(), prov);
+                    }
+                }
+                if let Some(records) = self.records.as_deref_mut() {
+                    let safe = d.entails(*fact);
+                    let record = CheckRecord { site: *site, fact: *fact, safe, state: d.clone() };
+                    match records.iter_mut().find(|r| r.site == *site) {
+                        Some(old) => *old = record,
+                        None => records.push(record),
                     }
                 }
                 // After a passing check, the property holds.
@@ -1013,10 +1193,9 @@ mod tests {
         assert!(!a.is_safe(SiteId(0)), "mixed-region call sites defeat the constructor idiom");
     }
 
-    #[test]
-    fn constructor_with_consistent_sites_is_verified() {
-        // Same constructor, but every call site passes next allocated in r
-        // — the interprocedural idiom that *does* verify (as in moss).
+    /// The constructor idiom that *does* verify (as in moss): every call
+    /// site passes `next` allocated in `r`. Returns the constructor's id.
+    fn consistent_constructor_program() -> (Program, FuncId) {
         let mut p = Program::new();
         let rlist = StructId(0);
         p.add_struct(StructDecl {
@@ -1059,6 +1238,12 @@ mod tests {
             result: None,
             body: main_body,
         });
+        (p, ctor)
+    }
+
+    #[test]
+    fn constructor_with_consistent_sites_is_verified() {
+        let (p, ctor) = consistent_constructor_program();
         let an = analyse(&p);
         assert!(
             an.is_safe(SiteId(0)),
@@ -1397,5 +1582,30 @@ mod tests {
         });
         let a = analyse(&p);
         assert!(a.rounds < MAX_ROUNDS);
+    }
+
+    #[test]
+    fn round_cap_falls_back_to_empty_summaries() {
+        // The constructor's input summary settles only in round 2, so a cap
+        // of one round takes the fallback. Round 1 saw the constructor with
+        // a contradictory input, so its `chk` record says "unreachable":
+        // the fallback must not use it.
+        let (p, _) = consistent_constructor_program();
+        assert!(analyse(&p).rounds >= 2);
+        let a = analyse_capped(&p, 1);
+        assert_eq!(a.rounds, 1);
+        for s in &a.summaries {
+            assert!(s.input.is_empty() && s.output.is_empty(), "not empty: {s:?}");
+        }
+        assert_eq!(validate(&p, &a), Vec::<String>::new());
+        assert!(!a.is_safe(SiteId(0)), "empty summaries cannot prove the constructor's check");
+        #[cfg(debug_assertions)]
+        {
+            let r = reference(&p, 1);
+            assert_eq!(a.site_safe, r.site_safe);
+            assert_eq!(a.site_states, r.site_states);
+            assert_eq!(a.eliminated_sites, r.eliminated_sites);
+            assert_eq!(a.provenance, r.provenance);
+        }
     }
 }

@@ -18,8 +18,11 @@
 //!   substitution;
 //! - [`program`] — the rlang imperative language of Figure 5;
 //! - [`infer`] — the whole-program greatest-fixed-point inference of
-//!   function input/output/result constraint sets, and the verdict pass
-//!   that finds statically-redundant `chk` statements.
+//!   function input/output/result constraint sets, in rounds that
+//!   re-analyse only the functions whose input summary or some callee's
+//!   output summary changed, and the `chk` verdicts taken from each
+//!   function's last analysis (with a loss-tracking verdict pass only for
+//!   functions that retain a check).
 //!
 //! The RC front end (crate `rc-lang`) translates RC programs into rlang,
 //! runs [`infer::analyse`], and removes the runtime checks the analysis

@@ -227,6 +227,29 @@ impl FuncDef {
     pub fn region_params(&self) -> impl Iterator<Item = VarId> + '_ {
         (0..self.params.len() as u32).map(VarId).filter(|&v| self.var_has_region(v))
     }
+
+    /// The user functions the body calls, ascending and without repeats,
+    /// counting calls inside `if`, `while` and `task` bodies.
+    pub(crate) fn callees(&self) -> Vec<FuncId> {
+        let mut out = Vec::new();
+        collect_callees(&self.body, &mut out);
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+}
+
+fn collect_callees(s: &Stmt, out: &mut Vec<FuncId>) {
+    match s {
+        Stmt::Seq(ss) => ss.iter().for_each(|s| collect_callees(s, out)),
+        Stmt::If { then_s, else_s, .. } => {
+            collect_callees(then_s, out);
+            collect_callees(else_s, out);
+        }
+        Stmt::While { body, .. } | Stmt::Task { body, .. } => collect_callees(body, out),
+        Stmt::Call { callee: Callee::User(g), .. } => out.push(*g),
+        _ => {}
+    }
 }
 
 /// A whole rlang program (one "source file" for the analysis, which "is
@@ -278,35 +301,12 @@ impl Program {
     pub fn func(&self, id: FuncId) -> &FuncDef {
         &self.funcs[id.0 as usize]
     }
-
-    /// All check sites in the program, in a deterministic order.
-    pub fn all_sites(&self) -> Vec<SiteId> {
-        let mut out = Vec::new();
-        for f in &self.funcs {
-            collect_sites(&f.body, &mut out);
-        }
-        out.sort();
-        out
-    }
-}
-
-fn collect_sites(s: &Stmt, out: &mut Vec<SiteId>) {
-    match s {
-        Stmt::Seq(ss) => ss.iter().for_each(|s| collect_sites(s, out)),
-        Stmt::If { then_s, else_s, .. } => {
-            collect_sites(then_s, out);
-            collect_sites(else_s, out);
-        }
-        Stmt::While { body, .. } | Stmt::Task { body, .. } => collect_sites(body, out),
-        Stmt::Chk { site, .. } => out.push(*site),
-        _ => {}
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{FieldQual, FieldType};
+    use crate::types::RegionExpr;
 
     #[test]
     fn var_types_split_params_and_locals() {
@@ -326,31 +326,30 @@ mod tests {
     }
 
     #[test]
-    fn program_collects_sites() {
+    fn program_collects_callees() {
         let mut p = Program::new();
-        p.add_struct(StructDecl {
-            name: "t".into(),
-            fields: vec![("next".into(), FieldType::Ptr { target: StructId(0), qual: FieldQual::SameRegion })],
-        });
+        let call = |callee| Stmt::Call { dst: None, callee, args: vec![] };
+        let user = |g| call(Callee::User(FuncId(g)));
         let body = Stmt::Seq(vec![
-            Stmt::Chk { fact: Fact::NotTop(crate::types::RegionExpr::Abstract(RhoId(0))), site: SiteId(4) },
-            Stmt::While {
+            user(2),
+            Stmt::Chk { fact: Fact::NotTop(RegionExpr::Abstract(RhoId(1))), site: SiteId(4) },
+            Stmt::If {
                 cond: VarId(0),
-                body: Box::new(Stmt::Chk {
-                    fact: Fact::NotTop(crate::types::RegionExpr::Abstract(RhoId(0))),
-                    site: SiteId(2),
-                }),
+                then_s: Box::new(call(Callee::NewRegion)),
+                else_s: Box::new(user(3)),
             },
+            Stmt::While { cond: VarId(0), body: Box::new(user(2)) },
+            Stmt::Task { region: VarId(1), body: Box::new(user(0)) },
         ]);
         p.add_func(FuncDef {
             name: "main".into(),
             exported: true,
             params: vec![],
-            locals: vec![VarType::Int],
+            locals: vec![VarType::Int, VarType::Region],
             result: None,
             body,
         });
-        assert_eq!(p.all_sites(), vec![SiteId(2), SiteId(4)]);
+        assert_eq!(p.funcs[0].callees(), vec![FuncId(0), FuncId(2), FuncId(3)]);
         assert_eq!(p.consts[0], "R_T");
     }
 }

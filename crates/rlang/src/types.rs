@@ -118,11 +118,6 @@ impl Fact {
         self.exprs().any(|e| e.rho() == Some(rho))
     }
 
-    /// Whether every mentioned abstract region satisfies `keep`.
-    pub fn all_rhos(self, keep: impl Fn(RhoId) -> bool) -> bool {
-        self.exprs().all(|e| e.rho().is_none_or(&keep))
-    }
-
     /// Applies a substitution to both sides (see [`RegionExpr::subst`]);
     /// the result is re-normalised and may be a tautology (`None`).
     pub fn subst(self, subst: &[RegionExpr]) -> Option<Fact> {

@@ -3,25 +3,47 @@
 # panic sites.
 #
 # Scans crates/region-rt/src/, crates/rlang/src/ and crates/rc-lang/src/
-# (tests stripped — each file keeps its #[cfg(test)] module at the end) for
-# panic!/unreachable!/todo!/unimplemented!/.unwrap()/.expect( and fails if
+# for panic!/unreachable!/todo!/unimplemented!/.unwrap()/.expect( and fails if
 # any occurrence is not vetted in tools/panic_allowlist.txt. Allowlist
 # entries are exact "<file>.rs: <trimmed source line>" strings, so moving a
 # vetted site is fine but changing or adding one trips the gate and forces
 # review. It also fails on an entry that vets no site any more, so deleted
 # code takes its entries with it.
+#
+# Test code is skipped only where it is a column-0 `#[cfg(test)]` module
+# whose body ends at a column-0 `}`; scanning resumes after it. Every other
+# `#[cfg(test)]` item, and whatever follows it, is scanned like any code.
 # See docs/ROBUSTNESS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 allowlist=tools/panic_allowlist.txt
+# Prints a source file without its test modules. A module is skipped when a
+# column-0 `#[cfg(test)]` (further attribute or comment lines may follow)
+# leads to a `mod name {` line, through the module's column-0 `}`.
+strip_test_mods='
+skip { if ($0 ~ /^}/) skip = 0; next }
+{
+    test = pending
+    pending = 0
+    if ($0 ~ /^#\[cfg\(test\)\]/) {
+        sub(/^#\[cfg\(test\)\][ \t]*/, "")
+        test = 1
+        if ($0 == "") { pending = 1; next }
+    } else if (test && $0 ~ /^(#\[|\/\/)/) {
+        pending = 1
+        next
+    }
+    if (test && $0 ~ /^(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+ *\{ *$/) { skip = 1; next }
+    print
+}'
 status=0
 sites=""
 shopt -s nullglob
 
 for f in crates/region-rt/src/*.rs crates/region-rt/src/*/*.rs crates/rlang/src/*.rs \
     crates/rc-lang/src/*.rs; do
-    # Strip the trailing test module and comment lines, then scan.
+    # Strip test modules and comment lines, then scan.
     while IFS= read -r line; do
         trimmed=$(printf '%s' "$line" | sed 's/^[[:space:]]*//;s/[[:space:]]*$//')
         key="$(basename "$f"): $trimmed"
@@ -30,7 +52,7 @@ for f in crates/region-rt/src/*.rs crates/region-rt/src/*/*.rs crates/rlang/src/
             echo "panic-gate: not allowlisted: $f: $trimmed" >&2
             status=1
         fi
-    done < <(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" \
+    done < <(awk "$strip_test_mods" "$f" \
         | grep -vE '^[[:space:]]*//' \
         | grep -E 'panic!\(|unreachable!\(|todo!\(|unimplemented!\(|\.unwrap\(\)|\.expect\("' \
         || true)
