@@ -57,8 +57,7 @@ fn bench_write_barriers(c: &Bench) {
         let r = h.region_of(a).unwrap();
         let peer = h.ralloc(r, ty).unwrap();
         move || {
-            h.write_ptr(a, 1, black_box(peer), WriteMode::Check(PtrKind::SameRegion))
-                .unwrap();
+            h.write_ptr(a, 1, black_box(peer), WriteMode::Check(PtrKind::SameRegion)).unwrap();
         }
     });
     g.bench("sameregion_check_traced", {
@@ -67,8 +66,7 @@ fn bench_write_barriers(c: &Bench) {
         let peer = h.ralloc(r, ty).unwrap();
         h.enable_tracing(4096);
         move || {
-            h.write_ptr(a, 1, black_box(peer), WriteMode::Check(PtrKind::SameRegion))
-                .unwrap();
+            h.write_ptr(a, 1, black_box(peer), WriteMode::Check(PtrKind::SameRegion)).unwrap();
         }
     });
     g.bench("sameregion_check_sampled", {
@@ -77,8 +75,7 @@ fn bench_write_barriers(c: &Bench) {
         let peer = h.ralloc(r, ty).unwrap();
         h.enable_sampling(256, 512);
         move || {
-            h.write_ptr(a, 1, black_box(peer), WriteMode::Check(PtrKind::SameRegion))
-                .unwrap();
+            h.write_ptr(a, 1, black_box(peer), WriteMode::Check(PtrKind::SameRegion)).unwrap();
         }
     });
     // The eliminated-check store: nothing but the write.
@@ -120,10 +117,8 @@ fn bench_allocators(c: &Bench) {
         }
     });
     g.bench("gc_alloc_with_collections", {
-        let mut h = Heap::new(region_rt::HeapConfig {
-            gc_threshold_words: 4096,
-            ..Default::default()
-        });
+        let mut h =
+            Heap::new(region_rt::HeapConfig { gc_threshold_words: 4096, ..Default::default() });
         let ty = h.register_type(TypeLayout::data("obj", 4));
         move || {
             for _ in 0..1000 {

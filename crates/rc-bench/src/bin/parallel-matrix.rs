@@ -73,11 +73,7 @@ fn speedup(scale: rc_workloads::Scale) -> ExitCode {
             ExitCode::SUCCESS
         }
         Some(b) => {
-            eprintln!(
-                "speedup gate: FAIL — best was {} at {:.2}x (< 2x)",
-                b.workload,
-                b.factor()
-            );
+            eprintln!("speedup gate: FAIL — best was {} at {:.2}x (< 2x)", b.workload, b.factor());
             ExitCode::from(1)
         }
         None => {

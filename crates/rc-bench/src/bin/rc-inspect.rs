@@ -78,8 +78,7 @@ fn cmd_dump() -> Result<(), String> {
     let scale = rc_bench::scale_from_args();
     let workload =
         rc_workloads::by_name(&wname).ok_or_else(|| format!("unknown workload {wname:?}"))?;
-    let config =
-        config_by_name(&cname).ok_or_else(|| format!("unknown config {cname:?}"))?;
+    let config = config_by_name(&cname).ok_or_else(|| format!("unknown config {cname:?}"))?;
     let snap = inspect::dump(&workload, &cname, &config, scale)?;
     if let Some(dir) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;

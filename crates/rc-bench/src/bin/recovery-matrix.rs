@@ -59,8 +59,7 @@ fn dump_pair(dir: &str, scale: Scale) -> ExitCode {
         return ExitCode::from(2);
     };
     let c = prepare_workload(&w, scale);
-    let squeezed =
-        RunConfig::rc(CheckMode::Qs).trapping().with_snapshots().with_page_budget(4);
+    let squeezed = RunConfig::rc(CheckMode::Qs).trapping().with_snapshots().with_page_budget(4);
 
     let r = run_audited(&c, &squeezed);
     if !matches!(r.outcome, Outcome::Trapped(_)) {

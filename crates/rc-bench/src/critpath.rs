@@ -68,8 +68,8 @@ pub fn collect(
 ) -> Result<CritPathRun, String> {
     let src = par_source(workload, scale, tasks)
         .ok_or_else(|| format!("{workload}: no parallel variant"))?;
-    let compiled =
-        rc_lang::prepare(&src).map_err(|e| format!("{workload}/t{tasks}: does not compile: {e}"))?;
+    let compiled = rc_lang::prepare(&src)
+        .map_err(|e| format!("{workload}/t{tasks}: does not compile: {e}"))?;
     let r = run_audited(&compiled, &cfg.clone().det_sched(seed));
     if !matches!(r.audit, Some(Ok(()))) {
         return Err(format!("{workload}/t{tasks}/{config_name}: post-run audit failed"));
@@ -230,10 +230,7 @@ pub fn multi_track_trace(run: &CritPathRun) -> Json {
                 ("ts", Json::U(e.at)),
                 (
                     "args",
-                    Json::obj(vec![
-                        ("local", Json::U(e.local)),
-                        ("arg", Json::U(e.kind.arg())),
-                    ]),
+                    Json::obj(vec![("local", Json::U(e.local)), ("arg", Json::U(e.kind.arg()))]),
                 ),
             ]));
         }
@@ -316,10 +313,8 @@ mod tests {
         let run = tiny();
         let doc = multi_track_trace(&run);
         let evs = doc.get("traceEvents").and_then(Json::as_array).unwrap();
-        let slices: Vec<_> = evs
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-            .collect();
+        let slices: Vec<_> =
+            evs.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).collect();
         assert_eq!(slices.len(), run.reports.len(), "one X slice per task");
         let instants = evs.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("i"));
         let total_events: usize = run.reports.iter().map(|r| r.sched.events.len()).sum();
@@ -327,9 +322,7 @@ mod tests {
         // Every task id appears as a tid.
         for r in &run.reports {
             assert!(
-                slices
-                    .iter()
-                    .any(|e| e.get("tid").and_then(Json::as_u64) == Some(r.id.0 as u64)),
+                slices.iter().any(|e| e.get("tid").and_then(Json::as_u64) == Some(r.id.0 as u64)),
                 "task {} has no track",
                 r.id.0
             );

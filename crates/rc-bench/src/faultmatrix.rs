@@ -60,7 +60,8 @@ impl FaultScenario {
 /// plane (early and late on the allocation plane) plus two organic
 /// page-budget squeezes.
 pub fn scenarios() -> Vec<FaultScenario> {
-    let inject = |name, plan: FaultPlan| FaultScenario { name, plan: plan.sticky(), page_budget: 0 };
+    let inject =
+        |name, plan: FaultPlan| FaultScenario { name, plan: plan.sticky(), page_budget: 0 };
     vec![
         inject("alloc-early", FaultPlan::new().fail_alloc(FaultMode::Schedule(vec![5]))),
         inject("alloc-late", FaultPlan::new().fail_alloc(FaultMode::Schedule(vec![150]))),
@@ -254,10 +255,8 @@ fn check_alloc_agreement(runs: &[FaultRun], violations: &mut Vec<String>) {
             continue;
         }
         seen.push(group);
-        let cells: Vec<&FaultRun> = runs
-            .iter()
-            .filter(|c| c.workload == r.workload && c.scenario == r.scenario)
-            .collect();
+        let cells: Vec<&FaultRun> =
+            runs.iter().filter(|c| c.workload == r.workload && c.scenario == r.scenario).collect();
         let landing = |c: &FaultRun| (c.outcome.clone(), c.first_op);
         let first = landing(cells[0]);
         for c in &cells[1..] {

@@ -46,22 +46,13 @@ impl FuzzCase {
             ("seed", Json::U(self.seed)),
             ("outcome", Json::s(&*self.outcome)),
             ("passed", Json::Bool(self.passed)),
-            (
-                "violations",
-                Json::A(self.violations.iter().map(Json::s).collect()),
-            ),
+            ("violations", Json::A(self.violations.iter().map(Json::s).collect())),
             ("steps", Json::U(self.steps)),
             ("eliminated_sites", Json::U(self.eliminated_sites)),
             ("checks_counted", Json::U(self.checks_counted)),
             ("checks_fired", Json::U(self.checks_fired)),
-            (
-                "shrunk_statements",
-                self.shrunk_statements.map_or(Json::Null, Json::U),
-            ),
-            (
-                "repro",
-                self.repro.as_deref().map_or(Json::Null, Json::s),
-            ),
+            ("shrunk_statements", self.shrunk_statements.map_or(Json::Null, Json::U)),
+            ("repro", self.repro.as_deref().map_or(Json::Null, Json::s)),
         ])
     }
 }
@@ -102,32 +93,17 @@ impl FuzzReport {
                 "totals",
                 Json::obj(vec![
                     ("cases", Json::U(self.cases.len() as u64)),
-                    (
-                        "failures",
-                        Json::U(self.failures().len() as u64),
-                    ),
-                    (
-                        "steps",
-                        Json::U(self.cases.iter().map(|c| c.steps).sum()),
-                    ),
+                    ("failures", Json::U(self.failures().len() as u64)),
+                    ("steps", Json::U(self.cases.iter().map(|c| c.steps).sum())),
                     (
                         "eliminated_sites",
                         Json::U(self.cases.iter().map(|c| c.eliminated_sites).sum()),
                     ),
-                    (
-                        "checks_counted",
-                        Json::U(self.cases.iter().map(|c| c.checks_counted).sum()),
-                    ),
-                    (
-                        "checks_fired",
-                        Json::U(self.cases.iter().map(|c| c.checks_fired).sum()),
-                    ),
+                    ("checks_counted", Json::U(self.cases.iter().map(|c| c.checks_counted).sum())),
+                    ("checks_fired", Json::U(self.cases.iter().map(|c| c.checks_fired).sum())),
                 ]),
             ),
-            (
-                "cases",
-                Json::A(self.cases.iter().map(FuzzCase::to_json).collect()),
-            ),
+            ("cases", Json::A(self.cases.iter().map(FuzzCase::to_json).collect())),
         ])
     }
 
@@ -175,7 +151,9 @@ mod tests {
                     seed: 1,
                     outcome: "exit:0".into(),
                     passed: false,
-                    violations: vec!["divergence: qs saw abort:check_failed, baseline saw exit:0".into()],
+                    violations: vec![
+                        "divergence: qs saw abort:check_failed, baseline saw exit:0".into()
+                    ],
                     steps: 99,
                     eliminated_sites: 0,
                     checks_counted: 4,

@@ -46,8 +46,7 @@ pub fn dump(
     scale: Scale,
 ) -> Result<HeapSnapshot, String> {
     let source = (workload.source)(scale);
-    let c = prepare(&source)
-        .map_err(|e| format!("{}: does not compile: {e:?}", workload.name))?;
+    let c = prepare(&source).map_err(|e| format!("{}: does not compile: {e:?}", workload.name))?;
     let r = run(&c, &config.clone().with_spans().with_snapshots());
     match r.outcome {
         Outcome::Exit(_) | Outcome::Trapped(_) => {}
@@ -100,7 +99,11 @@ fn region_line(s: &HeapSnapshot, idx: usize, depth: usize) -> String {
     } else {
         "closed"
     };
-    let name = if r.region == 0 { "region 0 (traditional)".to_string() } else { format!("region {}", r.region) };
+    let name = if r.region == 0 {
+        "region 0 (traditional)".to_string()
+    } else {
+        format!("region {}", r.region)
+    };
     format!(
         "{:indent$}{name} [{state}] {} words, {} objects, {} pages, rc {}\n",
         "",
@@ -187,8 +190,7 @@ pub fn top(s: &HeapSnapshot, limit: usize) -> String {
     regions.sort_by_key(|&(r, w, _)| (std::cmp::Reverse(w), r));
     let _ = writeln!(out, "\ntop regions by retained words:");
     for (r, words, objects) in regions.iter().take(limit) {
-        let _ =
-            writeln!(out, "  region {r:>4} : {words:>10} words in {objects} objects");
+        let _ = writeln!(out, "  region {r:>4} : {words:>10} words in {objects} objects");
     }
     let mut sites: Vec<_> = s.sites.iter().filter(|e| e.words > 0).collect();
     sites.sort_by_key(|e| (std::cmp::Reverse(e.words), e.region, e.site));
@@ -230,12 +232,8 @@ pub fn leaks(s: &HeapSnapshot, limit: usize) -> String {
         } else {
             format!("idle {} cycles", s.at_cycles.saturating_sub(r.last_touch))
         };
-        let _ = writeln!(
-            out,
-            "  region {} : {} words, {idle}",
-            r.region,
-            held[r.region as usize].0
-        );
+        let _ =
+            writeln!(out, "  region {} : {} words, {idle}", r.region, held[r.region as usize].0);
         for e in s.sites.iter().filter(|e| e.region == r.region && e.words > 0) {
             let _ = writeln!(
                 out,
@@ -270,8 +268,7 @@ pub fn diff(a: &HeapSnapshot, b: &HeapSnapshot, limit: usize) -> String {
         "stats gauge   : {la} {} vs {lb} {} — identity {}",
         a.stats.live_words,
         b.stats.live_words,
-        if a.stats.live_words == a.total_live_words()
-            && b.stats.live_words == b.total_live_words()
+        if a.stats.live_words == a.total_live_words() && b.stats.live_words == b.total_live_words()
         {
             "holds on both sides"
         } else {

@@ -51,11 +51,7 @@ pub const WORKERS: [u32; 4] = [1, 2, 4, 8];
 /// The configuration axis: both emulation backends plus the paper's
 /// default safe RC regime.
 pub fn configs() -> Vec<(&'static str, RunConfig)> {
-    vec![
-        ("lea", RunConfig::lea()),
-        ("GC", RunConfig::gc()),
-        ("qs", RunConfig::rc(CheckMode::Qs)),
-    ]
+    vec![("lea", RunConfig::lea()), ("GC", RunConfig::gc()), ("qs", RunConfig::rc(CheckMode::Qs))]
 }
 
 /// Collapses an [`Outcome`] to a schedule- and allocator-independent key
@@ -325,10 +321,8 @@ fn gate_cell(cell: &ParallelRun, workers: u32, critpath_ok: bool, violations: &m
         violations.push(format!("{key}: merged report differs between schedulers"));
     }
     if cell.handoffs != u64::from(workers) {
-        violations.push(format!(
-            "{key}: expected {workers} region handoffs, saw {}",
-            cell.handoffs
-        ));
+        violations
+            .push(format!("{key}: expected {workers} region handoffs, saw {}", cell.handoffs));
     }
     // Every variant exits with its task count: a self-check failure in any
     // shard would surface as assert-failed instead.
@@ -343,10 +337,7 @@ fn gate_cell(cell: &ParallelRun, workers: u32, critpath_ok: bool, violations: &m
         // sequential run to the same cycle count, `overlapped` is
         // exactly the sequential-vs-ideal-parallel cycle gap.
         if cell.work != cell.cycles {
-            violations.push(format!(
-                "{key}: work {} != merged cycles {}",
-                cell.work, cell.cycles
-            ));
+            violations.push(format!("{key}: work {} != merged cycles {}", cell.work, cell.cycles));
         }
         if cell.span > cell.work {
             violations.push(format!("{key}: span {} exceeds work {}", cell.span, cell.work));
@@ -453,11 +444,7 @@ pub fn speedup_probe(scale: Scale) -> Option<Vec<Speedup>> {
         // Warm up once, then take the best of three per worker count.
         time(1);
         let best = |workers| (0..3).map(|_| time(workers)).fold(f64::MAX, f64::min);
-        out.push(Speedup {
-            workload: w.name.to_string(),
-            one_ms: best(1),
-            four_ms: best(4),
-        });
+        out.push(Speedup { workload: w.name.to_string(), one_ms: best(1), four_ms: best(4) });
     }
     Some(out)
 }

@@ -65,7 +65,11 @@ impl SiteCoverageRow {
 
     /// Display verdict string.
     pub fn verdict(&self) -> &'static str {
-        if self.eliminated { "eliminated" } else { "retained" }
+        if self.eliminated {
+            "eliminated"
+        } else {
+            "retained"
+        }
     }
 }
 
@@ -163,8 +167,7 @@ pub fn collect(
 /// injected faults are `"i"` thread-scoped instants. Still-open spans
 /// (the traditional region, leaked regions) close at `end_cycles`.
 pub fn chrome_trace(x: &TraceExport) -> Json {
-    let by_site: BTreeMap<u32, &SiteCoverageRow> =
-        x.coverage.iter().map(|r| (r.site, r)).collect();
+    let by_site: BTreeMap<u32, &SiteCoverageRow> = x.coverage.iter().map(|r| (r.site, r)).collect();
     let mut events: Vec<Json> = Vec::new();
 
     for s in x.spans.spans() {
@@ -185,11 +188,10 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
             (
                 "args",
                 Json::obj(vec![
-                    ("parent", if s.parent == NO_REGION {
-                        Json::Null
-                    } else {
-                        Json::U(s.parent as u64)
-                    }),
+                    (
+                        "parent",
+                        if s.parent == NO_REGION { Json::Null } else { Json::U(s.parent as u64) },
+                    ),
                     ("live_at_exit", Json::Bool(s.closed_at.is_none())),
                     ("allocs", Json::U(s.allocs)),
                     ("alloc_words", Json::U(s.alloc_words)),
@@ -345,8 +347,7 @@ pub fn summarize(scale: Scale, exemplar: &str) -> (Vec<CoverageSummaryRow>, Trac
             sites: x.coverage.len() as u64,
             eliminated: x.eliminated_sites,
             retained: x.coverage.len() as u64 - x.eliminated_sites,
-            never_failing: x.coverage.iter().filter(|r| r.eliminable_in_principle()).count()
-                as u64,
+            never_failing: x.coverage.iter().filter(|r| r.eliminable_in_principle()).count() as u64,
             fires: x.coverage.iter().map(|r| r.fires).sum(),
             fails: x.coverage.iter().map(|r| r.fails).sum(),
         });
@@ -413,11 +414,7 @@ mod tests {
         let x = export("inf", RunConfig::rc_inf());
         for r in &x.coverage {
             if r.eliminated {
-                assert_eq!(
-                    r.fires, 0,
-                    "site {} was eliminated but still fired under inf",
-                    r.site
-                );
+                assert_eq!(r.fires, 0, "site {} was eliminated but still fired under inf", r.site);
                 assert_eq!(r.reason, "entailed by the flow state");
             }
         }

@@ -269,9 +269,8 @@ pub fn collect_for(scale: Scale, workloads: &[Workload]) -> RecoveryMatrixReport
         let c = prepare_workload(w, scale);
         for scenario in scenarios() {
             for (name, cfg) in configs() {
-                let cfg = cfg
-                    .with_faults(scenario.plan.clone())
-                    .with_page_budget(scenario.page_budget);
+                let cfg =
+                    cfg.with_faults(scenario.plan.clone()).with_page_budget(scenario.page_budget);
                 let key = format!("{}/{}/{name}", w.name, scenario.name);
                 // `supervise_compiled` runs the interpreter on a scoped
                 // thread that re-raises panics here, so the catch
@@ -312,10 +311,7 @@ fn gate_cell(
     match scenario.expect {
         Expect::Complete => {
             if cell.outcome != "completed" {
-                violations.push(format!(
-                    "{key}: expected completion, got {}",
-                    cell.outcome
-                ));
+                violations.push(format!("{key}: expected completion, got {}", cell.outcome));
             }
         }
         Expect::Exhaust => {

@@ -149,7 +149,11 @@ pub fn table2(scale: Scale) -> Vec<Table2Row> {
             let cat = must_run(w, scale, &RunConfig::cat());
             let p = paper::row(w.name).expect("paper row exists");
             let pct = |part: u64, whole: u64| {
-                if whole == 0 { 0.0 } else { 100.0 * part as f64 / whole as f64 }
+                if whole == 0 {
+                    0.0
+                } else {
+                    100.0 * part as f64 / whole as f64
+                }
             };
             Table2Row {
                 name: w.name.to_string(),
@@ -248,10 +252,7 @@ pub fn fig7(scale: Scale) -> Vec<Fig7Row> {
                 cycles.insert(name.to_string(), r.cycles);
             }
             let lea = cycles["lea"] as f64;
-            let rel_to_lea = cycles
-                .iter()
-                .map(|(k, &v)| (k.clone(), v as f64 / lea))
-                .collect();
+            let rel_to_lea = cycles.iter().map(|(k, &v)| (k.clone(), v as f64 / lea)).collect();
             Fig7Row { name: w.name.to_string(), cycles, rel_to_lea }
         })
         .collect()
@@ -289,8 +290,7 @@ pub fn fig8(scale: Scale) -> Vec<Fig8Row> {
             for (name, cfg) in RunConfig::figure8() {
                 let r = must_run(w, scale, &cfg);
                 cycles.insert(name.to_string(), r.cycles);
-                let dynamic =
-                    r.stats.rc_cycles + r.stats.check_cycles + r.stats.unscan_cycles;
+                let dynamic = r.stats.rc_cycles + r.stats.check_cycles + r.stats.unscan_cycles;
                 overhead.insert(
                     name.to_string(),
                     if r.cycles == 0 { 0.0 } else { 100.0 * dynamic as f64 / r.cycles as f64 },
@@ -384,10 +384,7 @@ impl Row for TelemetryRow {
             (
                 "top_check_sites",
                 Json::O(
-                    self.top_check_sites
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::U(*v)))
-                        .collect(),
+                    self.top_check_sites.iter().map(|(k, v)| (k.clone(), Json::U(*v))).collect(),
                 ),
             ),
         ]
@@ -497,9 +494,7 @@ pub fn text_table<T: Row>(rows: &[T]) -> String {
             Json::I(n) => n.to_string(),
             Json::F(f) => format!("{f:.1}"),
             Json::S(s) => s.clone(),
-            Json::A(items) => {
-                items.iter().map(fmt_val).collect::<Vec<_>>().join(" ")
-            }
+            Json::A(items) => items.iter().map(fmt_val).collect::<Vec<_>>().join(" "),
             Json::O(fields) => fields
                 .iter()
                 .map(|(k, v)| format!("{k}={}", fmt_val(v)))
@@ -543,10 +538,7 @@ mod tests {
                 vec![("name", Json::s(&*self.name)), ("x", Json::U(self.x))]
             }
         }
-        let t = text_table(&[
-            R { name: "aa".into(), x: 1 },
-            R { name: "b".into(), x: 123 },
-        ]);
+        let t = text_table(&[R { name: "aa".into(), x: 1 }, R { name: "b".into(), x: 123 }]);
         assert!(t.contains("name"));
         assert!(t.contains("123"));
         assert_eq!(t.lines().count(), 3);

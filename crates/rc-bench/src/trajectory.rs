@@ -73,10 +73,7 @@ impl BenchRun {
             ("rc_updates", Json::U(self.rc_updates)),
             ("objects_allocated", Json::U(self.objects_allocated)),
             ("words_allocated", Json::U(self.words_allocated)),
-            (
-                "samples",
-                Json::A(self.samples.iter().map(MetricsSnapshot::to_json).collect()),
-            ),
+            ("samples", Json::A(self.samples.iter().map(MetricsSnapshot::to_json).collect())),
         ])
     }
 }
@@ -114,11 +111,7 @@ impl BenchReport {
     pub fn render_baseline(&self) -> String {
         let stripped = BenchReport {
             scale: self.scale,
-            runs: self
-                .runs
-                .iter()
-                .map(|r| BenchRun { samples: Vec::new(), ..r.clone() })
-                .collect(),
+            runs: self.runs.iter().map(|r| BenchRun { samples: Vec::new(), ..r.clone() }).collect(),
         };
         stripped.render()
     }
@@ -188,24 +181,14 @@ pub fn timeline_section(report: &BenchReport) -> String {
         let pages: Vec<u64> = r.samples.iter().map(|s| s.gauges.pages_in_use as u64).collect();
         let checks: Vec<u64> = r.samples.iter().map(|s| s.d_checks).collect();
         let _ = writeln!(out, "{}", r.workload);
-        let _ = writeln!(
-            out,
-            "  live words    |{}| peak {}",
-            sparkline(&live),
-            r.peak_live_words
-        );
+        let _ = writeln!(out, "  live words    |{}| peak {}", sparkline(&live), r.peak_live_words);
         let _ = writeln!(
             out,
             "  pages in use  |{}| max {}",
             sparkline(&pages),
             pages.iter().max().copied().unwrap_or(0)
         );
-        let _ = writeln!(
-            out,
-            "  checks/window |{}| total {}",
-            sparkline(&checks),
-            r.checks
-        );
+        let _ = writeln!(out, "  checks/window |{}| total {}", sparkline(&checks), r.checks);
     }
     let _ = writeln!(out, "```");
     out
@@ -228,10 +211,7 @@ mod tests {
         let text = rep.render();
         let doc = Json::parse(&text).unwrap();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
-        assert_eq!(
-            doc.get("runs").and_then(Json::as_array).unwrap().len(),
-            rep.runs.len()
-        );
+        assert_eq!(doc.get("runs").and_then(Json::as_array).unwrap().len(), rep.runs.len());
         // The baseline variant keeps every run and drops its samples.
         let base = Json::parse(&rep.render_baseline()).unwrap();
         let runs = base.get("runs").and_then(Json::as_array).unwrap();

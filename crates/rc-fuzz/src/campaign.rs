@@ -93,8 +93,7 @@ pub fn run_seed(seed: u64, cfg: &CampaignConfig) -> FuzzCase {
 
     // Byte-deterministic replay from the seed alone.
     if generate_source(seed, &gen_cfg) != src {
-        case.violations
-            .push("non-deterministic replay: generated source differs".to_string());
+        case.violations.push("non-deterministic replay: generated source differs".to_string());
         return case;
     }
 
@@ -151,10 +150,10 @@ pub fn run_seed(seed: u64, cfg: &CampaignConfig) -> FuzzCase {
                 })
                 .unwrap_or("inf");
             for cname in ["lea", implicated] {
-                if let Some(rendered) =
-                    render_snapshot(&shrunk_src, seed, cname, cfg.budget_steps)
+                if let Some(rendered) = render_snapshot(&shrunk_src, seed, cname, cfg.budget_steps)
                 {
-                    let _ = std::fs::write(dir.join(snapshot_file_name(seed, kind, cname)), rendered);
+                    let _ =
+                        std::fs::write(dir.join(snapshot_file_name(seed, kind, cname)), rendered);
                 }
             }
         } else {

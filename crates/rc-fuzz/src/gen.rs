@@ -317,9 +317,9 @@ impl<'a> Gen<'a> {
     /// region dies no later than the referent.
     fn counted_ref_ok(&self, obj: Reg, val: Reg) -> bool {
         match (obj, val) {
-            (_, Reg::Trad) => true,               // the traditional region never dies
-            (Reg::Trad, Reg::R(_)) => false,      // would pin the referent forever
-            (Reg::R(i), Reg::R(j)) => i >= j,     // i created later → deleted first
+            (_, Reg::Trad) => true,           // the traditional region never dies
+            (Reg::Trad, Reg::R(_)) => false,  // would pin the referent forever
+            (Reg::R(i), Reg::R(j)) => i >= j, // i created later → deleted first
         }
     }
 
@@ -405,7 +405,10 @@ impl<'a> Gen<'a> {
         let l = self.int_expr(depth - 1, extra);
         let r = self.int_expr(depth - 1, extra);
         if self.rng.chance(10) {
-            Expr::Un(if self.rng.chance(50) { UnOp::Neg } else { UnOp::Not }, Box::new(bin(op, l, r)))
+            Expr::Un(
+                if self.rng.chance(50) { UnOp::Neg } else { UnOp::Not },
+                Box::new(bin(op, l, r)),
+            )
         } else {
             bin(op, l, r)
         }
@@ -573,11 +576,7 @@ impl<'a> Gen<'a> {
                     BlockItem::Stmt(Stmt::If(
                         bin(BinOp::Ne, var("h"), Expr::Null),
                         Box::new(Stmt::Block(vec![estmt(Expr::Assert(
-                            Box::new(bin(
-                                BinOp::Eq,
-                                field(var("h"), "v"),
-                                int(bound - 1 + spv),
-                            )),
+                            Box::new(bin(BinOp::Eq, field(var("h"), "v"), int(bound - 1 + spv))),
                             0,
                         ))])),
                         None,
@@ -612,10 +611,7 @@ impl<'a> Gen<'a> {
             self.nodes.push(NodeVar { name, region, nullable: false });
             if self.rng.chance(20) {
                 let n = self.nodes.last().expect("just pushed").name.clone();
-                body.push(estmt(Expr::Assert(
-                    Box::new(bin(BinOp::Ne, var(&n), Expr::Null)),
-                    0,
-                )));
+                body.push(estmt(Expr::Assert(Box::new(bin(BinOp::Ne, var(&n), Expr::Null)), 0)));
             }
         }
 
@@ -855,10 +851,7 @@ impl<'a> Gen<'a> {
                 let read = field(var(&obj), "next");
                 let cond = bin(BinOp::Ne, read.clone(), Expr::Null);
                 let use_stmt = if self.rng.chance(60) {
-                    estmt(assign(
-                        var("acc"),
-                        bin(BinOp::Add, var("acc"), field(read.clone(), "v")),
-                    ))
+                    estmt(assign(var("acc"), bin(BinOp::Add, var("acc"), field(read.clone(), "v"))))
                 } else {
                     // The §5.2 heap-read idiom: re-store what was read.
                     estmt(assign(field(var(&obj), "next"), read.clone()))
@@ -911,10 +904,7 @@ impl<'a> Gen<'a> {
                 self.called_helper = true;
                 let a = self.int_expr(1, &[]);
                 let b = self.int_expr(1, &[]);
-                estmt(assign(
-                    var("acc"),
-                    bin(BinOp::Add, var("acc"), call("helper", vec![a, b])),
-                ))
+                estmt(assign(var("acc"), bin(BinOp::Add, var("acc"), call("helper", vec![a, b]))))
             }
             Arm::Recur => {
                 self.called_recur = true;
@@ -935,10 +925,8 @@ impl<'a> Gen<'a> {
                     // Figure 1: grow the chain in a bounded loop.
                     let c = self.rng.pick(&self.counters).clone();
                     let bound = self.rng.range(2, 8);
-                    let grow = estmt(assign(
-                        var(&cname),
-                        call("mk", vec![rexpr, var(&cname), var(&c)]),
-                    ));
+                    let grow =
+                        estmt(assign(var(&cname), call("mk", vec![rexpr, var(&cname), var(&c)])));
                     let read = BlockItem::Stmt(Stmt::If(
                         bin(BinOp::Ne, var(&cname), Expr::Null),
                         Box::new(Stmt::Block(vec![estmt(assign(
@@ -1000,8 +988,7 @@ impl<'a> Gen<'a> {
                 }
             }
         }
-        let Some(&(i, j)) = pairs.get(self.rng.below(pairs.len().max(1) as u64) as usize)
-        else {
+        let Some(&(i, j)) = pairs.get(self.rng.below(pairs.len().max(1) as u64) as usize) else {
             // No cross-region pair available; fall back to a trivially
             // violating traditional store from a generated region.
             let i = solid[0];
@@ -1117,9 +1104,7 @@ mod tests {
     #[test]
     fn default_sweep_reaches_spawn_and_the_knob_disables_it() {
         let on = GenConfig::default();
-        let hits = (0..64)
-            .filter(|&seed| generate_source(seed, &on).contains("spawn "))
-            .count();
+        let hits = (0..64).filter(|&seed| generate_source(seed, &on).contains("spawn ")).count();
         assert!(hits >= 8, "only {hits}/64 default-config seeds emitted spawn");
         let off = GenConfig { spawn: false, ..GenConfig::default() };
         for seed in 0..64 {

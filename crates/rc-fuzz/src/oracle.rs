@@ -227,21 +227,13 @@ fn task_report_defect(r: &rc_lang::RunResult) -> Option<String> {
     }
     let cycle_sum: u64 = reports.iter().map(|t| t.cycles).sum();
     if cycle_sum != r.cycles {
-        return Some(format!(
-            "per-task cycles sum to {cycle_sum}, merged clock read {}",
-            r.cycles
-        ));
+        return Some(format!("per-task cycles sum to {cycle_sum}, merged clock read {}", r.cycles));
     }
     let step_sum: u64 = reports.iter().map(|t| t.steps).sum();
     if step_sum != r.steps {
-        return Some(format!(
-            "per-task steps sum to {step_sum}, merged run counted {}",
-            r.steps
-        ));
+        return Some(format!("per-task steps sum to {step_sum}, merged run counted {}", r.steps));
     }
-    let folded = reports[1..]
-        .iter()
-        .fold(reports[0].stats.clone(), |acc, t| acc.merge(&t.stats));
+    let folded = reports[1..].iter().fold(reports[0].stats.clone(), |acc, t| acc.merge(&t.stats));
     if folded.to_json().render() != r.stats.to_json().render() {
         return Some("per-task stats do not fold to the merged stats".to_string());
     }
@@ -336,10 +328,9 @@ pub fn check_source(src: &str, step_budget: u64) -> Result<CaseReport, rc_lang::
             });
         }
         match r.audit {
-            Some(Err(e)) => violations.push(Violation::AuditFailure {
-                config: name,
-                detail: format!("{e:?}"),
-            }),
+            Some(Err(e)) => {
+                violations.push(Violation::AuditFailure { config: name, detail: format!("{e:?}") })
+            }
             Some(Ok(())) => {}
             None => violations.push(Violation::AuditFailure {
                 config: name,
@@ -358,10 +349,8 @@ pub fn check_source(src: &str, step_budget: u64) -> Result<CaseReport, rc_lang::
         steps += r.steps;
         let key = outcome_key(&r.outcome);
         if key != baseline_key {
-            violations.push(Violation::ParallelDivergence {
-                baseline: baseline_key.clone(),
-                got: key,
-            });
+            violations
+                .push(Violation::ParallelDivergence { baseline: baseline_key.clone(), got: key });
         }
         // (8): the same run's per-task reports must re-compose into the
         // merged view exactly — they are the raw material every
@@ -371,10 +360,8 @@ pub fn check_source(src: &str, step_budget: u64) -> Result<CaseReport, rc_lang::
             violations.push(Violation::TaskReportDivergence { detail });
         }
         match r.audit {
-            Some(Err(e)) => violations.push(Violation::AuditFailure {
-                config: "lea+det",
-                detail: format!("{e:?}"),
-            }),
+            Some(Err(e)) => violations
+                .push(Violation::AuditFailure { config: "lea+det", detail: format!("{e:?}") }),
             Some(Ok(())) => {}
             None => violations.push(Violation::AuditFailure {
                 config: "lea+det",
@@ -397,18 +384,12 @@ pub fn check_source(src: &str, step_budget: u64) -> Result<CaseReport, rc_lang::
         });
     }
     if let Some(Err(e)) = &r.audit {
-        violations.push(Violation::AuditFailure {
-            config: "nq+count",
-            detail: format!("{e:?}"),
-        });
+        violations.push(Violation::AuditFailure { config: "nq+count", detail: format!("{e:?}") });
     }
     let counter = r.check_counts.as_deref();
     let (checks_counted, checks_fired) =
         counter.map_or((0, 0), |c| (c.total_runs(), c.total_fails()));
-    violations.extend(soundness_violations(
-        &compiled.analysis.eliminated_sites,
-        counter,
-    ));
+    violations.extend(soundness_violations(&compiled.analysis.eliminated_sites, counter));
 
     // (4) + (5): replay the reference configuration with lifecycle spans
     // on; dynamic-event statistics and the span tree itself must be
@@ -420,11 +401,7 @@ pub fn check_source(src: &str, step_budget: u64) -> Result<CaseReport, rc_lang::
     steps += a.steps + b.steps;
     if outcome_key(&a.outcome) != outcome_key(&b.outcome) {
         violations.push(Violation::NonDeterministic {
-            detail: format!(
-                "outcome {} vs {}",
-                outcome_key(&a.outcome),
-                outcome_key(&b.outcome)
-            ),
+            detail: format!("outcome {} vs {}", outcome_key(&a.outcome), outcome_key(&b.outcome)),
         });
     } else if a.stats != b.stats {
         violations.push(Violation::NonDeterministic {
@@ -563,10 +540,11 @@ int main() deletes {
 ";
         let report = check_source(src, 0).expect("compiles");
         assert!(!report.passed());
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::Divergence { config: "qs", .. })),
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| matches!(v, Violation::Divergence { config: "qs", .. })),
             "expected a qs divergence, got {:?}",
             report.violations
         );
@@ -613,10 +591,7 @@ int main() deletes {
 
     #[test]
     fn restore_oracle_tags_are_stable() {
-        let v = Violation::RestoreDivergence {
-            reason: "exit".into(),
-            detail: "corrupt".into(),
-        };
+        let v = Violation::RestoreDivergence { reason: "exit".into(), detail: "corrupt".into() };
         assert_eq!(v.kind(), "restore_divergence");
         assert!(v.to_string().contains("not restorable"));
     }
@@ -644,10 +619,7 @@ int main() {
 ";
         let report = check_source(src, 0).expect("compiles");
         assert!(
-            !report
-                .violations
-                .iter()
-                .any(|v| matches!(v, Violation::RestoreDivergence { .. })),
+            !report.violations.iter().any(|v| matches!(v, Violation::RestoreDivergence { .. })),
             "restore oracle violated: {:?}",
             report.violations
         );
@@ -668,7 +640,9 @@ int main() {
     fn task_report_oracle_tag_is_stable() {
         // The campaign's shrink predicate and regression file names key
         // on this tag; it must never drift.
-        let v = Violation::TaskReportDivergence { detail: "task 3 has an unbalanced scheduler log".into() };
+        let v = Violation::TaskReportDivergence {
+            detail: "task 3 has an unbalanced scheduler log".into(),
+        };
         assert_eq!(v.kind(), "task_report_divergence");
         assert!(v.to_string().contains("task report divergence"));
         assert!(v.to_string().contains("task 3"));

@@ -256,10 +256,7 @@ impl RunConfig {
     /// The same configuration with timeline sampling enabled at the
     /// default interval.
     pub fn sampled(self) -> RunConfig {
-        self.with_sampling(
-            region_rt::DEFAULT_SAMPLE_INTERVAL,
-            region_rt::DEFAULT_TIMELINE_CAP,
-        )
+        self.with_sampling(region_rt::DEFAULT_SAMPLE_INTERVAL, region_rt::DEFAULT_TIMELINE_CAP)
     }
 
     /// The same configuration with timeline sampling at a chosen interval

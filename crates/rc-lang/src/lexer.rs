@@ -76,9 +76,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, CompileError> {
             }
             'a'..='z' | 'A'..='Z' | '_' => {
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
                 let word = &src[start..i];

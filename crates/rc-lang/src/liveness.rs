@@ -114,9 +114,7 @@ fn visit_expr(e: &HExpr, f: &mut impl FnMut(&HExpr)) {
             visit_expr(region, f);
             visit_expr(count, f);
         }
-        HExpr::NewSubregion(r) | HExpr::DeleteRegion(r, _) | HExpr::RegionOf(r) => {
-            visit_expr(r, f)
-        }
+        HExpr::NewSubregion(r) | HExpr::DeleteRegion(r, _) | HExpr::RegionOf(r) => visit_expr(r, f),
     }
 }
 
@@ -252,10 +250,7 @@ mod tests {
         let m = compile(src).unwrap();
         let f = m.func(m.main);
         let ps = pin_sets(f);
-        ps.sets
-            .iter()
-            .map(|s| s.iter().map(|&v| f.var(v).name.clone()).collect())
-            .collect()
+        ps.sets.iter().map(|s| s.iter().map(|&v| f.var(v).name.clone()).collect()).collect()
     }
 
     #[test]

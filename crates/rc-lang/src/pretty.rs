@@ -74,13 +74,8 @@ fn print_item(out: &mut String, item: &BlockItem, depth: usize) {
             let arr = d.array_len.map(|n| format!("[{n}]")).unwrap_or_default();
             match &d.init {
                 Some(e) => {
-                    let _ = writeln!(
-                        out,
-                        "{pad}{} {}{arr} = {};",
-                        type_str(&d.ty),
-                        d.name,
-                        expr(e)
-                    );
+                    let _ =
+                        writeln!(out, "{pad}{} {}{arr} = {};", type_str(&d.ty), d.name, expr(e));
                 }
                 None => {
                     let _ = writeln!(out, "{pad}{} {}{arr};", type_str(&d.ty), d.name);
@@ -357,11 +352,7 @@ mod tests {
         let printed = print_ast(&a1);
         let a2 = parse(&printed)
             .unwrap_or_else(|e| panic!("printed source does not parse: {e}\n{printed}"));
-        assert_eq!(
-            normalise(&a1),
-            normalise(&a2),
-            "round trip changed the AST:\n{printed}"
-        );
+        assert_eq!(normalise(&a1), normalise(&a2), "round trip changed the AST:\n{printed}");
     }
 
     #[test]
@@ -373,10 +364,7 @@ mod tests {
     fn round_trips_all_workloads() {
         // The pretty-printer must faithfully reproduce every construct the
         // benchmark suite uses.
-        for w in [
-            &rc_workload_sources::CFRAC_LIKE,
-            &rc_workload_sources::KITCHEN_SINK,
-        ] {
+        for w in [&rc_workload_sources::CFRAC_LIKE, &rc_workload_sources::KITCHEN_SINK] {
             round_trip(w);
         }
     }

@@ -451,11 +451,9 @@ pub fn supervise_compiled(
         // snapshot for trapped runs, else the exit/GC state.
         let checkpoint = r.snapshots.last();
         let (ck_reason, ck_ok, ck_words) = match checkpoint {
-            Some(s) => (
-                Some(s.reason.as_str().to_string()),
-                Heap::restore(s).is_ok(),
-                s.stats.live_words,
-            ),
+            Some(s) => {
+                (Some(s.reason.as_str().to_string()), Heap::restore(s).is_ok(), s.stats.live_words)
+            }
             None => (None, false, 0),
         };
         attempts.push(AttemptReport {
@@ -539,8 +537,7 @@ mod tests {
 
     #[test]
     fn clean_run_completes_on_the_first_attempt() {
-        let rep =
-            supervise(LOOPER, &RunConfig::rc_inf(), &RecoveryPolicy::standard()).unwrap();
+        let rep = supervise(LOOPER, &RunConfig::rc_inf(), &RecoveryPolicy::standard()).unwrap();
         assert_eq!(rep.outcome, SupervisionOutcome::Completed);
         assert_eq!(rep.final_exit, Some(0));
         assert_eq!(rep.attempts.len(), 1);
@@ -636,12 +633,7 @@ mod tests {
         let policy = policy.with_page_budget_steps(vec![4, 16, 0, 9999]);
         assert_eq!(
             policy.rungs_for(&cfg),
-            vec![
-                Rung::PageBudget(16),
-                Rung::PageBudget(0),
-                Rung::DegradeNq,
-                Rung::DegradeNoRc,
-            ]
+            vec![Rung::PageBudget(16), Rung::PageBudget(0), Rung::DegradeNq, Rung::DegradeNoRc,]
         );
     }
 
@@ -660,12 +652,8 @@ mod tests {
         // Exhaustive: every Rung and SupervisionOutcome variant has a
         // stable rendering (no wildcard — adding a variant fails here or
         // fails to compile).
-        for rung in [
-            Rung::PageBudget(0),
-            Rung::PageBudget(64),
-            Rung::DegradeNq,
-            Rung::DegradeNoRc,
-        ] {
+        for rung in [Rung::PageBudget(0), Rung::PageBudget(64), Rung::DegradeNq, Rung::DegradeNoRc]
+        {
             let s = match rung {
                 Rung::PageBudget(_) | Rung::DegradeNq | Rung::DegradeNoRc => rung.to_string(),
             };
@@ -690,9 +678,8 @@ mod tests {
         }
 
         // The policy's Display and JSON carry every field.
-        let policy = RecoveryPolicy::standard()
-            .with_max_attempts(7)
-            .with_page_budget_steps(vec![8, 0]);
+        let policy =
+            RecoveryPolicy::standard().with_max_attempts(7).with_page_budget_steps(vec![8, 0]);
         let shown = policy.to_string();
         for needle in ["attempts<=7", "backoff=", "budgets=", "ladder=qs>nq>norc"] {
             assert!(shown.contains(needle), "{shown:?} missing {needle}");

@@ -62,9 +62,7 @@ pub fn translate(m: &Module) -> Program {
                 .collect(),
             n_params: f.params.len(),
         };
-        let result = f.ret.map(|rt| {
-            tr.temp(rc_var_type(rt, int_array))
-        });
+        let result = f.ret.map(|rt| tr.temp(rc_var_type(rt, int_array)));
         let mut body = Vec::new();
         tr.tr_stmts(&f.body, &mut body);
         let locals = tr.vartypes.split_off(f.params.len());
@@ -467,10 +465,7 @@ impl Tr<'_> {
                 let t = self.temp(VarType::Region);
                 out.push(RStmt::Havoc { dst: t });
                 out.push(RStmt::Assume {
-                    facts: vec![
-                        Fact::NotTop(self.rho(t)),
-                        Fact::Eq(self.rho(t), Self::rt()),
-                    ],
+                    facts: vec![Fact::NotTop(self.rho(t)), Fact::Eq(self.rho(t), Self::rt())],
                 });
                 t
             }

@@ -92,16 +92,12 @@ fn work_span_identities_hold_under_48_seeds() {
         let seed = splitmix64(&mut state);
         let cfg = RunConfig::rc_inf().det_sched(seed).sampled();
         let r = run_audited(&compiled, &cfg);
-        assert!(
-            matches!(r.outcome, Outcome::Exit(3)),
-            "seed {seed:#x}: outcome {:?}",
-            r.outcome
-        );
+        assert!(matches!(r.outcome, Outcome::Exit(3)), "seed {seed:#x}: outcome {:?}", r.outcome);
         assert_eq!(r.audit, Some(Ok(())), "seed {seed:#x}: audit");
         assert_eq!(r.task_reports.len(), 5, "seed {seed:#x}: root + 4 tasks");
 
-        let cp = critpath_analyze(&r.task_reports)
-            .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
+        let cp =
+            critpath_analyze(&r.task_reports).unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
 
         // Work identity: Σ per-task cycles, and the merged clock — the
         // shard merge is exact, not an approximation.
@@ -167,10 +163,6 @@ fn per_seed_reports_and_paths_are_byte_reproducible() {
         assert_eq!(reports_json(&a), reports_json(&b), "seed {seed:#x}: task reports");
         let cpa = critpath_analyze(&a.task_reports).unwrap();
         let cpb = critpath_analyze(&b.task_reports).unwrap();
-        assert_eq!(
-            cpa.to_json().render(),
-            cpb.to_json().render(),
-            "seed {seed:#x}: critical path"
-        );
+        assert_eq!(cpa.to_json().render(), cpb.to_json().render(), "seed {seed:#x}: critical path");
     }
 }

@@ -28,14 +28,14 @@ fn lex_errors() {
 #[test]
 fn parse_errors() {
     for src in [
-        "int main() { return 0 }",              // missing semicolon
-        "int main( { return 0; }",               // bad parameter list
-        "struct t { int x; }",                   // missing `;` after struct
-        "int main() { if return; }",             // bad condition
-        "struct t { int x; }; struct t **p;",    // pointer to pointer
-        "int main() { int a[0]; return 0; }",    // zero-length array
-        "void g(void x) { }",                    // void parameter
-        "int main() { ralloc(1); return 0; }",   // ralloc arity
+        "int main() { return 0 }",             // missing semicolon
+        "int main( { return 0; }",             // bad parameter list
+        "struct t { int x; }",                 // missing `;` after struct
+        "int main() { if return; }",           // bad condition
+        "struct t { int x; }; struct t **p;",  // pointer to pointer
+        "int main() { int a[0]; return 0; }",  // zero-length array
+        "void g(void x) { }",                  // void parameter
+        "int main() { ralloc(1); return 0; }", // ralloc arity
     ] {
         assert_eq!(err(src).kind, ErrorKind::Parse, "src: {src}");
     }
@@ -68,9 +68,7 @@ fn sema_errors_types() {
     assert!(err(&format!("{t} int main() {{ struct t *p; p->nope = 1; return 0; }}"))
         .msg
         .contains("no field"));
-    assert!(err(&format!("{t} int main() {{ int x; x->x = 1; return 0; }}"))
-        .msg
-        .contains("->"));
+    assert!(err(&format!("{t} int main() {{ int x; x->x = 1; return 0; }}")).msg.contains("->"));
     assert!(err("int main() { int x; x = null; return 0; }").msg.contains("null"));
     assert!(err("int main() { return 1 + null; }").msg.contains("operator"));
     assert!(err(&format!(
@@ -104,9 +102,7 @@ fn sema_errors_deletes_rule() {
 
 #[test]
 fn sema_errors_returns() {
-    assert!(err("void f() { return 3; } int main() { return 0; }")
-        .msg
-        .contains("void function"));
+    assert!(err("void f() { return 3; } int main() { return 0; }").msg.contains("void function"));
     assert!(err("static int f() { return; } int main() { return f(); }")
         .msg
         .contains("must return a value"));

@@ -58,9 +58,35 @@ fn compiler_never_panics_on_garbage() {
 #[test]
 fn compiler_never_panics_on_token_soup() {
     const TOKS: &[&str] = &[
-        "struct", "int", "region", "if", "while", "return", "deletes", "null", "sameregion",
-        "parentptr", "traditional", "ralloc", "newregion", "deleteregion", "{", "}", "(", ")",
-        ";", "*", "=", "==", "->", "[", "]", ",", "x", "main", "7",
+        "struct",
+        "int",
+        "region",
+        "if",
+        "while",
+        "return",
+        "deletes",
+        "null",
+        "sameregion",
+        "parentptr",
+        "traditional",
+        "ralloc",
+        "newregion",
+        "deleteregion",
+        "{",
+        "}",
+        "(",
+        ")",
+        ";",
+        "*",
+        "=",
+        "==",
+        "->",
+        "[",
+        "]",
+        ",",
+        "x",
+        "main",
+        "7",
     ];
     for seed in 0..256u64 {
         let mut rng = Rng::new(0x70C5 ^ seed);

@@ -193,7 +193,9 @@ fn static_qualifier_matrix() {
                 assert!(got.is_ok(), "{name}: expected accept, got {:?}", got.err());
             }
             Static::Reject(needle) => match got {
-                Ok(_) => panic!("{name}: expected rejection mentioning `{needle}`, but sema accepted"),
+                Ok(_) => {
+                    panic!("{name}: expected rejection mentioning `{needle}`, but sema accepted")
+                }
                 Err(e) => {
                     let msg = e.to_string();
                     assert!(
@@ -441,7 +443,10 @@ fn dynamic_qualifier_matrix_under_qs() {
                 assert_eq!(qs, format!("exit:{code}"), "{name}: expected a clean qs run");
             }
             Dynamic::FailCheck(_) => {
-                assert_eq!(qs, "abort:check_failed", "{name}: expected the qualifier check to fire");
+                assert_eq!(
+                    qs, "abort:check_failed",
+                    "{name}: expected the qualifier check to fire"
+                );
             }
         }
     }

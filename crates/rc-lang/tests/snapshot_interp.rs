@@ -84,16 +84,11 @@ fn gc_backend_captures_a_snapshot_per_pause() {
     cfg.gc_threshold_words = 64; // force several collections
     let r = run(&c, &cfg);
     assert!(matches!(r.outcome, Outcome::Exit(_)));
-    let gc_snaps =
-        r.snapshots.iter().filter(|s| s.reason == SnapshotReason::Gc).count() as u64;
+    let gc_snaps = r.snapshots.iter().filter(|s| s.reason == SnapshotReason::Gc).count() as u64;
     assert_eq!(gc_snaps, r.stats.gc_collections, "one snapshot per pause");
     assert_eq!(r.snapshots.last().unwrap().reason, SnapshotReason::Exit);
     for s in &r.snapshots {
-        assert_eq!(
-            s.total_live_words(),
-            s.stats.live_words,
-            "identity holds at every pause"
-        );
+        assert_eq!(s.total_live_words(), s.stats.live_words, "identity holds at every pause");
     }
 }
 
@@ -109,10 +104,7 @@ fn trapped_run_dumps_the_pre_unwind_heap() {
     assert_eq!(r.snapshots.len(), 1, "the trap snapshot is the last word");
     let snap = &r.snapshots[0];
     assert_eq!(snap.reason, SnapshotReason::Trap);
-    assert!(
-        snap.region_live_words() > 0,
-        "captured before the unwind released the regions"
-    );
+    assert!(snap.region_live_words() > 0, "captured before the unwind released the regions");
     assert_eq!(snap.total_live_words(), snap.stats.live_words);
     // Deterministic even through the fault path.
     let again = run(&c, &cfg);

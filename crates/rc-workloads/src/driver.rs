@@ -53,11 +53,7 @@ pub fn static_stats(w: &Workload, scale: Scale) -> StaticStats {
     let src = (w.source)(scale);
     let c = prepare_workload(w, scale);
     let keywords = count_keywords(&src);
-    StaticStats {
-        keywords,
-        sites: c.analysis.site_count(),
-        safe_sites: c.analysis.safe_count(),
-    }
+    StaticStats { keywords, sites: c.analysis.site_count(), safe_sites: c.analysis.safe_count() }
 }
 
 fn count_keywords(src: &str) -> usize {
@@ -113,7 +109,8 @@ mod tests {
 
     #[test]
     fn keyword_counter_ignores_traditionalregion() {
-        let src = "struct t *traditional x; region r = traditionalregion(); struct t *sameregion y;";
+        let src =
+            "struct t *traditional x; region r = traditionalregion(); struct t *sameregion y;";
         assert_eq!(count_keywords(src), 2);
     }
 }

@@ -88,7 +88,8 @@ fn kernel_source(name: &str) -> Option<&'static str> {
     Some(match name {
         // cfrac: bignum digit chains, one short-lived subregion per
         // factoring candidate.
-        "cfrac" => r#"
+        "cfrac" => {
+            r#"
 struct digit { int v; struct digit *sameregion next; };
 
 static int cfrac_task(region r, int seed, int iters) deletes {
@@ -122,11 +123,13 @@ static int cfrac_task(region r, int seed, int iters) deletes {
     assert(sum >= 0);
     return sum;
 }
-"#,
+"#
+        }
 
         // grobner: a growing basis of polynomial nodes in the task region,
         // s-pair scratch subregions deleted after each reduction.
-        "grobner" => r#"
+        "grobner" => {
+            r#"
 struct poly { int lead; int terms; struct poly *sameregion next; };
 struct spair { int a; int b; };
 
@@ -166,11 +169,13 @@ static int grobner_task(region r, int seed, int iters) deletes {
     assert(walked == nbasis);
     return sum;
 }
-"#,
+"#
+        }
 
         // mudlle: an interpreter loop, one short-lived evaluation region
         // per expression holding a small chain of value cells.
-        "mudlle" => r#"
+        "mudlle" => {
+            r#"
 struct value { int tag; int payload; struct value *sameregion link; };
 
 static int mudlle_task(region r, int seed, int iters) deletes {
@@ -204,11 +209,13 @@ static int mudlle_task(region r, int seed, int iters) deletes {
     }
     return sum;
 }
-"#,
+"#
+        }
 
         // lcc: per-function compile regions — a subregion of statement
         // nodes built, counted, and bulk-freed for every function.
-        "lcc" => r#"
+        "lcc" => {
+            r#"
 struct stmtnode { int op; int size; struct stmtnode *sameregion next; };
 
 static int lcc_task(region r, int seed, int iters) deletes {
@@ -242,11 +249,13 @@ static int lcc_task(region r, int seed, int iters) deletes {
     }
     return code;
 }
-"#,
+"#
+        }
 
         // moss: passage fingerprints accumulated into hash chains that
         // live for the whole run — the one kernel with no deletion.
-        "moss" => r#"
+        "moss" => {
+            r#"
 struct passage { int hash; int doc; struct passage *sameregion chain; };
 
 static int moss_task(region r, int seed, int iters) {
@@ -282,11 +291,13 @@ static int moss_task(region r, int seed, int iters) {
     assert(walked == built);
     return walked;
 }
-"#,
+"#
+        }
 
         // tile: buffer rotation in a scratch subregion plus a chain of
         // page descriptors in the task region.
-        "tile" => r#"
+        "tile" => {
+            r#"
 struct tbuf { int pos; int chr; };
 struct tpage { int lines; int chars; struct tpage *sameregion prev; };
 
@@ -335,11 +346,13 @@ static int tile_task(region r, int seed, int iters) deletes {
     deleteregion(scratch);
     return npages;
 }
-"#,
+"#
+        }
 
         // rc (the compiler compiling itself): AST nodes with child chains,
         // one subregion per top-level declaration.
-        "rc" => r#"
+        "rc" => {
+            r#"
 struct astnode { int kind; int children; struct astnode *sameregion sib; };
 
 static int rcc_task(region r, int seed, int iters) deletes {
@@ -376,11 +389,13 @@ static int rcc_task(region r, int seed, int iters) deletes {
     }
     return sum;
 }
-"#,
+"#
+        }
 
         // apache: a connection region per task, one request subregion per
         // iteration freed after the response is "sent".
-        "apache" => r#"
+        "apache" => {
+            r#"
 struct header { int key; int val; struct header *sameregion next; };
 struct conn { int requests; int bytes; };
 
@@ -417,7 +432,8 @@ static int apache_task(region r, int seed, int iters) deletes {
     assert(c->requests == iters);
     return c->bytes;
 }
-"#,
+"#
+        }
         _ => return None,
     })
 }
@@ -437,8 +453,9 @@ mod tests {
             for tasks in [1, 3] {
                 let src = par_source(w.name, Scale::TINY, tasks)
                     .unwrap_or_else(|| panic!("{}: no parallel variant", w.name));
-                let c = prepare(&src)
-                    .unwrap_or_else(|e| panic!("{}: parallel variant does not compile: {e}", w.name));
+                let c = prepare(&src).unwrap_or_else(|e| {
+                    panic!("{}: parallel variant does not compile: {e}", w.name)
+                });
                 for cfg in [RunConfig::rc_inf(), RunConfig::rc_inf().det_sched(5)] {
                     let r = run_audited(&c, &cfg);
                     if let Some(Err(e)) = &r.audit {

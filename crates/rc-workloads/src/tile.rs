@@ -15,11 +15,7 @@ use crate::{Scale, Workload};
 
 /// The tile workload.
 pub fn workload() -> Workload {
-    Workload {
-        name: "tile",
-        description: "line/page tiling of a character stream",
-        source,
-    }
+    Workload { name: "tile", description: "line/page tiling of a character stream", source }
 }
 
 /// RC source at the given scale.

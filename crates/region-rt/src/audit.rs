@@ -97,11 +97,8 @@ impl Heap {
         }
         // Malloc-heap objects live in the traditional region and may hold
         // counted pointers into regions (globals do exactly this).
-        let malloc_objs: Vec<(Addr, crate::layout::TypeId, u32)> = self
-            .malloc
-            .live_objects()
-            .map(|(a, o)| (a, o.ty, o.count))
-            .collect();
+        let malloc_objs: Vec<(Addr, crate::layout::TypeId, u32)> =
+            self.malloc.live_objects().map(|(a, o)| (a, o.ty, o.count)).collect();
         for (addr, ty, count) in malloc_objs {
             self.scan_object(addr, ty, count, TRADITIONAL, &mut expected)?;
         }

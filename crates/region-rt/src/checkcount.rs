@@ -193,10 +193,7 @@ mod tests {
     #[test]
     fn counting_disabled_records_nothing() {
         let mut h = Heap::with_defaults();
-        let ty = h.register_type(TypeLayout::new(
-            "node",
-            vec![SlotKind::Ptr(PtrKind::SameRegion)],
-        ));
+        let ty = h.register_type(TypeLayout::new("node", vec![SlotKind::Ptr(PtrKind::SameRegion)]));
         let r = h.new_region();
         let a = h.ralloc(r, ty).unwrap();
         h.write_ptr(a, 0, a, WriteMode::CountedCheck(PtrKind::SameRegion)).unwrap();

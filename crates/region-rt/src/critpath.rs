@@ -195,14 +195,13 @@ fn simulate(ctx: &Ctx, i: usize, start: u64, depth: usize) -> Result<(u64, Vec<P
                 id.0, ev.local
             ));
         }
-        let advance =
-            |finish: &mut u64, path: &mut Vec<PathSeg>, last_local: &mut u64, to: u64| {
-                if to > *last_local {
-                    *finish += to - *last_local;
-                    path.push(PathSeg { task: id, from_local: *last_local, to_local: to });
-                    *last_local = to;
-                }
-            };
+        let advance = |finish: &mut u64, path: &mut Vec<PathSeg>, last_local: &mut u64, to: u64| {
+            if to > *last_local {
+                *finish += to - *last_local;
+                path.push(PathSeg { task: id, from_local: *last_local, to_local: to });
+                *last_local = to;
+            }
+        };
         match ev.kind {
             SchedEventKind::TaskStart => {}
             SchedEventKind::Spawn { nth } => {
@@ -212,11 +211,8 @@ fn simulate(ctx: &Ctx, i: usize, start: u64, depth: usize) -> Result<(u64, Vec<P
                         id.0
                     ));
                 }
-                let child = *ctx
-                    .children
-                    .get(i)
-                    .and_then(|c| c.get(nth as usize))
-                    .ok_or_else(|| {
+                let child =
+                    *ctx.children.get(i).and_then(|c| c.get(nth as usize)).ok_or_else(|| {
                         format!("critpath: task {} spawn #{nth} has no matching handoff", id.0)
                     })?;
                 advance(&mut finish, &mut path, &mut last_local, ev.local);
@@ -303,11 +299,9 @@ pub fn analyze(reports: &[TaskReport]) -> Result<CritPath, String> {
         if r.is_root() {
             continue;
         }
-        let p = index
-            .get(r.parent.0 as usize)
-            .copied()
-            .flatten()
-            .ok_or_else(|| format!("critpath: task {} has unknown parent {}", r.id.0, r.parent.0))?;
+        let p = index.get(r.parent.0 as usize).copied().flatten().ok_or_else(|| {
+            format!("critpath: task {} has unknown parent {}", r.id.0, r.parent.0)
+        })?;
         children[p].push(i);
     }
     for c in &mut children {

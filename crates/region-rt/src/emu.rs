@@ -119,11 +119,7 @@ impl EmuRegions {
     /// All live object addresses across emulated regions (GC root set
     /// contribution).
     pub fn all_roots(&self) -> Vec<u64> {
-        self.regions
-            .iter()
-            .flatten()
-            .flat_map(|list| list.iter().map(|a| a.raw()))
-            .collect()
+        self.regions.iter().flatten().flat_map(|list| list.iter().map(|a| a.raw())).collect()
     }
 }
 

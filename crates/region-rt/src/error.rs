@@ -91,10 +91,9 @@ pub enum RtError {
 impl std::fmt::Display for RtError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RtError::DeleteWithLiveRefs { region, rc } => write!(
-                f,
-                "deleteregion of {region:?} with {rc} live external reference(s)"
-            ),
+            RtError::DeleteWithLiveRefs { region, rc } => {
+                write!(f, "deleteregion of {region:?} with {rc} live external reference(s)")
+            }
             RtError::DeleteWithSubregions { region } => {
                 write!(f, "deleteregion of {region:?} with live subregions")
             }

@@ -385,10 +385,8 @@ mod tests {
 
     #[test]
     fn should_collect_follows_threshold() {
-        let mut h = Heap::new(crate::heap::HeapConfig {
-            gc_threshold_words: 8,
-            ..Default::default()
-        });
+        let mut h =
+            Heap::new(crate::heap::HeapConfig { gc_threshold_words: 8, ..Default::default() });
         let ty = h.register_type(TypeLayout::data("cell", 2));
         assert!(!h.gc_should_collect());
         for _ in 0..4 {

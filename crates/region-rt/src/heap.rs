@@ -133,11 +133,8 @@ impl Heap {
         let mut regions = Vec::new();
         let mut traditional = RegionData::new(None);
         traditional.id = 0;
-        traditional.nextid = if config.numbering == NumberingScheme::GapBased {
-            u64::MAX / 2
-        } else {
-            1
-        };
+        traditional.nextid =
+            if config.numbering == NumberingScheme::GapBased { u64::MAX / 2 } else { 1 };
         traditional.child_cursor = 1;
         regions.push(traditional);
         Heap {
@@ -209,8 +206,7 @@ impl Heap {
     /// `newregion()`: creates a top-level region (a child of the traditional
     /// region, which roots the hierarchy).
     pub fn new_region(&mut self) -> RegionId {
-        self.new_subregion(TRADITIONAL)
-            .expect("traditional region is always live")
+        self.new_subregion(TRADITIONAL).expect("traditional region is always live")
     }
 
     /// `newsubregion(parent)`: creates a subregion of `parent`.
@@ -231,9 +227,8 @@ impl Heap {
                 // The paper's implementation renumbers the whole hierarchy
                 // on every region creation.
                 let visited = renumber(&mut self.regions);
-                self.clock.charge(
-                    self.costs.region_create + visited * self.costs.renumber_per_region,
-                );
+                self.clock
+                    .charge(self.costs.region_create + visited * self.costs.renumber_per_region);
             }
             NumberingScheme::GapBased => {
                 let p = &self.regions[parent.0 as usize];
@@ -255,8 +250,7 @@ impl Heap {
                     let visited = renumber_gapped(&mut self.regions);
                     self.stats.renumber_fallbacks += 1;
                     self.clock.charge(
-                        self.costs.region_create
-                            + visited * self.costs.renumber_per_region,
+                        self.costs.region_create + visited * self.costs.renumber_per_region,
                     );
                 }
             }
@@ -301,10 +295,7 @@ impl Heap {
                     if blocked_by_children {
                         return Err(RtError::DeleteWithSubregions { region: r });
                     }
-                    return Err(RtError::DeleteWithLiveRefs {
-                        region: r,
-                        rc: self.region(r).rc,
-                    });
+                    return Err(RtError::DeleteWithLiveRefs { region: r, rc: self.region(r).rc });
                 }
                 DeletePolicy::Deferred => {
                     // Doom the region; it is reclaimed when the count
@@ -754,16 +745,12 @@ impl Heap {
                 self.note_fault_injected(f.plane, f.op, f.at);
             }
         }
-        let arms: Vec<FaultArm> = [
-            page_arm,
-            self.fault_alloc.take(),
-            self.fault_rc.take(),
-            self.fault_check.take(),
-        ]
-        .into_iter()
-        .flatten()
-        .map(|b| *b)
-        .collect();
+        let arms: Vec<FaultArm> =
+            [page_arm, self.fault_alloc.take(), self.fault_rc.take(), self.fault_check.take()]
+                .into_iter()
+                .flatten()
+                .map(|b| *b)
+                .collect();
         if arms.is_empty() {
             None
         } else {
@@ -810,10 +797,8 @@ impl Heap {
             let op = self.fault_rc.as_ref().map_or(0, |a| a.ops());
             self.note_fault_injected(FaultPlane::RcSaturate, op, at);
             // Name the region whose count would have been raised.
-            let region = self
-                .try_region_of(val)
-                .or_else(|| self.try_region_of(obj))
-                .unwrap_or(TRADITIONAL);
+            let region =
+                self.try_region_of(val).or_else(|| self.try_region_of(obj)).unwrap_or(TRADITIONAL);
             return Err(RtError::RcOverflow { region });
         }
         Ok(())
@@ -954,10 +939,7 @@ mod tests {
     use crate::layout::{PtrKind, SlotKind};
 
     fn list_type(heap: &mut Heap, kind: PtrKind) -> TypeId {
-        heap.register_type(TypeLayout::new(
-            "node",
-            vec![SlotKind::Ptr(kind), SlotKind::Data],
-        ))
+        heap.register_type(TypeLayout::new("node", vec![SlotKind::Ptr(kind), SlotKind::Data]))
     }
 
     #[test]

@@ -490,10 +490,8 @@ mod tests {
 
     #[test]
     fn containers_render() {
-        let v = Json::obj(vec![
-            ("xs", Json::A(vec![Json::U(1), Json::U(2)])),
-            ("name", Json::s("t")),
-        ]);
+        let v =
+            Json::obj(vec![("xs", Json::A(vec![Json::U(1), Json::U(2)])), ("name", Json::s("t"))]);
         assert_eq!(v.render(), r#"{"xs":[1,2],"name":"t"}"#);
     }
 

@@ -121,9 +121,7 @@ impl TypeLayout {
     /// counted pointers go to the `pointerfree` allocator, whose pages need
     /// not be scanned when their region is deleted (paper §3.3.1/§3.3.2).
     pub fn has_counted_ptrs(&self) -> bool {
-        self.slots
-            .iter()
-            .any(|s| matches!(s, SlotKind::Ptr(PtrKind::Counted)))
+        self.slots.iter().any(|s| matches!(s, SlotKind::Ptr(PtrKind::Counted)))
     }
 
     /// Word offsets of counted pointer slots (the ones the delete-time scan
@@ -194,10 +192,7 @@ mod tests {
         // Annotated pointers do not force the normal allocator.
         assert!(!t.has_counted_ptrs());
 
-        let t2 = TypeLayout::new(
-            "counted",
-            vec![SlotKind::Data, SlotKind::Ptr(PtrKind::Counted)],
-        );
+        let t2 = TypeLayout::new("counted", vec![SlotKind::Data, SlotKind::Ptr(PtrKind::Counted)]);
         assert!(t2.has_counted_ptrs());
         assert_eq!(t2.counted_ptr_offsets().collect::<Vec<_>>(), vec![1]);
     }

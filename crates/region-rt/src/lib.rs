@@ -130,7 +130,6 @@ pub use snapshot::{
 pub use span::{Span, SpanTree, DEFAULT_SPAN_NOTE_CAP};
 pub use stats::{AssignCategory, Stats};
 pub use timeline::{
-    sparkline, HeapGauges, MetricsSnapshot, Timeline, DEFAULT_SAMPLE_INTERVAL,
-    DEFAULT_TIMELINE_CAP,
+    sparkline, HeapGauges, MetricsSnapshot, Timeline, DEFAULT_SAMPLE_INTERVAL, DEFAULT_TIMELINE_CAP,
 };
 pub use trace::{Event, Tracer, DEFAULT_RING_CAPACITY};

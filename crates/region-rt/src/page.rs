@@ -66,10 +66,7 @@ impl PageStore {
         all.push(PageOwner::Free);
         all.extend(owners);
         PageStore {
-            pages: all
-                .iter()
-                .map(|_| vec![0u64; WORDS_PER_PAGE].into_boxed_slice())
-                .collect(),
+            pages: all.iter().map(|_| vec![0u64; WORDS_PER_PAGE].into_boxed_slice()).collect(),
             owners: all,
             free,
             page_budget,
@@ -196,10 +193,7 @@ impl PageStore {
     /// built on this).
     #[inline]
     pub fn owner_of(&self, addr: Addr) -> PageOwner {
-        self.owners
-            .get(addr.page() as usize)
-            .copied()
-            .unwrap_or(PageOwner::Free)
+        self.owners.get(addr.page() as usize).copied().unwrap_or(PageOwner::Free)
     }
 
     /// The owner of a page by index.

@@ -178,10 +178,9 @@ impl Profile {
     }
 
     fn region_mut(&mut self, region: u32) -> &mut RegionProfile {
-        self.regions.entry(region).or_insert_with(|| RegionProfile {
-            region,
-            ..RegionProfile::default()
-        })
+        self.regions
+            .entry(region)
+            .or_insert_with(|| RegionProfile { region, ..RegionProfile::default() })
     }
 
     fn site_mut(&mut self, line: u32) -> &mut SiteProfile {
@@ -427,8 +426,7 @@ impl Profile {
             let label = if node == 0 {
                 "r0 (traditional)".to_string()
             } else {
-                let dead =
-                    if regions.get(&node).is_some_and(|r| r.deleted) { " †" } else { "" };
+                let dead = if regions.get(&node).is_some_and(|r| r.deleted) { " †" } else { "" };
                 format!("r{node}{dead}")
             };
             out.push_str(&format!(
@@ -524,11 +522,7 @@ impl Profile {
             if n == 0 {
                 continue;
             }
-            let range = if i == 0 {
-                "0".to_string()
-            } else {
-                format!("[2^{}, 2^{})", i - 1, i)
-            };
+            let range = if i == 0 { "0".to_string() } else { format!("[2^{}, 2^{})", i - 1, i) };
             let bar = "#".repeat(((n as f64 / max as f64) * 30.0).ceil() as usize);
             out.push_str(&format!("    {range:<14} {n:>8}  {bar}\n"));
         }
@@ -579,10 +573,7 @@ impl Profile {
                 .map(|r| {
                     Json::obj(vec![
                         ("region", Json::U(r.region as u64)),
-                        (
-                            "parent",
-                            r.parent.map_or(Json::Null, |p| Json::U(p as u64)),
-                        ),
+                        ("parent", r.parent.map_or(Json::Null, |p| Json::U(p as u64))),
                         ("created_at", Json::U(r.created_at)),
                         ("alloc_objects", Json::U(r.alloc_objects)),
                         ("alloc_words", Json::U(r.alloc_words)),
@@ -599,10 +590,7 @@ impl Profile {
             ("totals", totals),
             ("sites", sites),
             ("regions", regions),
-            (
-                "lifetime_hist",
-                Json::A(self.lifetime_hist.iter().map(|&n| Json::U(n)).collect()),
-            ),
+            ("lifetime_hist", Json::A(self.lifetime_hist.iter().map(|&n| Json::U(n)).collect())),
         ])
     }
 }

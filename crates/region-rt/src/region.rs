@@ -159,10 +159,8 @@ mod tests {
     /// Builds a forest: indices are RegionIds; `parents[i]` is the parent of
     /// region i (region 0 is the traditional root).
     fn build(parents: &[Option<usize>]) -> Vec<RegionData> {
-        let mut v: Vec<RegionData> = parents
-            .iter()
-            .map(|p| RegionData::new(p.map(|i| RegionId(i as u32))))
-            .collect();
+        let mut v: Vec<RegionData> =
+            parents.iter().map(|p| RegionData::new(p.map(|i| RegionId(i as u32)))).collect();
         for (i, p) in parents.iter().enumerate() {
             if let Some(p) = p {
                 let child = RegionId(i as u32);

@@ -272,7 +272,8 @@ impl SchedLog {
     /// equal to releases, and the retained structural events agreeing
     /// with the aggregate counters.
     pub fn balanced(&self) -> bool {
-        let count = |want: &str| self.events.iter().filter(|e| e.kind.name() == want).count() as u64;
+        let count =
+            |want: &str| self.events.iter().filter(|e| e.kind.name() == want).count() as u64;
         count("task_start") == 1
             && count("task_end") == 1
             && count("spawn") == self.spawns
@@ -660,28 +661,13 @@ mod tests {
 
     #[test]
     fn sched_event_json_is_stable() {
-        let e = SchedEvent {
-            at: 42,
-            local: 17,
-            kind: SchedEventKind::BatonAcquire { slice: 8 },
-        };
-        assert_eq!(
-            e.to_json().render(),
-            r#"{"at":42,"local":17,"kind":"baton_acquire","arg":8}"#
-        );
+        let e = SchedEvent { at: 42, local: 17, kind: SchedEventKind::BatonAcquire { slice: 8 } };
+        assert_eq!(e.to_json().render(), r#"{"at":42,"local":17,"kind":"baton_acquire","arg":8}"#);
     }
 
     #[test]
     fn handoff_json_is_stable() {
-        let h = Handoff {
-            seq: 4,
-            from: ShardId::ROOT,
-            to: ShardId(3),
-            region: RegionId(9),
-        };
-        assert_eq!(
-            h.to_json().render(),
-            r#"{"seq":4,"from":0,"to":3,"region":9}"#
-        );
+        let h = Handoff { seq: 4, from: ShardId::ROOT, to: ShardId(3), region: RegionId(9) };
+        assert_eq!(h.to_json().render(), r#"{"seq":4,"from":0,"to":3,"region":9}"#);
     }
 }

@@ -256,8 +256,7 @@ impl Heap {
                     used[p as usize] += fill;
                 }
                 for rec in alloc.objs() {
-                    let words =
-                        self.types.get(rec.ty).size_words() as u64 * rec.count as u64;
+                    let words = self.types.get(rec.ty).size_words() as u64 * rec.count as u64;
                     let e = sites.entry((i as u32, rec.site)).or_insert((0, 0));
                     e.0 += 1;
                     e.1 += words;
@@ -401,9 +400,7 @@ impl HeapSnapshot {
                                 ("objects", Json::U(r.objects)),
                                 (
                                     "pages",
-                                    Json::A(
-                                        r.pages.iter().map(|&p| Json::U(p as u64)).collect(),
-                                    ),
+                                    Json::A(r.pages.iter().map(|&p| Json::U(p as u64)).collect()),
                                 ),
                                 ("allocs", Json::U(r.allocs)),
                                 ("alloc_words", Json::U(r.alloc_words)),
@@ -433,15 +430,10 @@ impl HeapSnapshot {
                         .collect(),
                 ),
             ),
-            (
-                "free_chain",
-                Json::A(self.free_chain.iter().map(|&p| Json::U(p as u64)).collect()),
-            ),
+            ("free_chain", Json::A(self.free_chain.iter().map(|&p| Json::U(p as u64)).collect())),
             (
                 "malloc_free_depths",
-                Json::A(
-                    self.malloc_free_depths.iter().map(|&d| Json::U(d as u64)).collect(),
-                ),
+                Json::A(self.malloc_free_depths.iter().map(|&d| Json::U(d as u64)).collect()),
             ),
             (
                 "gc_free_depths",
@@ -514,9 +506,7 @@ impl HeapSnapshot {
         let opt_field = |d: &Json, key: &str| -> Result<Option<u64>, String> {
             match d.get(key) {
                 Some(Json::I(-1)) => Ok(None),
-                Some(j) => {
-                    j.as_u64().map(Some).ok_or_else(|| format!("malformed '{key}'"))
-                }
+                Some(j) => j.as_u64().map(Some).ok_or_else(|| format!("malformed '{key}'")),
                 None => Err(format!("missing '{key}'")),
             }
         };
@@ -726,9 +716,7 @@ impl HeapSnapshot {
         // one committed page.
         let page_words: u64 = self.pages.iter().map(|p| p.used_words as u64).sum();
         if page_words != total {
-            return Err(format!(
-                "page-map words {page_words} != live words {total}"
-            ));
+            return Err(format!("page-map words {page_words} != live words {total}"));
         }
         if self.pages.len() != heap.page_store().pages_committed() {
             return Err(format!(
@@ -737,8 +725,7 @@ impl HeapSnapshot {
                 heap.page_store().pages_committed()
             ));
         }
-        let free_pages =
-            self.pages.iter().filter(|p| p.owner == SnapOwner::Free).count();
+        let free_pages = self.pages.iter().filter(|p| p.owner == SnapOwner::Free).count();
         if free_pages != self.free_chain.len()
             || self.free_chain.len() != heap.page_store().pages_free()
         {
@@ -836,17 +823,11 @@ mod tests {
         let h = worked_heap();
         let snap = h.snapshot(SnapshotReason::Exit);
         // Region 1 allocated at site 7: one cell + a 4-element array.
-        let s = snap
-            .sites
-            .iter()
-            .find(|s| s.region == 1 && s.site == 7)
-            .expect("site 7 attributed");
+        let s =
+            snap.sites.iter().find(|s| s.region == 1 && s.site == 7).expect("site 7 attributed");
         assert_eq!((s.objects, s.words), (2, 15));
         // The site fold partitions all live words.
-        assert_eq!(
-            snap.sites.iter().map(|s| s.words).sum::<u64>(),
-            snap.total_live_words()
-        );
+        assert_eq!(snap.sites.iter().map(|s| s.words).sum::<u64>(), snap.total_live_words());
     }
 
     #[test]

@@ -131,19 +131,13 @@ fn validate(snap: &HeapSnapshot) -> Result<Shape, RtError> {
         if r.alive {
             let p = match r.parent {
                 Some(p) => p as usize,
-                None => {
-                    return Err(corrupt(format!("regions[{i}] is live but has no parent")))
-                }
+                None => return Err(corrupt(format!("regions[{i}] is live but has no parent"))),
             };
             if p >= i {
-                return Err(corrupt(format!(
-                    "regions[{i}].parent {p} is not an earlier region"
-                )));
+                return Err(corrupt(format!("regions[{i}].parent {p} is not an earlier region")));
             }
             if !snap.regions[p].alive {
-                return Err(corrupt(format!(
-                    "regions[{i}] is live but its parent {p} is dead"
-                )));
+                return Err(corrupt(format!("regions[{i}] is live but its parent {p} is dead")));
             }
         } else {
             if r.doomed {
@@ -209,9 +203,7 @@ fn validate(snap: &HeapSnapshot) -> Result<Shape, RtError> {
             SnapOwner::Gc => {}
             SnapOwner::Region(r) => {
                 if r as usize >= n || !snap.regions[r as usize].alive {
-                    return Err(corrupt(format!(
-                        "pages[{j}] owned by invalid or dead region {r}"
-                    )));
+                    return Err(corrupt(format!("pages[{j}] owned by invalid or dead region {r}")));
                 }
             }
         }
@@ -259,13 +251,7 @@ fn validate(snap: &HeapSnapshot) -> Result<Shape, RtError> {
         let words: u64 = r
             .pages
             .iter()
-            .map(|&p| {
-                if p as usize == 0 || p as usize > pc {
-                    0
-                } else {
-                    used[p as usize] as u64
-                }
-            })
+            .map(|&p| if p as usize == 0 || p as usize > pc { 0 } else { used[p as usize] as u64 })
             .sum();
         if i > 0 {
             if r.pages != owned_by[i] {
@@ -310,8 +296,7 @@ fn validate(snap: &HeapSnapshot) -> Result<Shape, RtError> {
             snap.malloc_live_words
         )));
     }
-    let gc_pages: Vec<(u32, u32)> =
-        gc_owned.iter().map(|&p| (p, used[p as usize])).collect();
+    let gc_pages: Vec<(u32, u32)> = gc_owned.iter().map(|&p| (p, used[p as usize])).collect();
     let gc_page_words: u64 = gc_pages.iter().map(|&(_, u)| u as u64).sum();
     if gc_page_words != snap.gc_live_words {
         return Err(corrupt(format!(
@@ -556,8 +541,7 @@ fn fill_pools(
         }
         // Every later chain of this pool needs at least one record of its
         // own (chains are visited in index order, so all are still open).
-        let open_after =
-            chains[ci + 1..].iter().filter(|(q, _)| q == p).count() as u64;
+        let open_after = chains[ci + 1..].iter().filter(|(q, _)| q == p).count() as u64;
         if ps.o_rem < open_after + 1 {
             return Vec::new();
         }
@@ -581,20 +565,13 @@ fn fill_pools(
 
         let mut out: Vec<(usize, u64)> = Vec::new();
         out.extend(singles.iter().copied().filter(|&(_, s)| s == gap));
-        out.extend(
-            multis.iter().filter(|&&(_, s)| s >= gap).map(|&(k, _)| (k, gap)),
-        );
+        out.extend(multis.iter().filter(|&&(_, s)| s >= gap).map(|&(k, _)| (k, gap)));
         if ps.o_rem > open_after + 1 {
             // Non-closing cuts are affordable.
             out.extend(singles.iter().copied().filter(|&(_, s)| s < gap));
             out.extend(multis.iter().copied().filter(|&(_, s)| s < gap));
             // Last resort: burn an object on a minimal cut.
-            out.extend(
-                multis
-                    .iter()
-                    .filter(|&&(_, s)| s > 1 && s < gap)
-                    .map(|&(k, _)| (k, 1)),
-            );
+            out.extend(multis.iter().filter(|&&(_, s)| s > 1 && s < gap).map(|&(k, _)| (k, 1)));
         }
         out
     };
@@ -646,9 +623,7 @@ fn fill_pools(
         state[p].w_rem -= s;
         nodes += 1;
         if nodes > FILL_NODE_BUDGET {
-            return Err(corrupt(
-                "malloc/gc object placement search exceeded its budget",
-            ));
+            return Err(corrupt("malloc/gc object placement search exceeded its budget"));
         }
         match first_open(&chains) {
             Some(ci) => {
@@ -748,10 +723,8 @@ impl Heap {
         // object picks before the leaner one — and region 0's own bump
         // allocator keeps the remainder, which needs no placement at all
         // (region occupancy is captured from fill vectors).
-        let mut shared: Vec<(u32, u64, u64)> = shape.region_atoms[0]
-            .iter()
-            .map(|a| (a.site, a.objects, a.words))
-            .collect();
+        let mut shared: Vec<(u32, u64, u64)> =
+            shape.region_atoms[0].iter().map(|a| (a.site, a.objects, a.words)).collect();
         let [mut malloc_recs, gc_recs] = fill_pools(
             [
                 (&shape.malloc_pages, (snap.malloc_live_objects, snap.malloc_live_words)),
@@ -761,14 +734,10 @@ impl Heap {
         )?;
         let rem: (u64, u64) = shared.iter().fold((0, 0), |t, a| (t.0 + a.1, t.1 + a.2));
         if rem != (snap.regions[0].objects, snap.regions[0].live_words) {
-            return Err(corrupt(
-                "region-0 site table cannot be partitioned across its pools",
-            ));
+            return Err(corrupt("region-0 site table cannot be partitioned across its pools"));
         }
-        let r0_atoms: Vec<Atom> = shared
-            .iter()
-            .map(|&(site, objects, words)| Atom { site, objects, words })
-            .collect();
+        let r0_atoms: Vec<Atom> =
+            shared.iter().map(|&(site, objects, words)| Atom { site, objects, words }).collect();
 
         // Region records: sizes from the site atoms; addresses are dummies
         // (region occupancy is captured from fill vectors, and data layouts
@@ -823,9 +792,7 @@ impl Heap {
                     .or_else(|| shape.malloc_pages.first().map(|&(p, _)| p))
                     .or_else(|| shape.gc_pages.first().map(|&(p, _)| p))
                     .ok_or_else(|| {
-                        corrupt(
-                            "region 0 has external references but owns no referable page",
-                        )
+                        corrupt("region 0 has external references but owns no referable page")
                     })?;
                 Addr::from_parts(page, 0)
             };
@@ -952,11 +919,7 @@ impl Heap {
         let placeholder_lists = |depths: &[u32]| -> Vec<Vec<Addr>> {
             depths
                 .iter()
-                .map(|&d| {
-                    (0..d)
-                        .map(|j| Addr::from_parts(0, j % WORDS_PER_PAGE as u32))
-                        .collect()
-                })
+                .map(|&d| (0..d).map(|j| Addr::from_parts(0, j % WORDS_PER_PAGE as u32)).collect())
                 .collect()
         };
 
@@ -979,8 +942,7 @@ impl Heap {
         let mut regions: Vec<RegionData> = Vec::with_capacity(n);
         for (i, rs) in snap.regions.iter().enumerate() {
             let normal = if rs.alive {
-                let fill: Vec<u32> =
-                    rs.pages.iter().map(|&p| shape.used[p as usize]).collect();
+                let fill: Vec<u32> = rs.pages.iter().map(|&p| shape.used[p as usize]).collect();
                 let objs: Vec<AllocRecord> = region_recs[i]
                     .iter()
                     .map(|rec| {
@@ -1059,8 +1021,7 @@ impl Heap {
         // and re-snapshot byte-identically.
         snap.verify_against(&heap)
             .map_err(|e| corrupt(format!("restored heap failed verification: {e}")))?;
-        heap.audit()
-            .map_err(|e| corrupt(format!("restored heap failed audit: {e}")))?;
+        heap.audit().map_err(|e| corrupt(format!("restored heap failed audit: {e}")))?;
         let again = snap.resnapshot(&heap).render();
         let want = snap.render();
         if again != want {
@@ -1156,10 +1117,8 @@ mod tests {
         // A malloc global points into a region, and a region object points
         // into a sibling: both rc's must be witnessed by the restored heap.
         let mut h = Heap::with_defaults();
-        let holder = h.register_type(TypeLayout::new(
-            "holder",
-            vec![SlotKind::Ptr(PtrKind::Counted); 2],
-        ));
+        let holder =
+            h.register_type(TypeLayout::new("holder", vec![SlotKind::Ptr(PtrKind::Counted); 2]));
         let cell = h.register_type(TypeLayout::data("cell", 2));
         let ra = h.new_region();
         let rb = h.new_region();
@@ -1181,10 +1140,8 @@ mod tests {
             delete_policy: DeletePolicy::Deferred,
             ..HeapConfig::default()
         });
-        let holder = h.register_type(TypeLayout::new(
-            "holder",
-            vec![SlotKind::Ptr(PtrKind::Counted)],
-        ));
+        let holder =
+            h.register_type(TypeLayout::new("holder", vec![SlotKind::Ptr(PtrKind::Counted)]));
         let cell = h.register_type(TypeLayout::data("cell", 2));
         let r = h.new_region();
         let obj = h.ralloc(r, cell).unwrap();
@@ -1257,37 +1214,22 @@ mod tests {
 
         let mut bad = base.clone();
         bad.regions[1].live_words += 1;
-        assert!(matches!(
-            Heap::restore(&bad).unwrap_err(),
-            RtError::SnapshotCorrupt { .. }
-        ));
+        assert!(matches!(Heap::restore(&bad).unwrap_err(), RtError::SnapshotCorrupt { .. }));
 
         let mut bad = base.clone();
         bad.free_chain.push(9999);
-        assert!(matches!(
-            Heap::restore(&bad).unwrap_err(),
-            RtError::SnapshotCorrupt { .. }
-        ));
+        assert!(matches!(Heap::restore(&bad).unwrap_err(), RtError::SnapshotCorrupt { .. }));
 
         let mut bad = base.clone();
         bad.stats.live_words += 5;
-        assert!(matches!(
-            Heap::restore(&bad).unwrap_err(),
-            RtError::SnapshotCorrupt { .. }
-        ));
+        assert!(matches!(Heap::restore(&bad).unwrap_err(), RtError::SnapshotCorrupt { .. }));
 
         let mut bad = base.clone();
         bad.regions[1].rc = 3; // nothing can witness these references
-        assert!(matches!(
-            Heap::restore(&bad).unwrap_err(),
-            RtError::SnapshotCorrupt { .. }
-        ));
+        assert!(matches!(Heap::restore(&bad).unwrap_err(), RtError::SnapshotCorrupt { .. }));
 
         let mut bad = base;
         bad.regions[1].parent = Some(7);
-        assert!(matches!(
-            Heap::restore(&bad).unwrap_err(),
-            RtError::SnapshotCorrupt { .. }
-        ));
+        assert!(matches!(Heap::restore(&bad).unwrap_err(), RtError::SnapshotCorrupt { .. }));
     }
 }

@@ -458,8 +458,11 @@ impl SpanTree {
                             rd.id, rd.nextid
                         ));
                     }
-                    if !is_ancestor(regions, crate::region::RegionId(s.parent), crate::region::RegionId(i as u32))
-                        || rd.nextid > pd.nextid
+                    if !is_ancestor(
+                        regions,
+                        crate::region::RegionId(s.parent),
+                        crate::region::RegionId(i as u32),
+                    ) || rd.nextid > pd.nextid
                     {
                         return Err(format!(
                             "region {i} interval [{}, {}) not inside parent {} [{}, {})",

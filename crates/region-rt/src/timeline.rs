@@ -120,10 +120,7 @@ impl MetricsSnapshot {
             ("pages_in_use", Json::U(g.pages_in_use as u64)),
             ("pages_free", Json::U(g.pages_free as u64)),
             ("region_pages", Json::U(g.region_pages as u64)),
-            (
-                "occupancy",
-                Json::A(g.occupancy.iter().map(|&n| Json::U(n as u64)).collect()),
-            ),
+            ("occupancy", Json::A(g.occupancy.iter().map(|&n| Json::U(n as u64)).collect())),
             ("malloc_free_depth", Json::U(g.malloc_free_depth as u64)),
             ("d_cycles", Json::U(self.d_cycles)),
             ("d_allocs", Json::U(self.d_allocs)),
@@ -161,9 +158,7 @@ impl Baseline {
             allocs: stats.objects_allocated,
             alloc_words: stats.words_allocated,
             rc_updates: stats.rc_updates_full + stats.rc_updates_same,
-            checks: stats.checks_sameregion
-                + stats.checks_parentptr
-                + stats.checks_traditional,
+            checks: stats.checks_sameregion + stats.checks_parentptr + stats.checks_traditional,
             rc_cycles: stats.rc_cycles,
             check_cycles: stats.check_cycles,
             alloc_cycles: stats.alloc_cycles,
@@ -291,13 +286,7 @@ impl Timeline {
     }
 
     /// Takes a sample from the current gauges and cumulative counters.
-    pub(crate) fn push(
-        &mut self,
-        gauges: HeapGauges,
-        stats: &Stats,
-        cycles: Cycles,
-        site: u32,
-    ) {
+    pub(crate) fn push(&mut self, gauges: HeapGauges, stats: &Stats, cycles: Cycles, site: u32) {
         let now = Baseline::of(stats, cycles);
         let last = self.last;
         self.samples.push(MetricsSnapshot {
@@ -373,8 +362,7 @@ impl Timeline {
 /// `@` = max). An empty or all-zero series renders as spaces.
 pub fn sparkline(values: &[u64]) -> String {
     const RAMP: &[u8] = b" .:-=+*#%@";
-    let Some(max) = std::num::NonZeroU64::new(values.iter().copied().max().unwrap_or(0))
-    else {
+    let Some(max) = std::num::NonZeroU64::new(values.iter().copied().max().unwrap_or(0)) else {
         return " ".repeat(values.len());
     };
     values

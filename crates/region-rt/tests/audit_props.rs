@@ -2,9 +2,7 @@
 //! `audit`, and a deliberately corrupted count must be caught as
 //! [`AuditError::BadCount`] naming the corrupted region.
 
-use region_rt::{
-    Addr, AuditError, Heap, PtrKind, RegionId, SlotKind, TypeLayout, WriteMode,
-};
+use region_rt::{Addr, AuditError, Heap, PtrKind, RegionId, SlotKind, TypeLayout, WriteMode};
 
 /// SplitMix64 (offline environment — no proptest; failures reproduce by
 /// seed).
@@ -40,11 +38,7 @@ fn random_region_dag_with_counted_pointers_passes_audit() {
         let mut h = Heap::with_defaults();
         let ty = h.register_type(TypeLayout::new(
             "n",
-            vec![
-                SlotKind::Ptr(PtrKind::Counted),
-                SlotKind::Ptr(PtrKind::Counted),
-                SlotKind::Data,
-            ],
+            vec![SlotKind::Ptr(PtrKind::Counted), SlotKind::Ptr(PtrKind::Counted), SlotKind::Data],
         ));
 
         // Random hierarchy of 1..8 regions.
@@ -118,9 +112,9 @@ fn snapshot_page_accounting_matches_page_map_ground_truth() {
                 }
                 6 => {
                     // Delete a leaf region (no children), if one exists.
-                    if let Some(pos) = (0..regions.len())
-                        .find(|&i| h.region_alive(regions[i]) && h.delete_region(regions[i]).is_ok())
-                    {
+                    if let Some(pos) = (0..regions.len()).find(|&i| {
+                        h.region_alive(regions[i]) && h.delete_region(regions[i]).is_ok()
+                    }) {
                         regions.remove(pos);
                     }
                 }
@@ -182,10 +176,8 @@ fn snapshot_page_accounting_matches_page_map_ground_truth() {
 #[test]
 fn corrupted_count_is_caught_with_the_right_region() {
     let mut h = Heap::with_defaults();
-    let ty = h.register_type(TypeLayout::new(
-        "n",
-        vec![SlotKind::Ptr(PtrKind::Counted), SlotKind::Data],
-    ));
+    let ty = h
+        .register_type(TypeLayout::new("n", vec![SlotKind::Ptr(PtrKind::Counted), SlotKind::Data]));
     let r1 = h.new_region();
     let r2 = h.new_region();
     let a = h.ralloc(r1, ty).unwrap();

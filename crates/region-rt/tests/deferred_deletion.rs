@@ -3,19 +3,14 @@
 //! whose reference count has dropped to zero. This last option provides
 //! memory safety semantics similar to traditional garbage collection."
 
-use region_rt::{
-    Addr, DeletePolicy, Heap, HeapConfig, PtrKind, SlotKind, TypeLayout, WriteMode,
-};
+use region_rt::{Addr, DeletePolicy, Heap, HeapConfig, PtrKind, SlotKind, TypeLayout, WriteMode};
 
 fn deferred_heap() -> Heap {
     Heap::new(HeapConfig { delete_policy: DeletePolicy::Deferred, ..Default::default() })
 }
 
 fn node_ty(h: &mut Heap) -> region_rt::TypeId {
-    h.register_type(TypeLayout::new(
-        "n",
-        vec![SlotKind::Ptr(PtrKind::Counted), SlotKind::Data],
-    ))
+    h.register_type(TypeLayout::new("n", vec![SlotKind::Ptr(PtrKind::Counted), SlotKind::Data]))
 }
 
 #[test]

@@ -6,8 +6,7 @@
 //! auditable end state.
 
 use region_rt::{
-    Addr, FaultMode, FaultPlan, Heap, PtrKind, RegionId, RtError, SlotKind, TypeLayout,
-    WriteMode,
+    Addr, FaultMode, FaultPlan, Heap, PtrKind, RegionId, RtError, SlotKind, TypeLayout, WriteMode,
 };
 
 /// SplitMix64 (offline environment — no proptest; failures reproduce by
@@ -62,9 +61,8 @@ fn injected_faults_degrade_without_panics_and_stay_audit_clean() {
         let mode = FaultMode::Schedule(vec![ordinal]);
         let plan = match plane {
             Plane::Alloc => FaultPlan::new().fail_alloc(mode),
-            Plane::Page => {
-                FaultPlan::new().fail_page_acquire(FaultMode::Schedule(vec![(rng.below(5) + 1) as u64]))
-            }
+            Plane::Page => FaultPlan::new()
+                .fail_page_acquire(FaultMode::Schedule(vec![(rng.below(5) + 1) as u64])),
             Plane::Rc => FaultPlan::new().saturate_rc(mode),
             Plane::Check => FaultPlan::new().fail_checks(mode),
         }
@@ -128,11 +126,8 @@ fn injected_faults_degrade_without_panics_and_stay_audit_clean() {
                         continue;
                     }
                     let (a, _) = objs[rng.below(objs.len())];
-                    let val = if rng.below(6) == 0 {
-                        Addr::NULL
-                    } else {
-                        objs[rng.below(objs.len())].0
-                    };
+                    let val =
+                        if rng.below(6) == 0 { Addr::NULL } else { objs[rng.below(objs.len())].0 };
                     let res = h.write_ptr(a, 0, val, WriteMode::Counted);
                     if tripped && plane == Plane::Rc {
                         assert!(res.is_err(), "seed {seed} step {step}: counted write after trip");

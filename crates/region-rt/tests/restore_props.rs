@@ -21,9 +21,7 @@
 //! Hand-rolled SplitMix64 over fixed seeds (offline build, no proptest):
 //! every failure reproduces by seed.
 
-use region_rt::{
-    Heap, PtrKind, RegionId, SlotKind, SnapshotReason, TypeLayout, WriteMode,
-};
+use region_rt::{Heap, PtrKind, RegionId, SlotKind, SnapshotReason, TypeLayout, WriteMode};
 
 /// SplitMix64: tiny, well-distributed, and deterministic across platforms.
 struct Rng(u64);
@@ -69,10 +67,8 @@ fn workout(seed: u64) -> Heap {
             h.register_type(TypeLayout::data(format!("t{i}"), words))
         })
         .collect();
-    let holder = h.register_type(TypeLayout::new(
-        "holder",
-        vec![SlotKind::Ptr(PtrKind::Counted); 3],
-    ));
+    let holder =
+        h.register_type(TypeLayout::new("holder", vec![SlotKind::Ptr(PtrKind::Counted); 3]));
 
     let mut regions: Vec<RegionId> = vec![region_rt::TRADITIONAL];
     let mut parent: Vec<usize> = vec![0];
@@ -195,8 +191,8 @@ fn restore_is_a_fixpoint_on_random_heaps() {
             .unwrap_or_else(|e| panic!("seed {seed}: source cross-check failed: {e}"));
         witnessed_rc |= snap.regions.iter().any(|r| r.rc - r.pins > 0);
 
-        let restored = Heap::restore(&snap)
-            .unwrap_or_else(|e| panic!("seed {seed}: restore failed: {e}"));
+        let restored =
+            Heap::restore(&snap).unwrap_or_else(|e| panic!("seed {seed}: restore failed: {e}"));
 
         // Three-way live-word identity: heap, snapshot, restored heap.
         assert_eq!(

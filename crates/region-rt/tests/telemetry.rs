@@ -5,10 +5,8 @@
 use region_rt::{Addr, Heap, HeapConfig, PtrKind, SlotKind, TypeLayout, WriteMode};
 
 fn workout(h: &mut Heap) {
-    let counted = h.register_type(TypeLayout::new(
-        "c",
-        vec![SlotKind::Ptr(PtrKind::Counted), SlotKind::Data],
-    ));
+    let counted = h
+        .register_type(TypeLayout::new("c", vec![SlotKind::Ptr(PtrKind::Counted), SlotKind::Data]));
     let annotated = h.register_type(TypeLayout::new(
         "s",
         vec![SlotKind::Ptr(PtrKind::SameRegion), SlotKind::Ptr(PtrKind::ParentPtr)],
@@ -122,10 +120,8 @@ fn every_event_kind_has_a_pinned_encoding() {
     h.enable_tracing(1024);
     h.enable_spans(1024);
     h.enable_check_counting();
-    let counted = h.register_type(TypeLayout::new(
-        "c",
-        vec![SlotKind::Ptr(PtrKind::Counted), SlotKind::Data],
-    ));
+    let counted = h
+        .register_type(TypeLayout::new("c", vec![SlotKind::Ptr(PtrKind::Counted), SlotKind::Data]));
     let same = h.register_type(TypeLayout::new("s", vec![SlotKind::Ptr(PtrKind::SameRegion)]));
     let r1 = h.new_region();
     let r2 = h.new_subregion(r1).unwrap();
@@ -161,24 +157,42 @@ fn every_event_kind_has_a_pinned_encoding() {
     assert_eq!(
         t.events_jsonl("t"),
         concat!(
-            r#"{"run":"t","ev":"region_created","region":1,"at":66}"#, "\n",
-            r#"{"run":"t","ev":"subregion_created","region":2,"parent":1,"at":135}"#, "\n",
-            r#"{"run":"t","ev":"alloc","region":1,"site":3,"words":2}"#, "\n",
-            r#"{"run":"t","ev":"alloc","region":1,"site":3,"words":1}"#, "\n",
-            r#"{"run":"t","ev":"alloc","region":2,"site":3,"words":1}"#, "\n",
-            r#"{"run":"t","ev":"alloc","region":0,"site":4,"words":4}"#, "\n",
-            r#"{"run":"t","ev":"alloc","region":0,"site":4,"words":2}"#, "\n",
-            r#"{"run":"t","ev":"rc_update","from":1,"to":null,"full":false,"site":5}"#, "\n",
-            r#"{"run":"t","ev":"check","kind":"sameregion","site":6,"passed":true}"#, "\n",
-            r#"{"run":"t","ev":"rc_update","from":1,"to":1,"full":true,"site":6}"#, "\n",
-            r#"{"run":"t","ev":"check","kind":"sameregion","site":6,"passed":false}"#, "\n",
-            r#"{"run":"t","ev":"rc_update","from":1,"to":2,"full":true,"site":6}"#, "\n",
-            r#"{"run":"t","ev":"rc_update","from":1,"to":null,"full":true,"site":5}"#, "\n",
-            r#"{"run":"t","ev":"gc","marked_words":0,"swept_objects":1}"#, "\n",
-            r#"{"run":"t","ev":"audit","ok":true}"#, "\n",
-            r#"{"run":"t","ev":"fault","plane":"alloc","op":1,"at":1108}"#, "\n",
-            r#"{"run":"t","ev":"region_deleted","region":2,"live_words":1,"lifetime_cycles":1042}"#, "\n",
-            r#"{"run":"t","ev":"region_deleted","region":1,"live_words":3,"lifetime_cycles":1112}"#, "\n",
+            r#"{"run":"t","ev":"region_created","region":1,"at":66}"#,
+            "\n",
+            r#"{"run":"t","ev":"subregion_created","region":2,"parent":1,"at":135}"#,
+            "\n",
+            r#"{"run":"t","ev":"alloc","region":1,"site":3,"words":2}"#,
+            "\n",
+            r#"{"run":"t","ev":"alloc","region":1,"site":3,"words":1}"#,
+            "\n",
+            r#"{"run":"t","ev":"alloc","region":2,"site":3,"words":1}"#,
+            "\n",
+            r#"{"run":"t","ev":"alloc","region":0,"site":4,"words":4}"#,
+            "\n",
+            r#"{"run":"t","ev":"alloc","region":0,"site":4,"words":2}"#,
+            "\n",
+            r#"{"run":"t","ev":"rc_update","from":1,"to":null,"full":false,"site":5}"#,
+            "\n",
+            r#"{"run":"t","ev":"check","kind":"sameregion","site":6,"passed":true}"#,
+            "\n",
+            r#"{"run":"t","ev":"rc_update","from":1,"to":1,"full":true,"site":6}"#,
+            "\n",
+            r#"{"run":"t","ev":"check","kind":"sameregion","site":6,"passed":false}"#,
+            "\n",
+            r#"{"run":"t","ev":"rc_update","from":1,"to":2,"full":true,"site":6}"#,
+            "\n",
+            r#"{"run":"t","ev":"rc_update","from":1,"to":null,"full":true,"site":5}"#,
+            "\n",
+            r#"{"run":"t","ev":"gc","marked_words":0,"swept_objects":1}"#,
+            "\n",
+            r#"{"run":"t","ev":"audit","ok":true}"#,
+            "\n",
+            r#"{"run":"t","ev":"fault","plane":"alloc","op":1,"at":1108}"#,
+            "\n",
+            r#"{"run":"t","ev":"region_deleted","region":2,"live_words":1,"lifetime_cycles":1042}"#,
+            "\n",
+            r#"{"run":"t","ev":"region_deleted","region":1,"live_words":3,"lifetime_cycles":1112}"#,
+            "\n",
         )
     );
     assert_eq!(

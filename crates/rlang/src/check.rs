@@ -76,9 +76,7 @@ fn check_var(f: &FuncDef, v: VarId) -> Result<(), String> {
 }
 
 fn check_stmt(prog: &Program, f: &FuncDef, s: &Stmt) -> Result<(), WfError> {
-    let wrap = |r: Result<(), String>| {
-        r.map_err(|msg| WfError { func: f.name.clone(), msg })
-    };
+    let wrap = |r: Result<(), String>| r.map_err(|msg| WfError { func: f.name.clone(), msg });
     match s {
         Stmt::Seq(ss) => ss.iter().try_for_each(|s| check_stmt(prog, f, s)),
         Stmt::If { cond, then_s, else_s } => {
@@ -149,9 +147,7 @@ fn check_stmt(prog: &Program, f: &FuncDef, s: &Stmt) -> Result<(), WfError> {
                 }
             }
         }
-        Stmt::Chk { fact, .. } => {
-            wrap(check_fact_scope(f, fact.exprs().filter_map(|e| e.rho())))
-        }
+        Stmt::Chk { fact, .. } => wrap(check_fact_scope(f, fact.exprs().filter_map(|e| e.rho()))),
         Stmt::Assume { facts } => wrap(check_fact_scope(
             f,
             facts.iter().flat_map(|fa| fa.exprs()).filter_map(|e| e.rho()),
@@ -186,10 +182,7 @@ fn check_field(prog: &Program, f: &FuncDef, obj: VarId, field: usize) -> Result<
         VarType::Ptr(sid) => {
             let decl = prog.struct_decl(sid);
             if field >= decl.fields.len() {
-                return Err(format!(
-                    "field #{field} out of range for struct `{}`",
-                    decl.name
-                ));
+                return Err(format!("field #{field} out of range for struct `{}`", decl.name));
             }
             Ok(())
         }
@@ -225,14 +218,7 @@ mod tests {
     }
 
     fn func(body: Stmt, locals: Vec<VarType>) -> FuncDef {
-        FuncDef {
-            name: "main".into(),
-            exported: true,
-            params: vec![],
-            locals,
-            result: None,
-            body,
-        }
+        FuncDef { name: "main".into(), exported: true, params: vec![], locals, result: None, body }
     }
 
     #[test]
@@ -280,11 +266,7 @@ mod tests {
     fn arity_mismatch_rejected() {
         let mut p = base_prog();
         let callee = p.add_func(func(Stmt::skip(), vec![]));
-        let body = Stmt::Call {
-            dst: None,
-            callee: Callee::User(callee),
-            args: vec![VarId(0)],
-        };
+        let body = Stmt::Call { dst: None, callee: Callee::User(callee), args: vec![VarId(0)] };
         p.add_func(FuncDef {
             name: "caller".into(),
             exported: true,
@@ -301,10 +283,7 @@ mod tests {
     fn fact_scope_enforced() {
         let mut p = base_prog();
         p.add_func(func(
-            Stmt::Chk {
-                fact: Fact::NotTop(RegionExpr::Abstract(RhoId(40))),
-                site: SiteId(0),
-            },
+            Stmt::Chk { fact: Fact::NotTop(RegionExpr::Abstract(RhoId(40))), site: SiteId(0) },
             vec![VarType::Int],
         ));
         let e = well_formed(&p).unwrap_err();
@@ -354,7 +333,10 @@ mod tests {
             params: vec![VarType::Ptr(StructId(0))],
             locals: vec![VarType::Ptr(StructId(0))],
             result: Some(VarId(1)),
-            body: Stmt::Seq(vec![Stmt::Havoc { dst: VarId(1) }, Stmt::Return { src: Some(VarId(1)) }]),
+            body: Stmt::Seq(vec![
+                Stmt::Havoc { dst: VarId(1) },
+                Stmt::Return { src: Some(VarId(1)) },
+            ]),
         });
         p.add_func(func(
             Stmt::Seq(vec![

@@ -785,10 +785,7 @@ mod tests {
 
     #[test]
     fn eq_or_null_strengthens_with_not_top() {
-        let s = ConstraintSet::from_facts([
-            Fact::EqOrNull(rho(0), rho(1)),
-            Fact::NotTop(rho(0)),
-        ]);
+        let s = ConstraintSet::from_facts([Fact::EqOrNull(rho(0), rho(1)), Fact::NotTop(rho(0))]);
         assert!(s.entails(Fact::Eq(rho(0), rho(1))));
     }
 
@@ -858,8 +855,7 @@ mod tests {
 
     #[test]
     fn kill_preserves_indirect_consequences() {
-        let mut s =
-            ConstraintSet::from_facts([Fact::Eq(rho(0), rho(9)), Fact::Eq(rho(9), rho(1))]);
+        let mut s = ConstraintSet::from_facts([Fact::Eq(rho(0), rho(9)), Fact::Eq(rho(9), rho(1))]);
         s.kill_rho(RhoId(9));
         assert!(s.entails(Fact::Eq(rho(0), rho(1))));
         assert!(!s.facts().any(|f| f.mentions(RhoId(9))));

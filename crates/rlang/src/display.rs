@@ -100,10 +100,12 @@ fn stmt(out: &mut String, p: &Program, f: &FuncDef, s: &Stmt, depth: usize) {
             let _ = writeln!(out, "{pad}{} = ⟨unknown⟩;", v(*dst));
         }
         Stmt::ReadField { dst, obj, field } => {
-            let _ = writeln!(out, "{pad}{} = {}.{};", v(*dst), v(*obj), field_name(p, f, *obj, *field));
+            let _ =
+                writeln!(out, "{pad}{} = {}.{};", v(*dst), v(*obj), field_name(p, f, *obj, *field));
         }
         Stmt::WriteField { obj, field, src } => {
-            let _ = writeln!(out, "{pad}{}.{} = {};", v(*obj), field_name(p, f, *obj, *field), v(*src));
+            let _ =
+                writeln!(out, "{pad}{}.{} = {};", v(*obj), field_name(p, f, *obj, *field), v(*src));
         }
         Stmt::New { dst, ty, region } => {
             let _ = writeln!(

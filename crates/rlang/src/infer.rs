@@ -505,10 +505,8 @@ fn project_call_site(
     actual_subst: &[RegionExpr],
     state: &ConstraintSet,
 ) -> ConstraintSet {
-    let mut universe: Vec<RegionExpr> = callee
-        .region_params()
-        .map(|v| RegionExpr::Abstract(v.rho()))
-        .collect();
+    let mut universe: Vec<RegionExpr> =
+        callee.region_params().map(|v| RegionExpr::Abstract(v.rho())).collect();
     for c in 0..prog.consts.len() as u32 {
         universe.push(RegionExpr::Const(crate::types::ConstId(c)));
     }
@@ -871,9 +869,7 @@ impl Ctx<'_> {
                 // destination's region.
                 let mut subst: Vec<RegionExpr> = args
                     .iter()
-                    .map(|&a| {
-                        if self.has_region(a) { self.rho(a) } else { RegionExpr::Top }
-                    })
+                    .map(|&a| if self.has_region(a) { self.rho(a) } else { RegionExpr::Top })
                     .collect();
                 let result_expr = match dst {
                     Some(v) if self.has_region(v) => self.rho(v),
@@ -884,8 +880,7 @@ impl Ctx<'_> {
                 // Figure 6 (fncall): the call site must prove the
                 // callee's input property for the actuals.
                 if let Some(violations) = self.violations.as_mut() {
-                    let obligation =
-                        self.summaries[gid.0 as usize].input.subst(&subst[..n]);
+                    let obligation = self.summaries[gid.0 as usize].input.subst(&subst[..n]);
                     if !d.entails_all(&obligation) {
                         violations.push(format!(
                             "call to `{}` in `{}`: input summary not entailed \
@@ -945,7 +940,10 @@ mod tests {
                 ("data".into(), FieldType::Ptr { target: finfo, qual: FieldQual::SameRegion }),
             ],
         });
-        p.add_struct(StructDecl { name: "finfo".into(), fields: vec![("x".into(), FieldType::Int)] });
+        p.add_struct(StructDecl {
+            name: "finfo".into(),
+            fields: vec![("x".into(), FieldType::Int)],
+        });
 
         // Vars: 0 = r (region), 1 = rl, 2 = last, 3 = data tmp, 4 = cond.
         let (r, rl, last, tmp, cond) = (VarId(0), VarId(1), VarId(2), VarId(3), VarId(4));
@@ -1011,7 +1009,10 @@ mod tests {
         let rlist = StructId(0);
         p.add_struct(StructDecl {
             name: "rlist".into(),
-            fields: vec![("next".into(), FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion })],
+            fields: vec![(
+                "next".into(),
+                FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion },
+            )],
         });
         let (r, x, y) = (VarId(0), VarId(1), VarId(2));
         let body = Stmt::Seq(vec![
@@ -1044,7 +1045,10 @@ mod tests {
         let rlist = StructId(0);
         p.add_struct(StructDecl {
             name: "rlist".into(),
-            fields: vec![("next".into(), FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion })],
+            fields: vec![(
+                "next".into(),
+                FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion },
+            )],
         });
         let (r, x, y, z) = (VarId(0), VarId(1), VarId(2), VarId(3));
         let body = Stmt::Seq(vec![
@@ -1081,10 +1085,7 @@ mod tests {
             // check against z is provable exactly as without the task.
             Stmt::New { dst: y, ty: rlist, region: r },
             Stmt::Chk {
-                fact: Fact::EqOrNull(
-                    RegionExpr::Abstract(z.rho()),
-                    RegionExpr::Abstract(y.rho()),
-                ),
+                fact: Fact::EqOrNull(RegionExpr::Abstract(z.rho()), RegionExpr::Abstract(y.rho())),
                 site: SiteId(2),
             },
             Stmt::WriteField { obj: y, field: 0, src: z },
@@ -1115,7 +1116,10 @@ mod tests {
         let rlist = StructId(0);
         p.add_struct(StructDecl {
             name: "rlist".into(),
-            fields: vec![("next".into(), FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion })],
+            fields: vec![(
+                "next".into(),
+                FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion },
+            )],
         });
         let (r, x, r2, y) = (VarId(0), VarId(1), VarId(2), VarId(3));
         let body = Stmt::Seq(vec![
@@ -1133,7 +1137,12 @@ mod tests {
             name: "main".into(),
             exported: true,
             params: vec![],
-            locals: vec![VarType::Region, VarType::Ptr(rlist), VarType::Region, VarType::Ptr(rlist)],
+            locals: vec![
+                VarType::Region,
+                VarType::Ptr(rlist),
+                VarType::Region,
+                VarType::Ptr(rlist),
+            ],
             result: None,
             body,
         });
@@ -1150,7 +1159,10 @@ mod tests {
         let rlist = StructId(0);
         p.add_struct(StructDecl {
             name: "rlist".into(),
-            fields: vec![("next".into(), FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion })],
+            fields: vec![(
+                "next".into(),
+                FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion },
+            )],
         });
         // new_rlist: params r (region), next (ptr); local new, result new.
         let (pr, pnext, pnew) = (VarId(0), VarId(1), VarId(2));
@@ -1185,7 +1197,12 @@ mod tests {
             name: "main".into(),
             exported: true,
             params: vec![],
-            locals: vec![VarType::Region, VarType::Region, VarType::Ptr(rlist), VarType::Ptr(rlist)],
+            locals: vec![
+                VarType::Region,
+                VarType::Region,
+                VarType::Ptr(rlist),
+                VarType::Ptr(rlist),
+            ],
             result: None,
             body: main_body,
         });
@@ -1200,7 +1217,10 @@ mod tests {
         let rlist = StructId(0);
         p.add_struct(StructDecl {
             name: "rlist".into(),
-            fields: vec![("next".into(), FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion })],
+            fields: vec![(
+                "next".into(),
+                FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion },
+            )],
         });
         let (pr, pnext, pnew) = (VarId(0), VarId(1), VarId(2));
         let ctor_body = Stmt::Seq(vec![
@@ -1266,7 +1286,10 @@ mod tests {
         let node = StructId(0);
         p.add_struct(StructDecl {
             name: "node".into(),
-            fields: vec![("up".into(), FieldType::Ptr { target: node, qual: FieldQual::ParentPtr })],
+            fields: vec![(
+                "up".into(),
+                FieldType::Ptr { target: node, qual: FieldQual::ParentPtr },
+            )],
         });
         let (r, sub, o, q) = (VarId(0), VarId(1), VarId(2), VarId(3));
         let body = Stmt::Seq(vec![
@@ -1300,7 +1323,10 @@ mod tests {
         let rlist = StructId(0);
         p.add_struct(StructDecl {
             name: "rlist".into(),
-            fields: vec![("next".into(), FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion })],
+            fields: vec![(
+                "next".into(),
+                FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion },
+            )],
         });
         let (x, y) = (VarId(0), VarId(1));
         let body = Stmt::Seq(vec![
@@ -1339,7 +1365,10 @@ mod tests {
         let rlist = StructId(0);
         p.add_struct(StructDecl {
             name: "rlist".into(),
-            fields: vec![("next".into(), FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion })],
+            fields: vec![(
+                "next".into(),
+                FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion },
+            )],
         });
         let (y, r, x, t) = (VarId(0), VarId(1), VarId(2), VarId(3));
         let body = Stmt::Seq(vec![
@@ -1380,7 +1409,10 @@ mod tests {
         let rlist = StructId(0);
         p.add_struct(StructDecl {
             name: "rlist".into(),
-            fields: vec![("next".into(), FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion })],
+            fields: vec![(
+                "next".into(),
+                FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion },
+            )],
         });
         let (r, x, y) = (VarId(0), VarId(1), VarId(2));
         let body = Stmt::Seq(vec![
@@ -1424,7 +1456,10 @@ mod tests {
         let rlist = StructId(0);
         p.add_struct(StructDecl {
             name: "rlist".into(),
-            fields: vec![("next".into(), FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion })],
+            fields: vec![(
+                "next".into(),
+                FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion },
+            )],
         });
         let (r, x, y) = (VarId(0), VarId(1), VarId(2));
         let body = Stmt::Seq(vec![
@@ -1464,7 +1499,10 @@ mod tests {
         let rlist = StructId(0);
         p.add_struct(StructDecl {
             name: "rlist".into(),
-            fields: vec![("next".into(), FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion })],
+            fields: vec![(
+                "next".into(),
+                FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion },
+            )],
         });
         let (r, x, y, c) = (VarId(0), VarId(1), VarId(2), VarId(3));
         let body = Stmt::Seq(vec![
@@ -1513,7 +1551,10 @@ mod tests {
         let rlist = StructId(0);
         p.add_struct(StructDecl {
             name: "rlist".into(),
-            fields: vec![("next".into(), FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion })],
+            fields: vec![(
+                "next".into(),
+                FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion },
+            )],
         });
         let (r, x, y, c) = (VarId(0), VarId(1), VarId(2), VarId(3));
         let body = Stmt::Seq(vec![
@@ -1560,7 +1601,10 @@ mod tests {
         let rlist = StructId(0);
         p.add_struct(StructDecl {
             name: "rlist".into(),
-            fields: vec![("next".into(), FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion })],
+            fields: vec![(
+                "next".into(),
+                FieldType::Ptr { target: rlist, qual: FieldQual::SameRegion },
+            )],
         });
         let (x, y) = (VarId(0), VarId(1));
         let fid = crate::program::FuncId(0);
@@ -1568,7 +1612,11 @@ mod tests {
             Stmt::ReadField { dst: y, obj: x, field: 0 },
             Stmt::If {
                 cond: y,
-                then_s: Box::new(Stmt::Call { dst: None, callee: Callee::User(fid), args: vec![y] }),
+                then_s: Box::new(Stmt::Call {
+                    dst: None,
+                    callee: Callee::User(fid),
+                    args: vec![y],
+                }),
                 else_s: Box::new(Stmt::skip()),
             },
         ]);

@@ -74,9 +74,7 @@ pub mod types;
 
 pub use check::{well_formed, WfError};
 pub use constraint::ConstraintSet;
-pub use infer::{
-    analyse, validate, Analysis, MeetKind, ProvenanceReason, SiteProvenance, Summary,
-};
+pub use infer::{analyse, validate, Analysis, MeetKind, ProvenanceReason, SiteProvenance, Summary};
 pub use program::{Callee, FuncDef, FuncId, Program, SiteId, Stmt, VarId};
 pub use types::{
     ConstId, Fact, FieldQual, FieldType, RegionExpr, RhoId, StructDecl, StructId, VarType,

@@ -292,10 +292,7 @@ mod tests {
         assert_eq!(rho(0).subst(&subst), RegionExpr::Const(TRADITIONAL_CONST));
         assert_eq!(rho(1).subst(&subst), rho(1));
         // Substitution can make facts trivially true.
-        assert_eq!(
-            Fact::EqOrNull(RegionExpr::Top, rho(0)).subst(&subst),
-            None
-        );
+        assert_eq!(Fact::EqOrNull(RegionExpr::Top, rho(0)).subst(&subst), None);
     }
 
     #[test]

@@ -50,15 +50,18 @@ const PROGRAM: &str = r#"
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Phase 1-2: parse + typecheck.
     let module = compile(PROGRAM)?;
-    println!("parsed {} structs, {} globals, {} functions",
-        module.structs.len(), module.globals.len(), module.funcs.len());
+    println!(
+        "parsed {} structs, {} globals, {} functions",
+        module.structs.len(),
+        module.globals.len(),
+        module.funcs.len()
+    );
 
     // Phase 3-4: translate to rlang and run the inference.
     let compiled = prepare(PROGRAM)?;
     let analysis = &compiled.analysis;
     println!("\nconstraint inference converged in {} round(s)", analysis.rounds);
-    println!("check sites: {} total, {} proven safe",
-        analysis.site_count(), analysis.safe_count());
+    println!("check sites: {} total, {} proven safe", analysis.site_count(), analysis.safe_count());
 
     // Per-site verdicts with the flow state the analysis saw.
     let mut sites: Vec<SiteId> = analysis.site_safe.keys().copied().collect();
@@ -66,11 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n{:<8} {:<10} flow state at the check", "site", "verdict");
     for site in sites {
         let verdict = if analysis.is_safe(site) { "SAFE" } else { "check" };
-        let state = analysis
-            .site_states
-            .get(&site)
-            .map(|s| s.to_string())
-            .unwrap_or_default();
+        let state = analysis.site_states.get(&site).map(|s| s.to_string()).unwrap_or_default();
         let state: String = if state.chars().count() > 60 {
             let cut: String = state.chars().take(60).collect();
             format!("{cut}…")

@@ -63,7 +63,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== Same program with annotations ignored (the paper's `nq`) ==");
     let nq = run(&compiled, &RunConfig::rc(CheckMode::Nq));
-    println!("refcount updates             : {}", nq.stats.rc_updates_full + nq.stats.rc_updates_same);
+    println!(
+        "refcount updates             : {}",
+        nq.stats.rc_updates_full + nq.stats.rc_updates_same
+    );
     println!("virtual time (instructions)  : {}", nq.cycles);
     let saved = 100.0 * (nq.cycles as f64 - inf.cycles as f64) / nq.cycles as f64;
     println!("annotations + inference saved: {saved:.1}% of execution time");

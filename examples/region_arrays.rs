@@ -81,9 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = RunConfig::rc_inf();
     cfg.delete_semantics = rc_regions::lang::DeleteSemantics::Fail;
     let r = run(&compiled, &cfg);
-    let Outcome::Exit(refused) = r.outcome else {
-        panic!("unexpected outcome: {:?}", r.outcome)
-    };
+    let Outcome::Exit(refused) = r.outcome else { panic!("unexpected outcome: {:?}", r.outcome) };
     println!("regions that refused deletion while the d[] table pointed in: {refused}/4");
     println!("(all four deleted cleanly once the table was cleared)");
     println!("reference-count updates performed: {}", r.stats.rc_updates_full);

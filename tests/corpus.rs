@@ -32,9 +32,7 @@ fn rc_files(dir: &Path) -> Vec<PathBuf> {
 
 /// The `// expect: <key>` header of a golden program.
 fn expected_outcome(src: &str) -> Option<String> {
-    src.lines()
-        .find_map(|l| l.strip_prefix("// expect: "))
-        .map(|s| s.trim().to_string())
+    src.lines().find_map(|l| l.strip_prefix("// expect: ")).map(|s| s.trim().to_string())
 }
 
 #[test]
@@ -48,15 +46,8 @@ fn golden_corpus_is_conformant_across_all_configs() {
             .unwrap_or_else(|| panic!("{name}: missing `// expect: <outcome>` header"));
         let report = rc_fuzz::check_source(&src, STEP_BUDGET)
             .unwrap_or_else(|e| panic!("{name}: does not compile: {e}"));
-        assert!(
-            report.passed(),
-            "{name}: oracle violations: {:?}",
-            report.violations
-        );
-        assert_eq!(
-            report.outcome_key, expect,
-            "{name}: outcome drifted from its golden header"
-        );
+        assert!(report.passed(), "{name}: oracle violations: {:?}", report.violations);
+        assert_eq!(report.outcome_key, expect, "{name}: outcome drifted from its golden header");
     }
 }
 

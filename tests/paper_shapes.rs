@@ -59,10 +59,7 @@ fn lcc_has_the_largest_rc_overhead() {
     let lcc = overhead("lcc");
     for name in ["cfrac", "grobner", "moss", "tile", "apache", "rc", "mudlle"] {
         let o = overhead(name);
-        assert!(
-            lcc >= o - 0.5,
-            "lcc overhead {lcc:.1}% should top {name}'s {o:.1}%"
-        );
+        assert!(lcc >= o - 0.5, "lcc overhead {lcc:.1}% should top {name}'s {o:.1}%");
     }
     // And it is in the right ballpark (paper: 11%).
     assert!(lcc > 5.0 && lcc < 20.0, "lcc overhead {lcc:.1}% out of band");
@@ -127,8 +124,8 @@ fn figure9_annotated_share_floor() {
         }
         let c = prepare_workload(&w, Scale::TINY);
         let r = run(&c, &RunConfig::rc_inf());
-        let annotated = r.stats.assign_pct(AssignCategory::Safe)
-            + r.stats.assign_pct(AssignCategory::Checked);
+        let annotated =
+            r.stats.assign_pct(AssignCategory::Safe) + r.stats.assign_pct(AssignCategory::Checked);
         assert!(
             annotated >= 39.0,
             "{}: annotated share {annotated:.0}% below the paper's floor",
@@ -181,11 +178,7 @@ fn rc_is_competitive_with_baselines() {
         let lea = get(RunConfig::lea());
         let gc = get(RunConfig::gc());
         let best = lea.min(gc);
-        assert!(
-            rc <= best * 1.15,
-            "{}: RC {rc} more than 15% behind best baseline {best}",
-            w.name
-        );
+        assert!(rc <= best * 1.15, "{}: RC {rc} more than 15% behind best baseline {best}", w.name);
     }
 }
 
