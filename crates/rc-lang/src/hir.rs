@@ -359,6 +359,9 @@ pub struct Module {
     /// Source line of each assignment site (indexed by
     /// [`rlang::SiteId`]), for telemetry attribution; 0 = unknown.
     pub site_lines: Vec<u32>,
+    /// Every body lowered for the interpreter, built once the module
+    /// checks.
+    pub code: crate::interp::Code,
 }
 
 impl Module {
