@@ -10,10 +10,13 @@
 //!
 //! Sema lowers every function body and `spawn` body once to flat code
 //! ([`Code`]). The interpreter runs that code on an explicit operand and
-//! frame stack kept in [`Interp`], one driver loop per host thread: an RC
-//! call pushes a frame, and an inline task runs to its end inside the same
-//! loop before its parent resumes. No RC construct nests host frames, so
-//! a run needs no big host stack and no thread of its own.
+//! frame stack kept per task, one driver loop per host thread: an RC call
+//! pushes a frame, and the loop switches tasks itself. Under the inline
+//! scheduler a task runs to its end inside the loop before its spawner
+//! resumes; under the deterministic one the loop interleaves the tasks,
+//! a slice at a time, round-robin. No RC construct nests host frames, so a
+//! run needs no big host stack, and only the thread scheduler starts
+//! threads.
 
 use std::collections::{HashMap, HashSet};
 
@@ -28,7 +31,7 @@ use crate::ast::Qual;
 use crate::config::{Backend, CheckMode, DeleteSemantics, OnFault, RunConfig, SchedMode};
 use crate::hir::*;
 use crate::liveness::{pin_sets, PinSets};
-use crate::parallel::Gate;
+use crate::parallel::{RoundRobin, Semaphore, Slices};
 
 /// A module prepared for execution: parsed, checked, analysed.
 #[derive(Debug)]
@@ -158,12 +161,15 @@ pub fn run_audited(c: &Compiled, config: &RunConfig) -> RunResult {
 }
 
 fn run_opts(c: &Compiled, config: &RunConfig, audit: bool) -> RunResult {
-    // The run stays on the caller's thread. Only the deterministic and
-    // real-thread schedulers run tasks on threads of their own, in a
-    // scope that joins every one before the result leaves this function.
+    // The run stays on the caller's thread. Only the thread scheduler runs
+    // tasks on threads of their own, in a scope that joins every one
+    // before the result leaves this function.
     match config.sched {
-        SchedMode::Inline => run_root(c, config, audit, None),
-        _ => std::thread::scope(|s| run_root(c, config, audit, Some(s))),
+        SchedMode::Threads { workers } => {
+            let sem = Semaphore::new(workers);
+            std::thread::scope(|scope| run_root(c, config, audit, Some(Pool { scope, sem: &sem })))
+        }
+        _ => run_root(c, config, audit, None),
     }
 }
 
@@ -171,31 +177,23 @@ fn run_root<'c, 'scope, 'env>(
     c: &'c Compiled,
     config: &'c RunConfig,
     audit: bool,
-    scope: Option<&'scope std::thread::Scope<'scope, 'env>>,
+    pool: Option<Pool<'scope, 'env>>,
 ) -> RunResult
 where
     'c: 'scope,
 {
     let mut interp = Interp::new(c, config);
-    interp.scope = scope;
-    interp.set_gate(Gate::root(config.sched));
-    interp.gate.start();
-    if interp.gate.is_threads() {
+    interp.pool = pool;
+    if let Some(pool) = pool {
+        pool.sem.acquire();
         interp.sched.stamp(0, SchedEventKind::SemaAdmit);
     }
-    interp.sched.stamp(0, SchedEventKind::TaskStart);
-    let outcome = interp.run_main();
-    // A program may end (or abort) with tasks still outstanding; join
-    // them here so every shard is collected and no task thread outlives
-    // the run. The root's own failure wins; otherwise the
+    // A program may end (or abort) with tasks still outstanding; the
+    // driver loop joins them, so every shard is collected and no task
+    // thread outlives the run. The root's own failure wins; otherwise the
     // earliest-spawned failed task decides the outcome, exactly as an
     // explicit `join` would have.
-    let outcome = match interp.join_children() {
-        Ok(()) => outcome,
-        Err(h) if outcome.is_exit() => halt_outcome(h),
-        Err(_) => outcome,
-    };
-    interp.gate.finish();
+    let outcome = interp.run_main();
     // Stamp the merge ordinals now that the shard list is final (shard
     // ids are DFS positions fixed by program order, not by timing).
     for (i, s) in interp.shards.iter_mut().enumerate() {
@@ -454,16 +452,26 @@ enum RtRegion {
 /// What a finished task hands back to its parent: how the body ended
 /// (`None` = clean) and its shard subtree — own shard first, then nested
 /// tasks' shards in DFS order, with ids local to this task.
+#[derive(Default)]
 struct TaskDone {
     halt: Option<Halt>,
     shards: Vec<Shard>,
 }
 
 enum TaskState<'scope> {
-    /// Already ran, at the spawn point (inline scheduler).
-    Done(TaskDone),
-    /// Running on a scoped thread (deterministic or thread scheduler).
-    Running(std::thread::ScopedJoinHandle<'scope, TaskDone>),
+    /// Run by the driver loop (inline or deterministic scheduler): its
+    /// place in the loop's table.
+    Driven(usize),
+    /// Running on a scoped thread (thread scheduler).
+    Thread(std::thread::ScopedJoinHandle<'scope, TaskDone>),
+}
+
+/// The thread scheduler's share of a run: the scope task threads spawn
+/// on, and the semaphore that admits running tasks.
+#[derive(Clone, Copy)]
+struct Pool<'scope, 'env> {
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    sem: &'scope Semaphore,
 }
 
 /// An outstanding spawned task, from the parent's side.
@@ -473,9 +481,6 @@ struct ChildTask<'scope> {
     region_desc: Addr,
     /// Parent-space region number, recorded in the [`Handoff`].
     region_id: RegionId,
-    /// The child's scheduler id ([`Gate::task_id`]) — the `join` wait
-    /// set under the deterministic baton.
-    sched_id: usize,
     state: TaskState<'scope>,
 }
 
@@ -531,9 +536,12 @@ struct Interp<'c, 'scope, 'env> {
     /// `config.costs.base_op`, charged on every step.
     base_op: u64,
     /// Whether a step does nothing but count and charge `base_op` (no
-    /// timeline sampling, no baton slice), so that [`Interp::charge`] may
+    /// timeline sampling, no det slice), so that [`Interp::charge`] may
     /// take several at once.
     plain_steps: bool,
+    /// Steps already taken of the instruction at `pc`, when a det slice
+    /// ended among them.
+    taken: u32,
     /// First fault hit while building the startup image (globals block,
     /// global arrays, the traditional descriptor): reported from
     /// `run_main` before any user code runs.
@@ -546,11 +554,11 @@ struct Interp<'c, 'scope, 'env> {
     /// Heap snapshots accumulated during the run (GC pauses, then the
     /// trap or exit capture); empty unless [`RunConfig::snapshots`].
     snapshots: Vec<region_rt::HeapSnapshot>,
-    /// Host-thread scope task threads spawn on (`None` ⇒ tasks always
-    /// run inline, whatever the configured scheduler).
-    scope: Option<&'scope std::thread::Scope<'scope, 'env>>,
-    /// This task's scheduler handle (one [`Gate::tick`] per step).
-    gate: Gate,
+    /// Where children's threads spawn, under the thread scheduler.
+    pool: Option<Pool<'scope, 'env>>,
+    /// This task's slice stream, under the deterministic scheduler (one
+    /// [`Slices::tick`] per step).
+    slices: Option<Slices>,
     /// This task's scheduler-event recorder on the run's shared virtual
     /// clock (`start_task` installs a child recorder for spawned tasks).
     sched: SchedRecorder,
@@ -610,6 +618,7 @@ where
             heap.install_faults(&config.faults);
         }
         let mut startup_fault = None;
+        let slices = Slices::of(config.sched, 0);
 
         // Annotations are ignored in the layouts of nq and C@: every
         // pointer is a counted pointer (so fewer objects qualify for the
@@ -722,15 +731,16 @@ where
             steps: 0,
             step_cap: if config.step_limit == 0 { u64::MAX } else { config.step_limit },
             base_op: config.costs.base_op,
-            plain_steps: config.sample_interval == 0,
+            plain_steps: config.sample_interval == 0 && slices.is_none(),
+            taken: 0,
             startup_fault,
             observing: config.trace
                 || config.sample_interval != 0
                 || config.spans
                 || config.snapshots,
             snapshots: Vec::new(),
-            scope: None,
-            gate: Gate::Inline,
+            pool: None,
+            slices,
             sched: SchedRecorder::root(),
             spawn_site: 0,
             moved: HashSet::new(),
@@ -743,62 +753,141 @@ where
     }
 
     fn run_main(&mut self) -> Outcome {
-        if let Some(e) = self.startup_fault.take() {
-            return Outcome::Aborted(e);
-        }
-        let res = match self.enter(self.c.module.main, 0, 0, 0) {
-            Ok(()) => self.drive(),
-            Err(h) => {
-                self.unwind();
-                Err(h)
-            }
+        let halt = match self.startup_fault.take() {
+            Some(e) => Some(abort(e)),
+            None => self.enter(self.c.module.main, 0, 0, 0).err(),
         };
-        match res {
+        match self.drive(Resume::Start(halt)) {
             Ok(Value::Int(n)) => Outcome::Exit(n),
             Ok(_) => Outcome::Exit(0),
             Err(h) => halt_outcome(h),
         }
     }
 
-    /// Runs this task to its end, and with it every task it spawns under
-    /// the inline scheduler: at an inline `spawn` the parent is set aside,
-    /// the child runs to its end in this same loop, and the parent resumes
-    /// after its `spawn` with the finished child in its `children`. So a
-    /// chain of inline tasks nests no host frames either.
-    fn drive(&mut self) -> Result<Value, Halt> {
-        let mut parents: Vec<(Interp<'c, 'scope, 'env>, InlineChild)> = Vec::new();
-        let mut exit = self.exec();
+    /// Runs this task to its end, its implicit join included, and with it
+    /// every task it spawns under the inline and deterministic schedulers.
+    ///
+    /// The tasks the loop is not running wait in its table, in spawn
+    /// order, each with how it resumes; [`RoundRobin`] picks the next one
+    /// whenever a task parks. A task parks when its det slice ends, at a
+    /// `join` (or at its end) with children, and, under the inline
+    /// scheduler, at a `spawn`: it then waits on its child, which so runs
+    /// to its end at once. A det spawner keeps its turn. Under the thread
+    /// scheduler children run on threads of their own, so only this task
+    /// is here, and a join waits for them on the spot. No RC construct
+    /// nests host frames, and no det or inline run starts a thread.
+    fn drive(&mut self, start: Resume) -> Result<Value, Halt> {
+        let mut turns = RoundRobin::default();
+        let mut table: Vec<Parked<'c, 'scope, 'env>> = vec![Parked::Empty];
+        let mut cur = 0;
+        let mut exit = self.resume(start, &mut table);
         loop {
-            match exit {
-                Exit::Spawn(task) => {
-                    let InlineSpawn { start, child } = *task;
-                    let (interp, halt) = start_task(self.c, self.config, start, self.scope);
-                    parents.push((std::mem::replace(self, interp), child));
-                    exit = match halt {
-                        Some(h) => Exit::Done(Err(h)),
-                        None => self.exec(),
-                    };
+            let how = match exit {
+                Exit::Spawn(Spawned { mut task, halt, region_desc, region_id }) => {
+                    let id = turns.spawn(cur);
+                    task.slices = Slices::of(self.config.sched, id);
+                    table.push(Parked::Ready(task, Resume::Start(halt)));
+                    let state = TaskState::Driven(id);
+                    self.children.push(ChildTask { region_desc, region_id, state });
+                    if self.slices.is_some() {
+                        exit = self.exec();
+                        continue;
+                    }
+                    turns.block(cur);
+                    Resume::Run
                 }
+                Exit::Slice => Resume::Slice,
+                Exit::Join => Resume::Join,
+                Exit::Done(res) if !self.children.is_empty() => Resume::End(res),
                 Exit::Done(res) => {
-                    let Some((parent, child)) = parents.pop() else {
+                    // The task has ended. The task this loop was called
+                    // for ends last, when no other is left to run.
+                    turns.finish(cur);
+                    let next = turns.next(cur);
+                    let Some((mut task, how)) = take_parked(&mut table, next, cur) else {
                         return res;
                     };
-                    let done = std::mem::replace(self, parent).finish_task(res.err());
-                    self.children.push(ChildTask {
-                        region_desc: child.region_desc,
-                        region_id: child.region_id,
-                        sched_id: child.sched_id,
-                        state: TaskState::Done(done),
-                    });
-                    exit = self.exec();
+                    let halt = res.err();
+                    let sched = self.end_task(&halt);
+                    std::mem::swap(self, &mut task);
+                    table[cur] = Parked::Done(task.into_task_done(halt, sched));
+                    cur = next;
+                    exit = self.resume(how, &mut table);
+                    continue;
                 }
+            };
+            if let Resume::Join | Resume::End(_) = how {
+                self.begin_join();
+                if self.pool.is_some() {
+                    exit = self.resume(how, &mut table);
+                    continue;
+                }
+                // A join always passes the turn, even when every child
+                // has already ended.
+                turns.block(cur);
+            }
+            let next = turns.next(cur);
+            exit = match take_parked(&mut table, next, cur) {
+                Some((mut task, next_how)) => {
+                    std::mem::swap(self, &mut task);
+                    table[cur] = Parked::Ready(task, how);
+                    cur = next;
+                    self.resume(next_how, &mut table)
+                }
+                None => self.resume(how, &mut table),
+            };
+        }
+    }
+
+    /// Goes on with a task that [`Interp::drive`] gave the turn.
+    fn resume(
+        &mut self,
+        how: Resume,
+        table: &mut [Parked<'c, 'scope, 'env>],
+    ) -> Exit<'c, 'scope, 'env> {
+        match how {
+            Resume::Start(halt) => {
+                self.sched.stamp(0, SchedEventKind::TaskStart);
+                match halt {
+                    Some(h) => {
+                        self.unwind();
+                        Exit::Done(Err(h))
+                    }
+                    None => self.exec(),
+                }
+            }
+            Resume::Run => self.exec(),
+            Resume::Slice => {
+                if let Some(s) = &mut self.slices {
+                    let slice = s.grant();
+                    self.sched
+                        .stamp(self.heap.clock.cycles(), SchedEventKind::BatonAcquire { slice });
+                }
+                // The step that ended the slice meets the cap only now.
+                if self.steps > self.step_cap {
+                    self.unwind();
+                    return Exit::Done(Err(Halt::new(HaltKind::StepLimit)));
+                }
+                self.exec()
+            }
+            Resume::Join => match self.end_join(table) {
+                Ok(()) => self.exec(),
+                Err(h) => {
+                    self.unwind();
+                    Exit::Done(Err(h))
+                }
+            },
+            // The task's own halt wins over its children's.
+            Resume::End(res) => {
+                let joined = self.end_join(table);
+                Exit::Done(res.and_then(|v| joined.map(|()| v)))
             }
         }
     }
 
-    /// Runs this task's code from `pc` until the task ends or spawns an
-    /// inline task. A halt first unwinds every frame, innermost first.
-    fn exec(&mut self) -> Exit {
+    /// Runs this task's code from `pc` until it has to leave the driver
+    /// loop's hands. A halt first unwinds every frame, innermost first.
+    fn exec(&mut self) -> Exit<'c, 'scope, 'env> {
         match self.run_code() {
             Ok(exit) => exit,
             Err(h) => {
@@ -810,9 +899,11 @@ where
 
     /// One interpreter step. Every evaluated node, every statement and
     /// every `while` back-edge takes exactly one, in evaluation order:
-    /// baton slices and timeline samples are counted in steps.
+    /// det slices and timeline samples are counted in steps. Returns
+    /// whether it ended the task's det slice; that step meets the step
+    /// cap only when the task runs again.
     #[inline(always)]
-    fn step(&mut self) -> Result<(), Halt> {
+    fn step(&mut self) -> Result<bool, Halt> {
         self.steps += 1;
         self.heap.clock.charge(self.base_op);
         // Drive the timeline sampler from the step counter so snapshots
@@ -820,48 +911,46 @@ where
         // runtime is idle (one branch when sampling is off).
         self.heap.sample_tick();
         // The deterministic scheduler's preemption point: every step
-        // burns one slice unit; an expired slice passes the baton (a
-        // no-op branch under the inline and thread schedulers).
-        if let Some(ran) = self.gate.tick() {
-            self.pass_baton(ran);
+        // burns one slice unit (a no-op branch under the other
+        // schedulers).
+        if let Some(ran) = self.slices.as_mut().and_then(Slices::tick) {
+            self.end_slice(ran);
+            return Ok(true);
         }
         if self.steps > self.step_cap {
             return Err(Halt::new(HaltKind::StepLimit));
         }
-        Ok(())
+        Ok(false)
     }
 
     /// `n` steps, as [`Interp::step`] would take them one by one. While
     /// steps are plain and the cap is not in reach they are taken at once.
+    /// Returns whether a step ended the det slice; the instruction then
+    /// resumes with only the steps it still owes, which `taken` keeps.
     #[inline(always)]
-    fn charge(&mut self, n: u32) -> Result<(), Halt> {
+    fn charge(&mut self, n: u32) -> Result<bool, Halt> {
         let n64 = u64::from(n);
         if self.plain_steps && self.steps + n64 <= self.step_cap {
             self.steps += n64;
             self.heap.clock.charge(self.base_op * n64);
-            return Ok(());
+            return Ok(false);
         }
-        for _ in 0..n {
-            self.step()?;
+        for i in std::mem::take(&mut self.taken)..n {
+            if self.step()? {
+                self.taken = i + 1;
+                return Ok(true);
+            }
         }
-        Ok(())
+        Ok(false)
     }
 
-    fn set_gate(&mut self, gate: Gate) {
-        self.plain_steps = self.config.sample_interval == 0 && !matches!(gate, Gate::Det { .. });
-        self.gate = gate;
-    }
-
-    /// Passes the baton at the end of a slice, with release/acquire
-    /// events stamped around the pass so the scheduler log shows every
-    /// slice boundary. Out of line and cold so that [`Interp::step`]
-    /// stays small.
+    /// Stamps the end of a det slice; the task parks, and stamps its next
+    /// slice's `baton_acquire` when it runs again. Out of line and cold so
+    /// that [`Interp::step`] stays small.
     #[cold]
     #[inline(never)]
-    fn pass_baton(&mut self, ran: u64) {
+    fn end_slice(&mut self, ran: u64) {
         self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::BatonRelease { ran });
-        let slice = self.gate.yield_now();
-        self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::BatonAcquire { slice });
     }
 
     fn func(&self, f: FuncRef) -> &'c HFunc {
@@ -979,17 +1068,19 @@ where
     }
 
     /// The driver loop proper: runs instructions from `pc`, charging each
-    /// one's steps before its operation, until the task ends or spawns an
-    /// inline task.
-    fn run_code(&mut self) -> Result<Exit, Halt> {
+    /// one's steps before its operation, until the task ends, spawns a
+    /// task the loop runs, ends its det slice, or joins children the loop
+    /// runs.
+    fn run_code(&mut self) -> Result<Exit<'c, 'scope, 'env>, Halt> {
         let c: &'c Compiled = self.c;
         let code = &c.module.code.ops[..];
         let mut pc = self.pc;
         loop {
             let ins = code[pc];
             pc += 1;
-            if ins.steps != 0 {
-                self.charge(ins.steps)?;
+            if ins.steps != 0 && self.charge(ins.steps)? {
+                self.pc = pc - 1;
+                return Ok(Exit::Slice);
             }
             match ins.op {
                 Op::Push(v) => self.stack.push(v),
@@ -1243,7 +1334,12 @@ where
                         return Ok(Exit::Spawn(task));
                     }
                 }
-                Op::Join => self.join_children()?,
+                Op::Join => {
+                    if !self.children.is_empty() {
+                        self.pc = pc;
+                        return Ok(Exit::Join);
+                    }
+                }
                 Op::TaskEnd => {
                     // The task's own frame holds no arrays and no pins.
                     self.unwind();
@@ -1267,70 +1363,47 @@ where
     }
 
     /// `spawn r { ... }`: moves `r`'s region to a new task that runs the
-    /// body at `body` against a fresh heap shard. Under the inline
-    /// scheduler the task is returned for the driver loop to run to its
-    /// end before this task resumes; under the deterministic and thread
-    /// schedulers it starts on a scoped thread, admitted by this task's
-    /// [`Gate`] family. Either way the task's effects reach the parent
-    /// only at join, as a [`Shard`].
+    /// body at `body` against a fresh heap shard. Under the thread
+    /// scheduler the task starts on a scoped thread, admitted by the
+    /// semaphore; otherwise it is returned for the driver loop to run.
+    /// Either way the task's effects reach the parent only at join, as a
+    /// [`Shard`].
     fn spawn(
         &mut self,
         rvar: VarRef,
         line: u32,
         body: usize,
-    ) -> Result<Option<Box<InlineSpawn>>, Halt> {
+    ) -> Result<Option<Spawned<'c, 'scope, 'env>>, Halt> {
         self.set_site(line);
         let rv = self.stack[self.base + rvar.0 as usize];
         // Null, dangling and already-moved handles all refuse here, with
         // the same error in every scheduler mode.
         let rt = self.resolve_region(rv)?;
-        let desc = rv.addr();
-        if desc == self.trad_desc {
+        let region_desc = rv.addr();
+        if region_desc == self.trad_desc {
             // The traditional region backs the globals block and every
             // activation's stack arrays; it cannot be handed off.
-            return Err(abort(RtError::WildPointer { addr: desc }));
+            return Err(abort(RtError::WildPointer { addr: region_desc }));
         }
         let region_id = region_number(rt);
-        self.moved.insert(desc);
+        self.moved.insert(region_desc);
         let captured = self.capture_frame(rvar);
-        let gate = if self.scope.is_none() { Gate::Inline } else { self.gate.child() };
-        let sched_id = gate.task_id();
-        // Stamp the spawn before launching so the child recorder is born
-        // at (and its start waits are measured from) the spawn point.
+        // Stamp the spawn before the child's recorder is born, so its
+        // wait to start is measured from the spawn point.
         self.heap.stats.sched_spawns += 1;
         let nth = self.sched.spawns() as u32;
         self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::Spawn { nth });
-        let start = TaskStart {
-            func: self.func,
-            body,
-            captured,
-            rvar,
-            gate,
-            sched: self.sched.child(),
-            spawn_site: line,
-            // The task's frame stands at the depth of the one spawning it.
-            depth_base: self.depth_base + self.frames.len() - 1,
+        let (task, halt) = start_task(self, body, captured, rvar, line);
+        let Some(pool) = self.pool else {
+            return Ok(Some(Spawned { task, halt, region_desc, region_id }));
         };
-        let (c, config) = (self.c, self.config);
-        match (config.sched, self.scope) {
-            (SchedMode::Inline, _) | (_, None) => {
-                let child = InlineChild { region_desc: desc, region_id, sched_id };
-                Ok(Some(Box::new(InlineSpawn { start, child })))
-            }
-            (_, Some(s)) => {
-                let handle = std::thread::Builder::new()
-                    .name("rc-task".into())
-                    .spawn_scoped(s, move || run_task(c, config, start, Some(s)))
-                    .expect("spawning a task thread");
-                self.children.push(ChildTask {
-                    region_desc: desc,
-                    region_id,
-                    sched_id,
-                    state: TaskState::Running(handle),
-                });
-                Ok(None)
-            }
-        }
+        let handle = std::thread::Builder::new()
+            .name("rc-task".into())
+            .spawn_scoped(pool.scope, move || run_task(task, halt))
+            .expect("spawning a task thread");
+        let state = TaskState::Thread(handle);
+        self.children.push(ChildTask { region_desc, region_id, state });
+        Ok(None)
     }
 
     /// Builds the value snapshot a task starts from: int scalars are
@@ -1355,44 +1428,38 @@ where
             .collect()
     }
 
-    /// `join;` (and the implicit join at a body's or the program's end):
-    /// waits for every outstanding task, returns region ownership to
-    /// this task, and absorbs the tasks' shards in spawn order. The
-    /// earliest-spawned failure propagates; region returns happen for
-    /// all children regardless, so telemetry and audits stay complete.
-    fn join_children(&mut self) -> Result<(), Halt> {
-        if self.children.is_empty() {
-            return Ok(());
-        }
-        let children = std::mem::take(&mut self.children);
-        let any_running = children.iter().any(|ch| matches!(ch.state, TaskState::Running(_)));
-        // The join is a program point in every mode; the wait bracket is
-        // stamped even when nothing actually blocks (inline) so event
-        // pairing is schedule-invariant.
+    /// The start of a `join` with children (or of the implicit join at a
+    /// task's end): the wait is stamped, and under the thread scheduler
+    /// the permit is given back so the children can run.
+    fn begin_join(&mut self) {
         self.heap.stats.sched_joins += 1;
-        self.sched.stamp(
-            self.heap.clock.cycles(),
-            SchedEventKind::JoinWaitBegin { pending: children.len() as u32 },
-        );
-        // Hand our turn/permit back while blocked in OS joins so the
-        // children we are waiting on can actually run.
-        if any_running {
-            if self.gate.is_threads() {
-                self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::SemaBlock);
-            }
-            let waiting_on: Vec<usize> = children
-                .iter()
-                .filter(|ch| matches!(ch.state, TaskState::Running(_)))
-                .map(|ch| ch.sched_id)
-                .collect();
-            self.gate.begin_wait(&waiting_on);
+        let pending = self.children.len() as u32;
+        self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::JoinWaitBegin { pending });
+        if let Some(pool) = self.pool {
+            self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::SemaBlock);
+            pool.sem.release();
         }
+    }
+
+    /// The rest of the join, once the driver loop's children have ended:
+    /// takes each child's [`TaskDone`] from `table`, or from its thread,
+    /// returns region ownership to this task, and absorbs the tasks'
+    /// shards in spawn order. The earliest-spawned failure propagates;
+    /// region returns happen for all children regardless, so telemetry
+    /// and audits stay complete.
+    fn end_join(&mut self, table: &mut [Parked<'c, 'scope, 'env>]) -> Result<(), Halt> {
+        let children = std::mem::take(&mut self.children);
         let collected: Vec<(Addr, RegionId, TaskDone)> = children
             .into_iter()
             .map(|ch| {
                 let done = match ch.state {
-                    TaskState::Done(d) => d,
-                    TaskState::Running(h) => match h.join() {
+                    // The loop resumes a join only once every child has
+                    // ended, so the default is never taken.
+                    TaskState::Driven(id) => match std::mem::take(&mut table[id]) {
+                        Parked::Done(d) => d,
+                        _ => TaskDone::default(),
+                    },
+                    TaskState::Thread(h) => match h.join() {
                         Ok(d) => d,
                         Err(payload) => std::panic::resume_unwind(payload),
                     },
@@ -1400,11 +1467,9 @@ where
                 (ch.region_desc, ch.region_id, done)
             })
             .collect();
-        if any_running {
-            self.gate.end_wait();
-            if self.gate.is_threads() {
-                self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::SemaAdmit);
-            }
+        if let Some(pool) = self.pool {
+            pool.sem.acquire();
+            self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::SemaAdmit);
         }
         self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::JoinWaitEnd);
         let mut first_halt: Option<Halt> = None;
@@ -1793,42 +1858,75 @@ where
     }
 }
 
-/// Everything a spawned task starts from.
-struct TaskStart {
-    /// The function whose frame layout the body runs in.
-    func: FuncRef,
-    /// The body's first instruction.
-    body: usize,
-    /// The task's frame, from [`Interp::capture_frame`].
-    captured: Vec<Value>,
-    rvar: VarRef,
-    gate: Gate,
-    sched: SchedRecorder,
-    spawn_site: u32,
-    /// The depth of the frame that spawned it.
-    depth_base: usize,
-}
-
-/// The parent's record of an inline task, for its [`ChildTask`] entry.
-struct InlineChild {
+/// A task the driver loop runs, as its spawner hands it over.
+struct Spawned<'c, 'scope, 'env> {
+    task: Box<Interp<'c, 'scope, 'env>>,
+    /// What stopped it before its body could run, if anything.
+    halt: Option<Halt>,
+    /// The spawner's [`ChildTask`] entry.
     region_desc: Addr,
     region_id: RegionId,
-    sched_id: usize,
 }
 
-/// An inline task for the driver loop to run before its parent resumes.
-struct InlineSpawn {
-    start: TaskStart,
-    child: InlineChild,
+/// How a parked task goes on when the driver loop gives it the turn.
+enum Resume {
+    /// Not started yet; `Some` ends it before its body runs.
+    Start(Option<Halt>),
+    /// Waited on its inline child: runs on.
+    Run,
+    /// Its det slice ended: takes the next one, then runs on.
+    Slice,
+    /// Its `join` waited for its children: completes the join.
+    Join,
+    /// Ended with this result, and its implicit join waited for its
+    /// children: completes that join.
+    End(Result<Value, Halt>),
+}
+
+/// A task in the driver loop's table.
+#[derive(Default)]
+enum Parked<'c, 'scope, 'env> {
+    /// Waiting for its turn.
+    Ready(Box<Interp<'c, 'scope, 'env>>, Resume),
+    /// Ended: what its parent collects at join.
+    Done(TaskDone),
+    /// Running, or collected.
+    #[default]
+    Empty,
+}
+
+/// Takes task `next`'s interpreter out of the table to run it, unless
+/// `next` is `cur`, which then goes on itself. A task that
+/// [`RoundRobin::next`] picks is always parked ready.
+fn take_parked<'c, 'scope, 'env>(
+    table: &mut [Parked<'c, 'scope, 'env>],
+    next: usize,
+    cur: usize,
+) -> Option<(Box<Interp<'c, 'scope, 'env>>, Resume)> {
+    if next == cur {
+        return None;
+    }
+    match std::mem::take(&mut table[next]) {
+        Parked::Ready(task, how) => Some((task, how)),
+        other => {
+            table[next] = other;
+            None
+        }
+    }
 }
 
 /// Why [`Interp::exec`] handed control back to the driver loop.
-enum Exit {
+enum Exit<'c, 'scope, 'env> {
     /// The task ended: its value, or the halt that ended it (frames
     /// already unwound).
     Done(Result<Value, Halt>),
-    /// The task spawned an inline task; it resumes after the `spawn`.
-    Spawn(Box<InlineSpawn>),
+    /// The task spawned a task for the loop to run; it resumes after the
+    /// `spawn`.
+    Spawn(Spawned<'c, 'scope, 'env>),
+    /// The task's det slice ended at the instruction at `pc`.
+    Slice,
+    /// The task reached a `join` with children; it resumes after it.
+    Join,
 }
 
 /// One RC call's activation on the explicit stacks.
@@ -1845,34 +1943,26 @@ struct Frame {
     pins: usize,
 }
 
-/// Sets up a spawned task: a fresh interpreter (its own isolated heap
-/// shard), a facet region standing in for the moved one, and a frame
-/// cloned from the captured values, with `pc` at the body. Returns the
-/// halt that stops it before its body runs, if any.
+/// Sets up a task `parent` spawns: a fresh interpreter (its own isolated
+/// heap shard) with a scheduler recorder born now, a facet region standing
+/// in for the moved one, and a frame cloned from `captured`, with `pc` at
+/// `body`. Returns the halt that stops it before its body runs, if any.
 fn start_task<'c, 'scope, 'env>(
-    c: &'c Compiled,
-    config: &'c RunConfig,
-    start: TaskStart,
-    scope: Option<&'scope std::thread::Scope<'scope, 'env>>,
-) -> (Interp<'c, 'scope, 'env>, Option<Halt>)
+    parent: &Interp<'c, 'scope, 'env>,
+    body: usize,
+    mut captured: Vec<Value>,
+    rvar: VarRef,
+    spawn_site: u32,
+) -> (Box<Interp<'c, 'scope, 'env>>, Option<Halt>)
 where
     'c: 'scope,
 {
-    let TaskStart { func, body, mut captured, rvar, gate, mut sched, spawn_site, depth_base } =
-        start;
-    gate.start();
-    // Stamp the start before the task heap exists (local 0): everything
-    // between the spawn and here was time spent waiting to be scheduled.
-    if gate.is_threads() {
-        sched.stamp(0, SchedEventKind::SemaAdmit);
-    }
-    sched.stamp(0, SchedEventKind::TaskStart);
-    let mut interp = Interp::new(c, config);
-    interp.set_gate(gate);
-    interp.sched = sched;
+    let mut interp = Box::new(Interp::new(parent.c, parent.config));
+    interp.sched = parent.sched.child();
     interp.spawn_site = spawn_site;
-    interp.scope = scope;
-    interp.depth_base = depth_base;
+    interp.pool = parent.pool;
+    // The task's frame stands at the depth of the one spawning it.
+    interp.depth_base = parent.depth_base + parent.frames.len() - 1;
     let mut halt = interp.startup_fault.take().map(abort);
     if halt.is_none() {
         match interp.new_region(None) {
@@ -1886,8 +1976,8 @@ where
                 let n = captured.len();
                 interp.stack = captured;
                 interp.arrays = vec![None; n];
-                interp.frames.push(Frame { base: 0, end: n, func, ret: 0, pins: 0 });
-                interp.func = func;
+                interp.frames.push(Frame { base: 0, end: n, func: parent.func, ret: 0, pins: 0 });
+                interp.func = parent.func;
                 interp.pc = body;
             }
             Err(h) => halt = Some(h),
@@ -1897,39 +1987,35 @@ where
 }
 
 /// Executes one spawned task to completion on a scoped task thread (the
-/// deterministic and thread schedulers); the driver loop runs inline
-/// tasks itself. The [`Gate`] makes both paths take the same
-/// schedule-visible transitions.
+/// thread scheduler), admitted by the semaphore.
 fn run_task<'c, 'scope, 'env>(
-    c: &'c Compiled,
-    config: &'c RunConfig,
-    start: TaskStart,
-    scope: Option<&'scope std::thread::Scope<'scope, 'env>>,
+    mut task: Box<Interp<'c, 'scope, 'env>>,
+    halt: Option<Halt>,
 ) -> TaskDone
 where
     'c: 'scope,
 {
-    let (mut interp, halt) = start_task(c, config, start, scope);
-    let halt = match halt {
-        Some(h) => Some(h),
-        None => interp.drive().err(),
-    };
-    interp.finish_task(halt)
+    if let Some(pool) = task.pool {
+        pool.sem.acquire();
+        task.sched.stamp(0, SchedEventKind::SemaAdmit);
+    }
+    let halt = task.drive(Resume::Start(halt)).err();
+    let sched = task.end_task(&halt);
+    if let Some(pool) = task.pool {
+        pool.sem.release();
+    }
+    task.into_task_done(halt, sched)
 }
 
 impl<'c, 'scope, 'env> Interp<'c, 'scope, 'env>
 where
     'c: 'scope,
 {
-    /// Ends a task whose body finished (`halt` = `None`) or halted: an
-    /// implicit join of any tasks the body spawned, the unwind a trapped
-    /// fault needs, the sealed scheduler log, and the [`TaskDone`].
-    fn finish_task(mut self, mut halt: Option<Halt>) -> TaskDone {
-        // A body that ends without `join` joins implicitly: nested tasks
-        // never outlive their parent task.
-        if let Err(h) = self.join_children() {
-            halt.get_or_insert(h);
-        }
+    /// Ends a task whose body finished (`halt` = `None`) or halted, its
+    /// implicit join done: the unwind a trapped fault needs, then the
+    /// sealed scheduler log (the `task_end` stamp), which the next task to
+    /// run stamps on from.
+    fn end_task(&mut self, halt: &Option<Halt>) -> SchedLog {
         if halt.as_ref().is_some_and(Halt::is_abort)
             && self.config.on_fault == OnFault::TrapAndUnwind
         {
@@ -1937,13 +2023,8 @@ where
             // reporting `Trapped`; the root converts the outcome.
             self.unwind_after_fault();
         }
-        // Seal the scheduler log (the `task_end` stamp) *before* releasing
-        // the gate: sealing afterwards would race the next baton-holder's
-        // stamps on the shared clock and break per-seed determinism.
         let cycles = self.heap.clock.cycles();
-        let sched = std::mem::replace(&mut self.sched, SchedRecorder::root()).finish(cycles);
-        self.gate.finish();
-        self.into_task_done(halt, sched)
+        std::mem::replace(&mut self.sched, SchedRecorder::root()).finish(cycles)
     }
 }
 
@@ -2062,7 +2143,7 @@ fn slot_tag(s: SlotKind) -> u8 {
 /// Each instruction charges its interpreter steps before its operation.
 /// A node's step precedes its children's, so a node's step rides on the
 /// first instruction its subtree emits, and a step never lands after a
-/// runtime operation it used to precede: step counts, baton slices and
+/// runtime operation it used to precede: step counts, det slices and
 /// timeline samples fall exactly where a walk of the tree puts them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Code {
@@ -3571,7 +3652,7 @@ mod spawn_tests {
         let a = go(SPAWN_TWO, RunConfig::rc_inf().det_sched(42));
         let b = go(SPAWN_TWO, RunConfig::rc_inf().det_sched(42));
         assert_eq!(render(&a), render(&b), "same seed, same per-task reports");
-        // A different seed interleaves differently (different baton
+        // A different seed interleaves differently (different slice
         // traffic) but the structural identities still hold.
         let c = go(SPAWN_TWO, RunConfig::rc_inf().det_sched(7));
         assert_eq!(c.stats, a.stats);

@@ -2,27 +2,27 @@
 //!
 //! Three schedulers back [`crate::config::SchedMode`]:
 //!
-//! * **Inline** — no threads; a task body runs synchronously at its
-//!   `spawn` point. This is the conformance baseline every other mode is
+//! * **Inline** — no threads; a task body runs to its end at its `spawn`
+//!   point. This is the conformance baseline every other mode is
 //!   compared against.
-//! * **Deterministic** — real threads serialized by a [`Baton`]: exactly
-//!   one task holds the baton at any instant, runs for a slice of
-//!   interpreter steps whose length comes from a per-task [`SplitMix64`]
-//!   stream, then hands the baton to the next runnable task round-robin.
-//!   The whole schedule is a pure function of the seed and the program,
-//!   so a seed *names* an interleaving and replaying it is exact.
+//! * **Deterministic** — the interpreter's driver loop runs every task on
+//!   the caller's thread, one at a time: a task runs for a slice of
+//!   interpreter steps whose length comes from its own [`Slices`] stream,
+//!   then the loop parks it and hands the turn to the next task by the
+//!   [`RoundRobin`] rule. The whole schedule is a pure function of the
+//!   seed and the program, so a seed *names* an interleaving and replaying
+//!   it is exact.
 //! * **Threads** — a counting [`Semaphore`] admission-controls real
 //!   threads: at most `workers` tasks execute concurrently, timing is up
 //!   to the OS. Because heap shards are isolated (see
 //!   `region_rt::shard`), results are still deterministic; only wall
 //!   clock varies.
 //!
-//! The interpreter talks to all three through a per-task [`Gate`]: one
-//! cheap [`Gate::tick`] on every interpreter step, plus explicit
-//! blocked/unblocked transitions around `join` so a waiting parent never
-//! starves its children of the baton or a semaphore permit.
+//! The inline scheduler goes through the same driver loop and
+//! [`RoundRobin`] table: a spawning task waits on its child there, so the
+//! child runs to its end before the spawner resumes.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 /// SplitMix64 — the tiny, well-distributed PRNG used for slice lengths
 /// (and by the interleaving test harness for seed derivation). One `u64`
@@ -44,164 +44,134 @@ impl SplitMix64 {
 }
 
 /// Largest step slice the deterministic scheduler hands a task before
-/// forcing a baton pass. Small enough that short programs still context
-/// switch; large enough that the baton is not the dominant cost.
+/// passing the turn. Small enough that short programs still switch
+/// tasks; large enough that switching is not the dominant cost.
 const MAX_SLICE: u64 = 64;
 
+/// One task's slice lengths under the deterministic scheduler, drawn from
+/// a SplitMix64 stream derived from the seed and the task's id (its spawn
+/// ordinal), so every task gets an independent deterministic stream.
+#[derive(Debug)]
+pub struct Slices {
+    rng: SplitMix64,
+    /// Steps left in the current slice.
+    left: u64,
+    /// The current slice's full length (for `baton_release` events:
+    /// `ran == granted` at expiry).
+    granted: u64,
+}
+
+impl Slices {
+    /// Task `id`'s stream under `sched`, with its first slice drawn
+    /// (`None` outside the deterministic scheduler).
+    pub fn of(sched: crate::config::SchedMode, id: usize) -> Option<Slices> {
+        let crate::config::SchedMode::Deterministic { seed } = sched else {
+            return None;
+        };
+        let mut rng = SplitMix64(seed ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        // One warm-up scrambles low-entropy (seed ^ small-id) states.
+        rng.next();
+        let mut s = Slices { rng, left: 0, granted: 0 };
+        s.grant();
+        Some(s)
+    }
+
+    /// One interpreter step: burns a slice step. Returns `Some(ran)` when
+    /// the slice is spent; the task then passes the turn and takes its
+    /// next slice with [`Slices::grant`] when it runs again.
+    #[inline]
+    pub fn tick(&mut self) -> Option<u64> {
+        self.left -= 1;
+        (self.left == 0).then_some(self.granted)
+    }
+
+    /// Draws the next slice and returns its length.
+    pub fn grant(&mut self) -> u64 {
+        self.left = 1 + self.rng.next() % MAX_SLICE;
+        self.granted = self.left;
+        self.left
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TaskState {
+enum State {
     Runnable,
+    /// In a `join` (or, inline, waiting on its child): runnable again
+    /// once every child has finished.
     Blocked,
     Finished,
 }
 
-/// No task currently holds the baton (everyone is blocked or finished).
-const IDLE: usize = usize::MAX;
-
 #[derive(Debug)]
-struct BatonInner {
-    states: Vec<TaskState>,
-    /// Per task: the child ids a [`TaskState::Blocked`] task's `join` is
-    /// waiting for. Blocked tasks become grantable the instant every id
-    /// here is `Finished` — decided by `advance` from task states alone,
-    /// so the schedule never depends on *when* the parent's OS `join`
-    /// happens to return.
-    waiting: Vec<Vec<usize>>,
-    current: usize,
+struct Turn {
+    state: State,
+    /// The spawning task (`usize::MAX` for the root).
+    parent: usize,
+    /// Children not finished yet.
+    pending: usize,
 }
 
-impl BatonInner {
-    /// Hands the baton to the next grantable task after `from`,
-    /// round-robin: a runnable task, or a blocked one whose entire wait
-    /// set has finished (it is flipped runnable on grant — its thread
-    /// will arrive in [`Baton::unblock`] and find the turn already
-    /// held). Parks at [`IDLE`] when nobody qualifies, which only
-    /// happens once every task has finished.
-    fn advance(&mut self, from: usize) {
-        let n = self.states.len();
+/// Whose turn it is, over one run's tasks in spawn order (task 0 is the
+/// root). The rule is decided from task states alone, so the schedule
+/// depends on nothing but the program and the slice streams.
+#[derive(Debug)]
+pub struct RoundRobin {
+    tasks: Vec<Turn>,
+}
+
+impl Default for RoundRobin {
+    fn default() -> Self {
+        RoundRobin { tasks: vec![Turn { state: State::Runnable, parent: usize::MAX, pending: 0 }] }
+    }
+}
+
+impl RoundRobin {
+    /// Registers a runnable task spawned by `parent`; returns its id.
+    pub fn spawn(&mut self, parent: usize) -> usize {
+        if let Some(p) = self.tasks.get_mut(parent) {
+            p.pending += 1;
+        }
+        self.tasks.push(Turn { state: State::Runnable, parent, pending: 0 });
+        self.tasks.len() - 1
+    }
+
+    /// Marks task `id` blocked until all its children have finished.
+    pub fn block(&mut self, id: usize) {
+        if let Some(t) = self.tasks.get_mut(id) {
+            t.state = State::Blocked;
+        }
+    }
+
+    /// Marks task `id` finished.
+    pub fn finish(&mut self, id: usize) {
+        let Some(t) = self.tasks.get_mut(id) else { return };
+        t.state = State::Finished;
+        let parent = t.parent;
+        if let Some(p) = self.tasks.get_mut(parent) {
+            p.pending = p.pending.saturating_sub(1);
+        }
+    }
+
+    /// The task whose turn follows `from`'s, round-robin: the next
+    /// runnable task, or blocked one whose children have all finished
+    /// (it is made runnable). `from` itself comes last, and is returned
+    /// when no task qualifies, which happens only once every task has
+    /// finished.
+    pub fn next(&mut self, from: usize) -> usize {
+        let n = self.tasks.len();
         for k in 1..=n {
             let j = (from + k) % n;
-            match self.states[j] {
-                TaskState::Runnable => {
-                    self.current = j;
-                    return;
-                }
-                TaskState::Blocked
-                    if self.waiting[j].iter().all(|&c| self.states[c] == TaskState::Finished) =>
-                {
-                    self.states[j] = TaskState::Runnable;
-                    self.waiting[j].clear();
-                    self.current = j;
-                    return;
+            let t = &mut self.tasks[j];
+            match t.state {
+                State::Runnable => return j,
+                State::Blocked if t.pending == 0 => {
+                    t.state = State::Runnable;
+                    return j;
                 }
                 _ => {}
             }
         }
-        self.current = IDLE;
-    }
-}
-
-/// The deterministic scheduler's single token of execution. Tasks
-/// register at spawn (ids are spawn ordinals, hence deterministic), wait
-/// for their turn, and pass the baton either voluntarily (slice expiry,
-/// blocking in `join`) or terminally (task end). Built on
-/// `Mutex`+`Condvar` only.
-#[derive(Debug)]
-pub struct Baton {
-    inner: Mutex<BatonInner>,
-    cv: Condvar,
-    seed: u64,
-}
-
-impl Baton {
-    /// A baton whose task 0 (the registering root) holds the turn.
-    pub fn new(seed: u64) -> Baton {
-        Baton {
-            inner: Mutex::new(BatonInner { states: Vec::new(), waiting: Vec::new(), current: 0 }),
-            cv: Condvar::new(),
-            seed,
-        }
-    }
-
-    /// Registers a task; returns its id (registration order).
-    pub fn register(&self) -> usize {
-        let mut g = self.inner.lock().unwrap();
-        g.states.push(TaskState::Runnable);
-        g.waiting.push(Vec::new());
-        g.states.len() - 1
-    }
-
-    /// The slice-length stream for task `id`, derived from the baton
-    /// seed so every task gets an independent deterministic stream.
-    pub fn stream(&self, id: usize) -> SplitMix64 {
-        let mut s = SplitMix64(self.seed ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        // One warm-up scrambles low-entropy (seed ^ small-id) states.
-        s.next();
-        s
-    }
-
-    /// Blocks until task `id` holds the baton.
-    pub fn wait_turn(&self, id: usize) {
-        let mut g = self.inner.lock().unwrap();
-        while g.current != id {
-            g = self.cv.wait(g).unwrap();
-        }
-    }
-
-    /// Passes the baton onward and blocks until it comes back (slice
-    /// expiry). A task that is the only runnable one keeps the baton and
-    /// returns immediately.
-    pub fn yield_turn(&self, id: usize) {
-        let mut g = self.inner.lock().unwrap();
-        g.advance(id);
-        if g.current == id {
-            return;
-        }
-        self.cv.notify_all();
-        while g.current != id {
-            g = self.cv.wait(g).unwrap();
-        }
-    }
-
-    /// Marks task `id` blocked on the tasks in `waiting_on` (it is about
-    /// to OS-`join` them) and passes the baton on. The baton re-grants
-    /// `id` deterministically once every task in `waiting_on` has
-    /// finished — see [`BatonInner::advance`].
-    pub fn block(&self, id: usize, waiting_on: &[usize]) {
-        let mut g = self.inner.lock().unwrap();
-        g.states[id] = TaskState::Blocked;
-        g.waiting[id] = waiting_on.to_vec();
-        g.advance(id);
-        self.cv.notify_all();
-    }
-
-    /// Blocks until task `id` holds the baton again after a
-    /// [`Baton::block`]. The grant itself already happened inside
-    /// `advance` when the wait set finished (the last child's
-    /// [`Baton::finish`] at the latest), so this only waits for the
-    /// round-robin to come back around — the schedule is fixed before
-    /// this thread wakes from its OS `join`.
-    pub fn unblock(&self, id: usize) {
-        let mut g = self.inner.lock().unwrap();
-        // Defensive: cannot happen while any task is unfinished (the
-        // blocked task's own wait set keeps `advance` from going idle),
-        // but an idle baton would otherwise deadlock here.
-        if g.current == IDLE {
-            g.states[id] = TaskState::Runnable;
-            g.current = id;
-        }
-        self.cv.notify_all();
-        while g.current != id {
-            g = self.cv.wait(g).unwrap();
-        }
-    }
-
-    /// Marks task `id` finished and passes the baton on for good.
-    pub fn finish(&self, id: usize) {
-        let mut g = self.inner.lock().unwrap();
-        g.states[id] = TaskState::Finished;
-        g.advance(id);
-        self.cv.notify_all();
+        from
     }
 }
 
@@ -236,160 +206,12 @@ impl Semaphore {
     }
 }
 
-/// A task's handle on its scheduler: the interpreter calls [`Gate::tick`]
-/// once per step and brackets `join` waits with
-/// [`Gate::begin_wait`]/[`Gate::end_wait`] so a blocked parent cannot
-/// starve its children.
-#[derive(Debug)]
-pub enum Gate {
-    /// No scheduling: bodies run at their spawn points.
-    Inline,
-    /// One turn of the shared [`Baton`] plus this task's slice stream.
-    Det {
-        /// The shared baton.
-        baton: Arc<Baton>,
-        /// This task's id (spawn ordinal).
-        id: usize,
-        /// Slice-length stream.
-        rng: SplitMix64,
-        /// Steps left in the current slice.
-        slice: u64,
-        /// The current slice's full length (for `baton_release` events:
-        /// `ran == granted` at expiry).
-        granted: u64,
-    },
-    /// A permit of the shared [`Semaphore`], held while running.
-    Threads {
-        /// The shared semaphore.
-        sem: Arc<Semaphore>,
-    },
-}
-
-impl Gate {
-    /// The root task's gate for a scheduler choice.
-    pub fn root(sched: crate::config::SchedMode) -> Gate {
-        match sched {
-            crate::config::SchedMode::Inline => Gate::Inline,
-            crate::config::SchedMode::Deterministic { seed } => {
-                let baton = Arc::new(Baton::new(seed));
-                let id = baton.register();
-                let mut rng = baton.stream(id);
-                let slice = 1 + rng.next() % MAX_SLICE;
-                Gate::Det { baton, id, rng, slice, granted: slice }
-            }
-            crate::config::SchedMode::Threads { workers } => {
-                Gate::Threads { sem: Arc::new(Semaphore::new(workers)) }
-            }
-        }
-    }
-
-    /// A gate for a task this task is about to spawn. Registration
-    /// happens here — at the spawn point, in program order — so
-    /// deterministic ids never depend on thread timing.
-    pub fn child(&self) -> Gate {
-        match self {
-            Gate::Inline => Gate::Inline,
-            Gate::Det { baton, .. } => {
-                let id = baton.register();
-                let mut rng = baton.stream(id);
-                let slice = 1 + rng.next() % MAX_SLICE;
-                Gate::Det { baton: Arc::clone(baton), id, rng, slice, granted: slice }
-            }
-            Gate::Threads { sem } => Gate::Threads { sem: Arc::clone(sem) },
-        }
-    }
-
-    /// Called once when the task starts executing: waits for its first
-    /// baton turn / semaphore permit.
-    pub fn start(&self) {
-        match self {
-            Gate::Inline => {}
-            Gate::Det { baton, id, .. } => baton.wait_turn(*id),
-            Gate::Threads { sem } => sem.acquire(),
-        }
-    }
-
-    /// One interpreter step: under the deterministic scheduler, burns a
-    /// slice step. Returns `Some(ran)` when the slice is spent — the
-    /// caller stamps its `baton_release` event and must then call
-    /// [`Gate::yield_now`] to actually pass the baton.
-    #[inline]
-    pub fn tick(&mut self) -> Option<u64> {
-        if let Gate::Det { slice, granted, .. } = self {
-            *slice -= 1;
-            if *slice == 0 {
-                return Some(*granted);
-            }
-        }
-        None
-    }
-
-    /// Passes the baton and blocks until it returns; draws the next
-    /// slice from the stream and returns its length (0 outside the
-    /// deterministic scheduler). Split from [`Gate::tick`] so the
-    /// interpreter can stamp release/acquire events around the pass.
-    pub fn yield_now(&mut self) -> u64 {
-        if let Gate::Det { baton, id, rng, slice, granted } = self {
-            baton.yield_turn(*id);
-            *slice = 1 + rng.next() % MAX_SLICE;
-            *granted = *slice;
-            *slice
-        } else {
-            0
-        }
-    }
-
-    /// Whether this gate is the thread scheduler's (for `sema_*` event
-    /// stamping).
-    pub fn is_threads(&self) -> bool {
-        matches!(self, Gate::Threads { .. })
-    }
-
-    /// This task's scheduler id (spawn ordinal; 0 outside the
-    /// deterministic scheduler). Parents record it per child so a `join`
-    /// can hand the baton its exact wait set.
-    pub fn task_id(&self) -> usize {
-        match self {
-            Gate::Det { id, .. } => *id,
-            _ => 0,
-        }
-    }
-
-    /// About to block outside the scheduler (OS-joining the tasks in
-    /// `waiting_on`): releases the turn/permit so those children can
-    /// run. Under the deterministic scheduler the wait set makes the
-    /// wake-up a pure function of task states (see [`Baton::block`]).
-    pub fn begin_wait(&self, waiting_on: &[usize]) {
-        match self {
-            Gate::Inline => {}
-            Gate::Det { baton, id, .. } => baton.block(*id, waiting_on),
-            Gate::Threads { sem } => sem.release(),
-        }
-    }
-
-    /// Done blocking: reacquires the turn/permit.
-    pub fn end_wait(&self) {
-        match self {
-            Gate::Inline => {}
-            Gate::Det { baton, id, .. } => baton.unblock(*id),
-            Gate::Threads { sem } => sem.acquire(),
-        }
-    }
-
-    /// The task is done: gives the turn/permit up for good.
-    pub fn finish(&self) {
-        match self {
-            Gate::Inline => {}
-            Gate::Det { baton, id, .. } => baton.finish(*id),
-            Gate::Threads { sem } => sem.release(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SchedMode;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn splitmix_is_deterministic_and_streams_differ() {
@@ -398,101 +220,43 @@ mod tests {
         let first: Vec<u64> = (0..8).map(|_| a.next()).collect();
         let second: Vec<u64> = (0..8).map(|_| b.next()).collect();
         assert_eq!(first, second);
-        let baton = Baton::new(7);
-        let mut s0 = baton.stream(0);
-        let mut s1 = baton.stream(1);
+        let det = SchedMode::Deterministic { seed: 7 };
+        let (Some(mut s0), Some(mut s1)) = (Slices::of(det, 0), Slices::of(det, 1)) else {
+            panic!("the deterministic scheduler has slice streams");
+        };
         assert_ne!(
-            (0..4).map(|_| s0.next()).collect::<Vec<_>>(),
-            (0..4).map(|_| s1.next()).collect::<Vec<_>>()
+            (0..4).map(|_| s0.grant()).collect::<Vec<_>>(),
+            (0..4).map(|_| s1.grant()).collect::<Vec<_>>()
         );
+        assert!((0..64).all(|_| (1..=MAX_SLICE).contains(&s0.grant())));
+        assert!(Slices::of(SchedMode::Inline, 0).is_none());
     }
 
     #[test]
-    fn baton_serializes_and_interleaves_deterministically() {
-        // Two workers append their id under the baton; with one runner
-        // at a time the trace length is exact and replays identically.
-        let trace = |seed: u64| -> Vec<usize> {
-            let baton = Arc::new(Baton::new(seed));
-            let root = baton.register();
-            let out = Arc::new(Mutex::new(Vec::new()));
-            baton.wait_turn(root);
-            std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                let mut ids = Vec::new();
-                for _ in 0..2 {
-                    let id = baton.register();
-                    ids.push(id);
-                    let baton = Arc::clone(&baton);
-                    let out = Arc::clone(&out);
-                    handles.push(s.spawn(move || {
-                        baton.wait_turn(id);
-                        for _ in 0..5 {
-                            out.lock().unwrap().push(id);
-                            baton.yield_turn(id);
-                        }
-                        baton.finish(id);
-                    }));
-                }
-                baton.block(root, &ids);
-                for h in handles {
-                    h.join().unwrap();
-                }
-                baton.unblock(root);
-            });
-            baton.finish(root);
-            Arc::try_unwrap(out).unwrap().into_inner().unwrap()
-        };
-        let a = trace(1);
-        assert_eq!(a.len(), 10);
-        assert_eq!(a, trace(1), "same seed, same schedule");
-    }
-
-    #[test]
-    fn blocked_parent_wakeup_is_decided_by_task_states_not_thread_timing() {
-        // The parent's wake-up slot must be fixed the instant its wait
-        // set finishes (the last child's `finish` call), however late
-        // the parent thread's OS `join` returns. A deliberately slow
-        // parent must observe the identical post-join grant order.
-        let order = |parent_delay_us: u64| -> Vec<usize> {
-            let baton = Arc::new(Baton::new(3));
-            let root = baton.register();
-            let grants = Arc::new(Mutex::new(Vec::new()));
-            baton.wait_turn(root);
-            std::thread::scope(|s| {
-                let child = baton.register();
-                let other = baton.register();
-                let h = {
-                    let baton = Arc::clone(&baton);
-                    let grants = Arc::clone(&grants);
-                    s.spawn(move || {
-                        baton.wait_turn(child);
-                        grants.lock().unwrap().push(child);
-                        baton.finish(child);
-                    })
-                };
-                {
-                    let baton = Arc::clone(&baton);
-                    let grants = Arc::clone(&grants);
-                    s.spawn(move || {
-                        baton.wait_turn(other);
-                        for _ in 0..3 {
-                            grants.lock().unwrap().push(other);
-                            baton.yield_turn(other);
-                        }
-                        baton.finish(other);
-                    });
-                }
-                baton.block(root, &[child]);
-                h.join().unwrap();
-                std::thread::sleep(std::time::Duration::from_micros(parent_delay_us));
-                baton.unblock(root);
-                grants.lock().unwrap().push(root);
-                baton.finish(root);
-            });
-            Arc::try_unwrap(grants).unwrap().into_inner().unwrap()
-        };
-        let fast = order(0);
-        assert_eq!(fast, order(500), "parent delay must not change the schedule");
+    fn a_blocked_parent_gets_its_turn_in_round_robin_order_once_its_children_end() {
+        // The root spawns tasks 1 and 2; task 2 spawns task 3.
+        let mut rr = RoundRobin::default();
+        assert_eq!((rr.spawn(0), rr.spawn(0), rr.spawn(2)), (1, 2, 3));
+        // The root joins; the others run in spawn order.
+        rr.block(0);
+        assert_eq!(rr.next(0), 1);
+        assert_eq!(rr.next(1), 2);
+        // Task 2 joins its child, which ends.
+        rr.block(2);
+        assert_eq!(rr.next(2), 3);
+        rr.finish(3);
+        // Task 2 may run again, but task 1 comes first from 3; the root
+        // is passed over while its children run.
+        assert_eq!(rr.next(3), 1);
+        assert_eq!(rr.next(1), 2);
+        rr.finish(2);
+        // A task that is the only one runnable keeps the turn.
+        assert_eq!(rr.next(2), 1);
+        assert_eq!(rr.next(1), 1);
+        rr.finish(1);
+        assert_eq!(rr.next(1), 0, "the root's children have all ended");
+        rr.finish(0);
+        assert_eq!(rr.next(0), 0, "nobody is left");
     }
 
     #[test]
