@@ -3312,6 +3312,32 @@ mod frame_tests {
     use crate::config::RunConfig;
     use region_rt::{FaultMode, FaultPlan};
 
+    /// A popped frame's stack array releases the counts its pointer slots
+    /// hold, so the region they point into can be deleted afterwards.
+    #[test]
+    fn a_freed_stack_array_releases_its_counts() {
+        let src = r#"
+            struct t { int x; };
+            static int fill(region r) {
+                struct t *tmp[1];
+                tmp[0] = ralloc(r, struct t);
+                return 0;
+            }
+            int main() deletes {
+                region r = newregion();
+                fill(r);
+                deleteregion(r);
+                return 7;
+            }
+        "#;
+        let c = prepare(src).unwrap();
+        for (name, cfg) in RunConfig::figure7() {
+            let r = run_audited(&c, &cfg);
+            assert_eq!(r.outcome, Outcome::Exit(7), "{name}");
+            assert!(matches!(r.audit, Some(Ok(()))), "{name}: {:?}", r.audit);
+        }
+    }
+
     /// The GC root set is exactly the framed variables: an argument that
     /// is still pending while a later argument's call collects is not a
     /// root (one extra root word would move `gc_marked_words` and the

@@ -378,29 +378,10 @@ impl Heap {
     fn unscan(&mut self, r: RegionId) {
         let mut decrements: Vec<RegionId> = Vec::new();
         let mut scanned_words: u64 = 0;
-        {
-            let region = &self.regions[r.0 as usize];
-            for rec in region.normal.objs() {
-                let layout = self.types.get(rec.ty);
-                let size = layout.size_words();
-                scanned_words += (size as u64) * rec.count as u64;
-                for elem in 0..rec.count as usize {
-                    let base = rec.addr.offset(elem * size);
-                    for off in layout.counted_ptr_offsets() {
-                        let val = Addr::from_raw(self.store.read(base.offset(off)));
-                        if !val.is_null() {
-                            // A slot can only point at freed memory if the
-                            // count invariant was already broken (rc off,
-                            // or a prior fault); skip it rather than panic.
-                            if let Some(tgt) = self.try_region_of(val) {
-                                if tgt != r {
-                                    decrements.push(tgt);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        for rec in self.regions[r.0 as usize].normal.objs() {
+            let size = self.types.get(rec.ty).size_words();
+            scanned_words += (size as u64) * rec.count as u64;
+            self.counted_targets(rec.addr, rec.ty, rec.count, r, &mut decrements);
         }
         for tgt in decrements {
             self.regions[tgt.0 as usize].rc -= 1;
@@ -409,6 +390,34 @@ impl Heap {
         let cycles = scanned_words * self.costs.unscan_per_word;
         self.stats.unscan_cycles += cycles;
         self.clock.charge(cycles);
+    }
+
+    /// Appends to `out` the region each non-null counted slot of the
+    /// `count` objects of type `ty` at `addr` points into, unless that is
+    /// `own`, the objects' own region: one entry per count those slots
+    /// hold.
+    pub(crate) fn counted_targets(
+        &self,
+        addr: Addr,
+        ty: TypeId,
+        count: u32,
+        own: RegionId,
+        out: &mut Vec<RegionId>,
+    ) {
+        let layout = self.types.get(ty);
+        let size = layout.size_words();
+        for elem in 0..count as usize {
+            let base = addr.offset(elem * size);
+            for off in layout.counted_ptr_offsets() {
+                let val = Addr::from_raw(self.store.read(base.offset(off)));
+                // A slot can only point at freed memory if the count
+                // invariant was already broken (rc off, or a prior fault);
+                // skip it rather than panic.
+                if let Some(tgt) = self.try_region_of(val).filter(|&t| t != own) {
+                    out.push(tgt);
+                }
+            }
+        }
     }
 
     /// `ralloc(r, type)`: allocates one object of `ty` in region `r`.

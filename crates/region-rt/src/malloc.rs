@@ -181,7 +181,10 @@ impl Heap {
         Ok(addr)
     }
 
-    /// `free` of a malloc'd object.
+    /// `free` of a malloc'd object. With reference counting on, the counts
+    /// its counted slots hold are released first, as a deleted region's
+    /// are (the slot walk of the unscan, at no charge), and doomed regions
+    /// this unblocks are reclaimed.
     ///
     /// # Errors
     ///
@@ -189,6 +192,16 @@ impl Heap {
     /// allocation (double free, or a pointer from another allocator).
     pub fn m_free(&mut self, addr: Addr) -> Result<(), RtError> {
         let obj = self.malloc.live.remove(&addr.raw()).ok_or(RtError::InvalidFree { addr })?;
+        if self.rc_enabled {
+            let mut released = Vec::new();
+            self.counted_targets(addr, obj.ty, obj.count, TRADITIONAL, &mut released);
+            for tgt in &released {
+                self.regions[tgt.0 as usize].rc -= 1;
+            }
+            if !released.is_empty() {
+                self.sweep_doomed();
+            }
+        }
         match obj.class {
             Some(class) => self.malloc.free_lists[class as usize].push(addr),
             None => {
@@ -248,6 +261,26 @@ mod tests {
         let b = h.m_alloc(small, 1).unwrap();
         assert_eq!(a, b, "same class reuses the freed slot (LIFO)");
         assert_eq!(h.read_word(b, 0).unwrap(), 0, "recycled memory is zeroed");
+    }
+
+    #[test]
+    fn free_releases_the_counts_its_slots_hold() {
+        use crate::layout::{PtrKind, SlotKind};
+        use crate::rcops::WriteMode;
+        let mut h = Heap::with_defaults();
+        let cell = h.register_type(TypeLayout::data("cell", 1));
+        let arr = h.register_type(TypeLayout::new("arr", vec![SlotKind::Ptr(PtrKind::Counted); 2]));
+        let r = h.new_region();
+        let obj = h.ralloc(r, cell).unwrap();
+        let a = h.m_alloc(arr, 1).unwrap();
+        h.write_ptr(a, 0, obj, WriteMode::Counted).unwrap();
+        h.write_ptr(a, 1, obj, WriteMode::Counted).unwrap();
+        assert_eq!(h.region_rc(r), 2);
+        let cycles = h.clock.cycles();
+        h.m_free(a).unwrap();
+        assert_eq!(h.region_rc(r), 0, "both slots' counts are released");
+        assert_eq!(h.clock.cycles() - cycles, h.costs.malloc_free, "at no extra charge");
+        h.delete_region(r).unwrap();
     }
 
     #[test]
