@@ -7,9 +7,9 @@
 //!   compared against.
 //! * **Deterministic** — the interpreter's driver loop runs every task on
 //!   the caller's thread, one at a time: a task runs for a slice of
-//!   interpreter steps whose length comes from its own [`Slices`] stream,
+//!   interpreter steps whose length comes from its own `Slices` stream,
 //!   then the loop parks it and hands the turn to the next task by the
-//!   [`RoundRobin`] rule. The whole schedule is a pure function of the
+//!   `RoundRobin` rule. The whole schedule is a pure function of the
 //!   seed and the program, so a seed *names* an interleaving and replaying
 //!   it is exact.
 //! * **Threads** — a counting [`Semaphore`] admission-controls real
@@ -19,7 +19,7 @@
 //!   clock varies.
 //!
 //! The inline scheduler goes through the same driver loop and
-//! [`RoundRobin`] table: a spawning task waits on its child there, so the
+//! `RoundRobin` table: a spawning task waits on its child there, so the
 //! child runs to its end before the spawner resumes.
 
 use std::sync::{Condvar, Mutex};
@@ -52,7 +52,7 @@ const MAX_SLICE: u64 = 64;
 /// a SplitMix64 stream derived from the seed and the task's id (its spawn
 /// ordinal), so every task gets an independent deterministic stream.
 #[derive(Debug)]
-pub struct Slices {
+pub(crate) struct Slices {
     rng: SplitMix64,
     /// Steps left in the current slice.
     left: u64,
@@ -64,7 +64,7 @@ pub struct Slices {
 impl Slices {
     /// Task `id`'s stream under `sched`, with its first slice drawn
     /// (`None` outside the deterministic scheduler).
-    pub fn of(sched: crate::config::SchedMode, id: usize) -> Option<Slices> {
+    pub(crate) fn of(sched: crate::config::SchedMode, id: usize) -> Option<Slices> {
         let crate::config::SchedMode::Deterministic { seed } = sched else {
             return None;
         };
@@ -80,31 +80,24 @@ impl Slices {
     /// the slice is spent; the task then passes the turn and takes its
     /// next slice with [`Slices::grant`] when it runs again.
     #[inline]
-    pub fn tick(&mut self) -> Option<u64> {
+    pub(crate) fn tick(&mut self) -> Option<u64> {
         self.left -= 1;
         (self.left == 0).then_some(self.granted)
     }
 
     /// Draws the next slice and returns its length.
-    pub fn grant(&mut self) -> u64 {
+    pub(crate) fn grant(&mut self) -> u64 {
         self.left = 1 + self.rng.next() % MAX_SLICE;
         self.granted = self.left;
         self.left
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Runnable,
-    /// In a `join` (or, inline, waiting on its child): runnable again
-    /// once every child has finished.
-    Blocked,
-    Finished,
-}
-
 #[derive(Debug)]
 struct Turn {
-    state: State,
+    /// In a `join` (or, inline, waiting on its child): runnable again
+    /// once every child has finished.
+    blocked: bool,
     /// The spawning task (`usize::MAX` for the root).
     parent: usize,
     /// Children not finished yet.
@@ -115,60 +108,68 @@ struct Turn {
 /// root). The rule is decided from task states alone, so the schedule
 /// depends on nothing but the program and the slice streams.
 #[derive(Debug)]
-pub struct RoundRobin {
+pub(crate) struct RoundRobin {
     tasks: Vec<Turn>,
+    /// The tasks not finished yet, in spawn order: the only ones the rule
+    /// looks at, so a turn costs no more with many finished tasks.
+    live: Vec<usize>,
 }
 
 impl Default for RoundRobin {
     fn default() -> Self {
-        RoundRobin { tasks: vec![Turn { state: State::Runnable, parent: usize::MAX, pending: 0 }] }
+        let root = Turn { blocked: false, parent: usize::MAX, pending: 0 };
+        RoundRobin { tasks: vec![root], live: vec![0] }
     }
 }
 
 impl RoundRobin {
     /// Registers a runnable task spawned by `parent`; returns its id.
-    pub fn spawn(&mut self, parent: usize) -> usize {
+    pub(crate) fn spawn(&mut self, parent: usize) -> usize {
         if let Some(p) = self.tasks.get_mut(parent) {
             p.pending += 1;
         }
-        self.tasks.push(Turn { state: State::Runnable, parent, pending: 0 });
+        self.tasks.push(Turn { blocked: false, parent, pending: 0 });
+        self.live.push(self.tasks.len() - 1);
         self.tasks.len() - 1
     }
 
     /// Marks task `id` blocked until all its children have finished.
-    pub fn block(&mut self, id: usize) {
+    pub(crate) fn block(&mut self, id: usize) {
         if let Some(t) = self.tasks.get_mut(id) {
-            t.state = State::Blocked;
+            t.blocked = true;
         }
     }
 
     /// Marks task `id` finished.
-    pub fn finish(&mut self, id: usize) {
-        let Some(t) = self.tasks.get_mut(id) else { return };
-        t.state = State::Finished;
-        let parent = t.parent;
+    pub(crate) fn finish(&mut self, id: usize) {
+        if let Ok(i) = self.live.binary_search(&id) {
+            self.live.remove(i);
+        }
+        let parent = self.tasks.get(id).map_or(usize::MAX, |t| t.parent);
         if let Some(p) = self.tasks.get_mut(parent) {
             p.pending = p.pending.saturating_sub(1);
         }
     }
 
-    /// The task whose turn follows `from`'s, round-robin: the next
-    /// runnable task, or blocked one whose children have all finished
-    /// (it is made runnable). `from` itself comes last, and is returned
-    /// when no task qualifies, which happens only once every task has
-    /// finished.
-    pub fn next(&mut self, from: usize) -> usize {
-        let n = self.tasks.len();
-        for k in 1..=n {
-            let j = (from + k) % n;
+    /// The task whose turn follows `from`'s, round-robin in spawn order:
+    /// the next runnable task, or blocked one whose children have all
+    /// finished (it is made runnable). `from` itself comes last, and is
+    /// returned when no task qualifies, which happens only once every task
+    /// has finished.
+    pub(crate) fn next(&mut self, from: usize) -> usize {
+        let n = self.live.len();
+        // The first live task spawned after `from`, which may have just
+        // finished.
+        let after = match self.live.binary_search(&from) {
+            Ok(i) => i + 1,
+            Err(i) => i,
+        };
+        for k in 0..n {
+            let j = self.live[(after + k) % n];
             let t = &mut self.tasks[j];
-            match t.state {
-                State::Runnable => return j,
-                State::Blocked if t.pending == 0 => {
-                    t.state = State::Runnable;
-                    return j;
-                }
-                _ => {}
+            if !t.blocked || t.pending == 0 {
+                t.blocked = false;
+                return j;
             }
         }
         from
