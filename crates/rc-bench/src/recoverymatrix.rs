@@ -5,7 +5,7 @@
 //! [`RecoveryScenario`]s — a clean baseline, scheduled fault injections,
 //! and organic page-budget squeezes — each paired with the
 //! [`RecoveryPolicy`] meant to survive it. Every cell runs under
-//! [`rc_lang::supervise`]: trap → checkpoint → validate by
+//! [`rc_lang::supervise()`]: trap → checkpoint → validate by
 //! [`region_rt::Heap::restore`] → apply the next rung → re-execute. The
 //! recovery contract gated here:
 //!

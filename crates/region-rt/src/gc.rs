@@ -101,7 +101,7 @@ impl GcState {
     }
 
     /// Free slots per size class, parallel to
-    /// [`SIZE_CLASSES`](crate::malloc::SIZE_CLASSES) — the snapshot's
+    /// [`SIZE_CLASSES`] — the snapshot's
     /// fragmentation breakdown for the GC heap.
     pub fn free_list_depths(&self) -> Vec<u32> {
         self.free_lists.iter().map(|l| l.len() as u32).collect()

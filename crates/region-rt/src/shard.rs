@@ -23,8 +23,8 @@
 //! After a task finishes, its shard is handed back whole (heap plus the
 //! telemetry the task accumulated) and the interpreter folds it into the
 //! global report with the exact `merge` operations on
-//! [`Stats`](crate::Stats), [`Profile`](crate::Profile),
-//! [`SpanTree`](crate::SpanTree), [`Timeline`](crate::Timeline) and
+//! [`Stats`], [`Profile`](crate::Profile),
+//! [`SpanTree`], [`Timeline`] and
 //! [`CheckCounter`](crate::CheckCounter) — all associativity-tested, so
 //! the merged report is byte-deterministic in join order regardless of
 //! the schedule that ran the tasks.

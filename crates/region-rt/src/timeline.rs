@@ -1,6 +1,6 @@
 //! Time-series heap sampling: the timeline behind `BENCH_rc.json`.
 //!
-//! The [`Stats`](crate::stats::Stats) counters and the telemetry
+//! The [`Stats`] counters and the telemetry
 //! [`Profile`](crate::profile::Profile) summarize a whole run; this module
 //! records how the heap *evolved* — occupancy, fragmentation, page reuse
 //! and RC/check rates over virtual time. A [`Timeline`] attached to a

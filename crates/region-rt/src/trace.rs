@@ -6,10 +6,10 @@
 //! emitted once at its site and handed to every attached consumer:
 //!
 //! - the [`Tracer`]: a bounded ring of raw events plus the exact
-//!   [`Profile`](crate::profile::Profile) fold;
-//! - the [`SpanTree`](crate::span::SpanTree): region lifecycles with
+//!   [`Profile`] fold;
+//! - the [`SpanTree`]: region lifecycles with
 //!   span-scoped notes and exact per-span aggregates;
-//! - the [`CheckCounter`](crate::checkcount::CheckCounter): per-check-site
+//! - the [`CheckCounter`]: per-check-site
 //!   outcome tallies for the differential harness.
 //!
 //! The [`Stats`](crate::stats::Stats) counters answer *how many*; the
