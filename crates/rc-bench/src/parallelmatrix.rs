@@ -8,8 +8,9 @@
 //! - **sequentially** — [`SchedMode::Inline`], each spawned body executed
 //!   to completion at its spawn point (the baseline);
 //! - **virtually interleaved** — [`SchedMode::Deterministic`] with the
-//!   fixed seed [`DET_SEED`], real threads serialized by the seeded baton
-//!   so preemption points interleave but replay byte-identically.
+//!   fixed seed [`DET_SEED`], the tasks interleaved round-robin on one
+//!   thread with seeded slices, so preemption points interleave but
+//!   replay byte-identically.
 //!
 //! The parallel contract gated here:
 //!

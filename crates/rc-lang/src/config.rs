@@ -68,11 +68,11 @@ pub enum SchedMode {
     /// conformance baseline; no threads).
     #[default]
     Inline,
-    /// Real threads serialized by a baton: exactly one task runs at a
-    /// time, preempted at step granularity with slice lengths drawn from
-    /// a per-task SplitMix64 stream seeded here. Different seeds explore
-    /// different interleavings; every run with the same seed replays the
-    /// same schedule.
+    /// The interpreter's driver loop runs the tasks round-robin on the
+    /// caller's thread, one at a time, each preempted at step granularity
+    /// with slice lengths drawn from a per-task SplitMix64 stream seeded
+    /// here. Different seeds explore different interleavings; every run
+    /// with the same seed replays the same schedule.
     Deterministic {
         /// Root of the per-task slice-length streams.
         seed: u64,
@@ -199,8 +199,8 @@ impl RunConfig {
         self
     }
 
-    /// The same configuration under the deterministic (seeded-baton)
-    /// scheduler.
+    /// The same configuration under the deterministic (seeded
+    /// round-robin) scheduler.
     pub fn det_sched(self, seed: u64) -> RunConfig {
         self.with_sched(SchedMode::Deterministic { seed })
     }

@@ -203,11 +203,12 @@ impl SchedEvent {
 
 /// The run-global virtual clock scheduler events are stamped on: a
 /// shared counter every task advances by its own charged-cycle delta at
-/// each stamp. Under the serialized schedulers (inline, deterministic
-/// baton) exactly one task runs at a time, so the stamps totally order
-/// the run and the final value equals total work (Σ per-task cycles) —
-/// deterministically, per seed. Under real threads stamps are coherent
-/// and monotone per task but interleaving-dependent.
+/// each stamp. Under the inline and deterministic schedulers the
+/// interpreter's driver loop runs one task at a time, round-robin on one
+/// thread, so the stamps totally order the run and the final value
+/// equals total work (Σ per-task cycles) — deterministically, per seed.
+/// Under real threads stamps are coherent and monotone per task but
+/// interleaving-dependent.
 #[derive(Debug, Clone, Default)]
 pub struct SharedClock(Arc<AtomicU64>);
 
