@@ -1430,7 +1430,10 @@ where
 
     /// The start of a `join` with children (or of the implicit join at a
     /// task's end): the wait is stamped, and under the thread scheduler
-    /// the permit is given back so the children can run.
+    /// the permit is given back so the children can run. The join is a
+    /// program point under every scheduler, so the wait is stamped even
+    /// where nothing blocks (inline), and event pairing is
+    /// schedule-invariant.
     fn begin_join(&mut self) {
         self.heap.stats.sched_joins += 1;
         let pending = self.children.len() as u32;
