@@ -98,10 +98,17 @@ struct Turn {
     /// In a `join` (or, inline, waiting on its child): runnable again
     /// once every child has finished.
     blocked: bool,
+    finished: bool,
     /// The spawning task (`usize::MAX` for the root).
     parent: usize,
     /// Children not finished yet.
     pending: usize,
+}
+
+impl Turn {
+    fn new(parent: usize) -> Turn {
+        Turn { blocked: false, finished: false, parent, pending: 0 }
+    }
 }
 
 /// Whose turn it is, over one run's tasks in spawn order (task 0 is the
@@ -110,15 +117,11 @@ struct Turn {
 #[derive(Debug)]
 pub(crate) struct RoundRobin {
     tasks: Vec<Turn>,
-    /// The tasks not finished yet, in spawn order: the only ones the rule
-    /// looks at, so a turn costs no more with many finished tasks.
-    live: Vec<usize>,
 }
 
 impl Default for RoundRobin {
     fn default() -> Self {
-        let root = Turn { blocked: false, parent: usize::MAX, pending: 0 };
-        RoundRobin { tasks: vec![root], live: vec![0] }
+        RoundRobin { tasks: vec![Turn::new(usize::MAX)] }
     }
 }
 
@@ -128,8 +131,7 @@ impl RoundRobin {
         if let Some(p) = self.tasks.get_mut(parent) {
             p.pending += 1;
         }
-        self.tasks.push(Turn { blocked: false, parent, pending: 0 });
-        self.live.push(self.tasks.len() - 1);
+        self.tasks.push(Turn::new(parent));
         self.tasks.len() - 1
     }
 
@@ -142,10 +144,9 @@ impl RoundRobin {
 
     /// Marks task `id` finished.
     pub(crate) fn finish(&mut self, id: usize) {
-        if let Ok(i) = self.live.binary_search(&id) {
-            self.live.remove(i);
-        }
-        let parent = self.tasks.get(id).map_or(usize::MAX, |t| t.parent);
+        let Some(t) = self.tasks.get_mut(id) else { return };
+        t.finished = true;
+        let parent = t.parent;
         if let Some(p) = self.tasks.get_mut(parent) {
             p.pending = p.pending.saturating_sub(1);
         }
@@ -157,17 +158,11 @@ impl RoundRobin {
     /// returned when no task qualifies, which happens only once every task
     /// has finished.
     pub(crate) fn next(&mut self, from: usize) -> usize {
-        let n = self.live.len();
-        // The first live task spawned after `from`, which may have just
-        // finished.
-        let after = match self.live.binary_search(&from) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        };
-        for k in 0..n {
-            let j = self.live[(after + k) % n];
+        let n = self.tasks.len();
+        for k in 1..=n {
+            let j = (from + k) % n;
             let t = &mut self.tasks[j];
-            if !t.blocked || t.pending == 0 {
+            if !t.finished && (!t.blocked || t.pending == 0) {
                 t.blocked = false;
                 return j;
             }
