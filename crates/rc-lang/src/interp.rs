@@ -437,6 +437,19 @@ fn abort(e: RtError) -> Halt {
     Halt::new(HaltKind::Abort(e))
 }
 
+/// Why [`Interp::run_code`] stopped inside an instruction: a halt, or
+/// the end of the task's det slice, which parks the task at `pc`.
+enum Stop {
+    Halt(Halt),
+    Slice,
+}
+
+impl From<Halt> for Stop {
+    fn from(h: Halt) -> Stop {
+        Stop::Halt(h)
+    }
+}
+
 /// Deepest call nesting before a run ends [`Outcome::StackOverflow`]. A
 /// task counts on from the depth of the frame that spawned it, so a chain
 /// of spawns that recurses is capped like plain recursion.
@@ -890,7 +903,8 @@ where
     fn exec(&mut self) -> Exit<'c, 'scope, 'env> {
         match self.run_code() {
             Ok(exit) => exit,
-            Err(h) => {
+            Err(Stop::Slice) => Exit::Slice,
+            Err(Stop::Halt(h)) => {
                 self.unwind();
                 Exit::Done(Err(h))
             }
@@ -899,11 +913,11 @@ where
 
     /// One interpreter step. Every evaluated node, every statement and
     /// every `while` back-edge takes exactly one, in evaluation order:
-    /// det slices and timeline samples are counted in steps. Returns
-    /// whether it ended the task's det slice; that step meets the step
-    /// cap only when the task runs again.
+    /// det slices and timeline samples are counted in steps. A step that
+    /// ends the task's det slice stops it with [`Stop::Slice`], and meets
+    /// the step cap only when the task runs again.
     #[inline(always)]
-    fn step(&mut self) -> Result<bool, Halt> {
+    fn step(&mut self) -> Result<(), Stop> {
         self.steps += 1;
         self.heap.clock.charge(self.base_op);
         // Drive the timeline sampler from the step counter so snapshots
@@ -915,33 +929,33 @@ where
         // schedulers).
         if let Some(ran) = self.slices.as_mut().and_then(Slices::tick) {
             self.end_slice(ran);
-            return Ok(true);
+            return Err(Stop::Slice);
         }
         if self.steps > self.step_cap {
-            return Err(Halt::new(HaltKind::StepLimit));
+            return Err(Halt::new(HaltKind::StepLimit).into());
         }
-        Ok(false)
+        Ok(())
     }
 
     /// `n` steps, as [`Interp::step`] would take them one by one. While
     /// steps are plain and the cap is not in reach they are taken at once.
-    /// Returns whether a step ended the det slice; the instruction then
-    /// resumes with only the steps it still owes, which `taken` keeps.
+    /// When a step ends the det slice, the instruction resumes with only
+    /// the steps it still owes, which `taken` keeps.
     #[inline(always)]
-    fn charge(&mut self, n: u32) -> Result<bool, Halt> {
+    fn charge(&mut self, n: u32) -> Result<(), Stop> {
         let n64 = u64::from(n);
         if self.plain_steps && self.steps + n64 <= self.step_cap {
             self.steps += n64;
             self.heap.clock.charge(self.base_op * n64);
-            return Ok(false);
+            return Ok(());
         }
         for i in std::mem::take(&mut self.taken)..n {
-            if self.step()? {
+            if let Err(stop) = self.step() {
                 self.taken = i + 1;
-                return Ok(true);
+                return Err(stop);
             }
         }
-        Ok(false)
+        Ok(())
     }
 
     /// Stamps the end of a det slice; the task parks, and stamps its next
@@ -1071,16 +1085,18 @@ where
     /// one's steps before its operation, until the task ends, spawns a
     /// task the loop runs, ends its det slice, or joins children the loop
     /// runs.
-    fn run_code(&mut self) -> Result<Exit<'c, 'scope, 'env>, Halt> {
+    fn run_code(&mut self) -> Result<Exit<'c, 'scope, 'env>, Stop> {
         let c: &'c Compiled = self.c;
         let code = &c.module.code.ops[..];
         let mut pc = self.pc;
         loop {
             let ins = code[pc];
             pc += 1;
-            if ins.steps != 0 && self.charge(ins.steps)? {
-                self.pc = pc - 1;
-                return Ok(Exit::Slice);
+            if ins.steps != 0 {
+                if let Err(stop) = self.charge(ins.steps) {
+                    self.pc = pc - 1;
+                    return Err(stop);
+                }
             }
             match ins.op {
                 Op::Push(v) => self.stack.push(v),
@@ -1132,11 +1148,11 @@ where
                 }
                 Op::LocalArray(v) => match self.arrays[self.base + v as usize] {
                     Some(a) => self.stack.push(Value::Ptr(a)),
-                    None => return Err(abort(RtError::WildPointer { addr: Addr::NULL })),
+                    None => return Err(abort(RtError::WildPointer { addr: Addr::NULL }).into()),
                 },
                 Op::GlobalArray(g) => match self.global_arrays[g as usize] {
                     Some((a, _)) => self.stack.push(Value::Ptr(a)),
-                    None => return Err(abort(RtError::WildPointer { addr: Addr::NULL })),
+                    None => return Err(abort(RtError::WildPointer { addr: Addr::NULL }).into()),
                 },
                 Op::Index(len) => {
                     index_in(self.top(), len)?;
@@ -1157,14 +1173,14 @@ where
                 Op::NonNeg => {
                     if int(self.top()) < 0 {
                         let addr = self.stack[self.stack.len() - 2].addr();
-                        return Err(abort(RtError::WildPointer { addr }));
+                        return Err(abort(RtError::WildPointer { addr }).into());
                     }
                 }
                 Op::Elem { size } => {
                     let i = int(self.pop());
                     let addr = self.pop().addr();
                     if i < 0 {
-                        return Err(abort(RtError::WildPointer { addr }));
+                        return Err(abort(RtError::WildPointer { addr }).into());
                     }
                     self.stack.push(Value::Ptr(addr.offset(i as usize * size as usize)));
                 }
@@ -1172,7 +1188,7 @@ where
                     let i = int(self.pop());
                     let addr = self.pop().addr();
                     if i < 0 {
-                        return Err(abort(RtError::WildPointer { addr }));
+                        return Err(abort(RtError::WildPointer { addr }).into());
                     }
                     let raw = self.heap.read_word(addr, i as usize).map_err(abort)?;
                     self.stack.push(Value::Int(raw as i64));
@@ -1286,7 +1302,7 @@ where
                         {
                             1
                         }
-                        Err(halt) => return Err(halt),
+                        Err(halt) => return Err(halt.into()),
                     };
                     self.stack.push(Value::Int(code));
                 }
@@ -1297,7 +1313,7 @@ where
                 }
                 Op::Assert => {
                     if !self.pop().truthy() {
-                        return Err(Halt::new(HaltKind::AssertFailed));
+                        return Err(Halt::new(HaltKind::AssertFailed).into());
                     }
                     self.stack.push(Value::Int(0));
                 }
