@@ -818,6 +818,7 @@ where
                     turns.finish(cur);
                     let next = turns.next(cur);
                     let Some((mut task, how)) = take_parked(&mut table, next, cur) else {
+                        debug_assert_eq!(cur, 0, "a task ended with no task left to run");
                         return res;
                     };
                     let halt = res.err();
@@ -1476,7 +1477,10 @@ where
                     // ended, so the default is never taken.
                     TaskState::Driven(id) => match std::mem::take(&mut table[id]) {
                         Parked::Done(d) => d,
-                        _ => TaskDone::default(),
+                        _ => {
+                            debug_assert!(false, "joined task {id} has not ended");
+                            TaskDone::default()
+                        }
                     },
                     TaskState::Thread(h) => match h.join() {
                         Ok(d) => d,
@@ -1925,6 +1929,7 @@ fn take_parked<'c, 'scope, 'env>(
     if next == cur {
         return None;
     }
+    debug_assert!(matches!(table[next], Parked::Ready(..)), "task {next} is not parked ready");
     match std::mem::take(&mut table[next]) {
         Parked::Ready(task, how) => Some((task, how)),
         other => {
