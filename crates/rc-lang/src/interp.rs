@@ -796,8 +796,10 @@ where
         let mut exit = self.resume(start, &mut table);
         loop {
             let how = match exit {
-                Exit::Spawn(Spawned { mut task, halt, region_desc, region_id }) => {
+                Exit::Spawn(spawned) => {
+                    let Spawned { start, region_desc, region_id } = *spawned;
                     let id = turns.spawn(cur);
+                    let (mut task, halt) = start_task(self.c, self.config, start, None);
                     task.slices = Slices::of(self.config.sched, id);
                     table.push(Parked::Ready(task, Resume::Start(halt)));
                     let state = TaskState::Driven(id);
@@ -854,11 +856,7 @@ where
     }
 
     /// Goes on with a task that [`Interp::drive`] gave the turn.
-    fn resume(
-        &mut self,
-        how: Resume,
-        table: &mut [Parked<'c, 'scope, 'env>],
-    ) -> Exit<'c, 'scope, 'env> {
+    fn resume(&mut self, how: Resume, table: &mut [Parked<'c, 'scope, 'env>]) -> Exit {
         match how {
             Resume::Start(halt) => {
                 self.sched.stamp(0, SchedEventKind::TaskStart);
@@ -901,7 +899,7 @@ where
 
     /// Runs this task's code from `pc` until it has to leave the driver
     /// loop's hands. A halt first unwinds every frame, innermost first.
-    fn exec(&mut self) -> Exit<'c, 'scope, 'env> {
+    fn exec(&mut self) -> Exit {
         match self.run_code() {
             Ok(exit) => exit,
             Err(Stop::Slice) => Exit::Slice,
@@ -1086,7 +1084,7 @@ where
     /// one's steps before its operation, until the task ends, spawns a
     /// task the loop runs, ends its det slice, or joins children the loop
     /// runs.
-    fn run_code(&mut self) -> Result<Exit<'c, 'scope, 'env>, Stop> {
+    fn run_code(&mut self) -> Result<Exit, Stop> {
         let c: &'c Compiled = self.c;
         let code = &c.module.code.ops[..];
         let mut pc = self.pc;
@@ -1390,7 +1388,7 @@ where
         rvar: VarRef,
         line: u32,
         body: usize,
-    ) -> Result<Option<Spawned<'c, 'scope, 'env>>, Halt> {
+    ) -> Result<Option<Box<Spawned>>, Halt> {
         self.set_site(line);
         let rv = self.stack[self.base + rvar.0 as usize];
         // Null, dangling and already-moved handles all refuse here, with
@@ -1404,19 +1402,28 @@ where
         }
         let region_id = region_number(rt);
         self.moved.insert(region_desc);
-        let captured = self.capture_frame(rvar);
         // Stamp the spawn before the child's recorder is born, so its
         // wait to start is measured from the spawn point.
         self.heap.stats.sched_spawns += 1;
         let nth = self.sched.spawns() as u32;
         self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::Spawn { nth });
-        let (task, halt) = start_task(self, body, captured, rvar, line);
-        let Some(pool) = self.pool else {
-            return Ok(Some(Spawned { task, halt, region_desc, region_id }));
+        let start = TaskStart {
+            func: self.func,
+            body,
+            captured: self.capture_frame(rvar),
+            rvar,
+            sched: self.sched.child(),
+            spawn_site: line,
+            // The task's frame stands at the depth of the one spawning it.
+            depth_base: self.depth_base + self.frames.len() - 1,
         };
+        let Some(pool) = self.pool else {
+            return Ok(Some(Box::new(Spawned { start, region_desc, region_id })));
+        };
+        let (c, config) = (self.c, self.config);
         let handle = std::thread::Builder::new()
             .name("rc-task".into())
-            .spawn_scoped(pool.scope, move || run_task(task, halt))
+            .spawn_scoped(pool.scope, move || run_task(c, config, start, pool))
             .expect("spawning a task thread");
         let state = TaskState::Thread(handle);
         self.children.push(ChildTask { region_desc, region_id, state });
@@ -1881,12 +1888,26 @@ where
     }
 }
 
-/// A task the driver loop runs, as its spawner hands it over.
-struct Spawned<'c, 'scope, 'env> {
-    task: Box<Interp<'c, 'scope, 'env>>,
-    /// What stopped it before its body could run, if anything.
-    halt: Option<Halt>,
-    /// The spawner's [`ChildTask`] entry.
+/// What a spawned task starts from, as its spawner hands it over.
+struct TaskStart {
+    /// The function whose frame layout the body runs in.
+    func: FuncRef,
+    /// The body's first instruction.
+    body: usize,
+    /// The task's frame, from [`Interp::capture_frame`].
+    captured: Vec<Value>,
+    rvar: VarRef,
+    /// The task's scheduler recorder, born at the spawn.
+    sched: SchedRecorder,
+    spawn_site: u32,
+    /// The depth of the frame that spawned it.
+    depth_base: usize,
+}
+
+/// A task for the driver loop to run, with the spawner's [`ChildTask`]
+/// entry.
+struct Spawned {
+    start: TaskStart,
     region_desc: Addr,
     region_id: RegionId,
 }
@@ -1940,13 +1961,13 @@ fn take_parked<'c, 'scope, 'env>(
 }
 
 /// Why [`Interp::exec`] handed control back to the driver loop.
-enum Exit<'c, 'scope, 'env> {
+enum Exit {
     /// The task ended: its value, or the halt that ended it (frames
     /// already unwound).
     Done(Result<Value, Halt>),
     /// The task spawned a task for the loop to run; it resumes after the
     /// `spawn`.
-    Spawn(Spawned<'c, 'scope, 'env>),
+    Spawn(Box<Spawned>),
     /// The task's det slice ended at the instruction at `pc`.
     Slice,
     /// The task reached a `join` with children; it resumes after it.
@@ -1967,26 +1988,26 @@ struct Frame {
     pins: usize,
 }
 
-/// Sets up a task `parent` spawns: a fresh interpreter (its own isolated
-/// heap shard) with a scheduler recorder born now, a facet region standing
-/// in for the moved one, and a frame cloned from `captured`, with `pc` at
-/// `body`. Returns the halt that stops it before its body runs, if any.
+/// Sets up a spawned task: a fresh interpreter (its own isolated heap
+/// shard) with the recorder born at the spawn, a facet region standing in
+/// for the moved one, and a frame cloned from the captured values, with
+/// `pc` at the body. Returns the halt that stops it before its body runs,
+/// if any.
 fn start_task<'c, 'scope, 'env>(
-    parent: &Interp<'c, 'scope, 'env>,
-    body: usize,
-    mut captured: Vec<Value>,
-    rvar: VarRef,
-    spawn_site: u32,
+    c: &'c Compiled,
+    config: &'c RunConfig,
+    start: TaskStart,
+    pool: Option<Pool<'scope, 'env>>,
 ) -> (Box<Interp<'c, 'scope, 'env>>, Option<Halt>)
 where
     'c: 'scope,
 {
-    let mut interp = Box::new(Interp::new(parent.c, parent.config));
-    interp.sched = parent.sched.child();
+    let TaskStart { func, body, mut captured, rvar, sched, spawn_site, depth_base } = start;
+    let mut interp = Box::new(Interp::new(c, config));
+    interp.sched = sched;
     interp.spawn_site = spawn_site;
-    interp.pool = parent.pool;
-    // The task's frame stands at the depth of the one spawning it.
-    interp.depth_base = parent.depth_base + parent.frames.len() - 1;
+    interp.pool = pool;
+    interp.depth_base = depth_base;
     let mut halt = interp.startup_fault.take().map(abort);
     if halt.is_none() {
         match interp.new_region(None) {
@@ -2000,8 +2021,8 @@ where
                 let n = captured.len();
                 interp.stack = captured;
                 interp.arrays = vec![None; n];
-                interp.frames.push(Frame { base: 0, end: n, func: parent.func, ret: 0, pins: 0 });
-                interp.func = parent.func;
+                interp.frames.push(Frame { base: 0, end: n, func, ret: 0, pins: 0 });
+                interp.func = func;
                 interp.pc = body;
             }
             Err(h) => halt = Some(h),
@@ -2011,23 +2032,23 @@ where
 }
 
 /// Executes one spawned task to completion on a scoped task thread (the
-/// thread scheduler), admitted by the semaphore.
+/// thread scheduler). The task is set up only once the semaphore admits
+/// it.
 fn run_task<'c, 'scope, 'env>(
-    mut task: Box<Interp<'c, 'scope, 'env>>,
-    halt: Option<Halt>,
+    c: &'c Compiled,
+    config: &'c RunConfig,
+    mut start: TaskStart,
+    pool: Pool<'scope, 'env>,
 ) -> TaskDone
 where
     'c: 'scope,
 {
-    if let Some(pool) = task.pool {
-        pool.sem.acquire();
-        task.sched.stamp(0, SchedEventKind::SemaAdmit);
-    }
+    pool.sem.acquire();
+    start.sched.stamp(0, SchedEventKind::SemaAdmit);
+    let (mut task, halt) = start_task(c, config, start, Some(pool));
     let halt = task.drive(Resume::Start(halt)).err();
     let sched = task.end_task(&halt);
-    if let Some(pool) = task.pool {
-        pool.sem.release();
-    }
+    pool.sem.release();
     task.into_task_done(halt, sched)
 }
 
