@@ -552,9 +552,9 @@ struct Interp<'c, 'scope, 'env> {
     /// timeline sampling, no det slice), so that [`Interp::charge`] may
     /// take several at once.
     plain_steps: bool,
-    /// Steps already taken of the instruction at `pc`, when a det slice
-    /// ended among them.
-    taken: u32,
+    /// Steps the instruction at `pc` still owes, when a det slice ended
+    /// among them.
+    owed: Option<u32>,
     /// First fault hit while building the startup image (globals block,
     /// global arrays, the traditional descriptor): reported from
     /// `run_main` before any user code runs.
@@ -745,7 +745,7 @@ where
             step_cap: if config.step_limit == 0 { u64::MAX } else { config.step_limit },
             base_op: config.costs.base_op,
             plain_steps: config.sample_interval == 0 && slices.is_none(),
-            taken: 0,
+            owed: None,
             startup_fault,
             observing: config.trace
                 || config.sample_interval != 0
@@ -939,7 +939,7 @@ where
     /// `n` steps, as [`Interp::step`] would take them one by one. While
     /// steps are plain and the cap is not in reach they are taken at once.
     /// When a step ends the det slice, the instruction resumes with only
-    /// the steps it still owes, which `taken` keeps.
+    /// the steps it still owes, which `owed` keeps.
     #[inline(always)]
     fn charge(&mut self, n: u32) -> Result<(), Stop> {
         let n64 = u64::from(n);
@@ -948,9 +948,11 @@ where
             self.heap.clock.charge(self.base_op * n64);
             return Ok(());
         }
-        for i in std::mem::take(&mut self.taken)..n {
+        let mut left = self.owed.take().unwrap_or(n);
+        while left != 0 {
+            left -= 1;
             if let Err(stop) = self.step() {
-                self.taken = i + 1;
+                self.owed = Some(left);
                 return Err(stop);
             }
         }
