@@ -14,6 +14,6 @@ pub mod shrink;
 
 pub use campaign::{run_campaign, run_seed, CampaignConfig};
 pub use gen::{generate, generate_source, statement_count, GenConfig};
-pub use oracle::{check_source, five_configs, outcome_key, CaseReport, Violation};
+pub use oracle::{check_source, five_configs, CaseReport, Violation};
 pub use rng::Rng;
 pub use shrink::shrink;

@@ -3,7 +3,7 @@
 //!
 //! 1. **Conformance** — the observable outcome (exit code / trap kind /
 //!    assertion failure) is identical under `lea`, `GC`, `nq`, `qs` and
-//!    `inf`. Outcomes are compared by *kind key* ([`outcome_key`]), not by
+//!    `inf`. Outcomes are compared by *kind key* ([`Outcome::key`]), not by
 //!    full payload: runtime-error payloads embed heap addresses, which
 //!    legitimately differ between allocators.
 //! 2. **Inference soundness** — rerunning the program with per-site check
@@ -251,20 +251,6 @@ fn task_report_defect(r: &rc_lang::RunResult) -> Option<String> {
     None
 }
 
-/// Collapses an [`Outcome`] to an allocator-independent key. Abort and
-/// trap payloads keep only the error *kind*: the full error carries
-/// addresses and region identifiers that differ across backends.
-pub fn outcome_key(o: &Outcome) -> String {
-    match o {
-        Outcome::Exit(code) => format!("exit:{code}"),
-        Outcome::Aborted(e) => format!("abort:{}", e.kind_name()),
-        Outcome::Trapped(e) => format!("trap:{}", e.kind_name()),
-        Outcome::AssertFailed => "assert-failed".to_string(),
-        Outcome::StepLimit => "step-limit".to_string(),
-        Outcome::StackOverflow => "stack-overflow".to_string(),
-    }
-}
-
 /// Everything the oracle measured for one program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CaseReport {
@@ -317,7 +303,7 @@ pub fn check_source(src: &str, step_budget: u64) -> Result<CaseReport, rc_lang::
     for (name, config) in five_configs() {
         let r = rc_lang::run_audited(&compiled, &budgeted(config));
         steps += r.steps;
-        let key = outcome_key(&r.outcome);
+        let key = r.outcome.key();
         if baseline_key.is_empty() {
             baseline_key = key;
         } else if key != baseline_key {
@@ -347,7 +333,7 @@ pub fn check_source(src: &str, step_budget: u64) -> Result<CaseReport, rc_lang::
         let det = budgeted(RunConfig::lea().det_sched(PAR_SEED));
         let r = rc_lang::run_audited(&compiled, &det);
         steps += r.steps;
-        let key = outcome_key(&r.outcome);
+        let key = r.outcome.key();
         if key != baseline_key {
             violations
                 .push(Violation::ParallelDivergence { baseline: baseline_key.clone(), got: key });
@@ -375,7 +361,7 @@ pub fn check_source(src: &str, step_budget: u64) -> Result<CaseReport, rc_lang::
     let counting = budgeted(RunConfig::rc(CheckMode::Nq).counting_checks());
     let r = rc_lang::run_audited(&compiled, &counting);
     steps += r.steps;
-    let key = outcome_key(&r.outcome);
+    let key = r.outcome.key();
     if key != baseline_key {
         violations.push(Violation::Divergence {
             config: "nq+count",
@@ -399,9 +385,9 @@ pub fn check_source(src: &str, step_budget: u64) -> Result<CaseReport, rc_lang::
     let a = rc_lang::run_audited(&compiled, &inf);
     let b = rc_lang::run_audited(&compiled, &inf);
     steps += a.steps + b.steps;
-    if outcome_key(&a.outcome) != outcome_key(&b.outcome) {
+    if a.outcome.key() != b.outcome.key() {
         violations.push(Violation::NonDeterministic {
-            detail: format!("outcome {} vs {}", outcome_key(&a.outcome), outcome_key(&b.outcome)),
+            detail: format!("outcome {} vs {}", a.outcome.key(), b.outcome.key()),
         });
     } else if a.stats != b.stats {
         violations.push(Violation::NonDeterministic {
@@ -742,13 +728,5 @@ int main() deletes {
         let report = check_source(src, 0).expect("compiles");
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.outcome_key, "assert-failed");
-    }
-
-    #[test]
-    fn outcome_keys_are_stable_tags() {
-        assert_eq!(outcome_key(&Outcome::Exit(7)), "exit:7");
-        assert_eq!(outcome_key(&Outcome::AssertFailed), "assert-failed");
-        assert_eq!(outcome_key(&Outcome::StepLimit), "step-limit");
-        assert_eq!(outcome_key(&Outcome::StackOverflow), "stack-overflow");
     }
 }

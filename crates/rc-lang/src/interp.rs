@@ -83,6 +83,40 @@ impl Outcome {
     pub fn is_exit(&self) -> bool {
         matches!(self, Outcome::Exit(_))
     }
+
+    /// The stable tag of the variant: `exit`, `trapped`, `aborted`,
+    /// `assert-failed`, `step-limit` or `stack-overflow`.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            Outcome::Exit(_) => "exit",
+            Outcome::Trapped(_) => "trapped",
+            Outcome::Aborted(_) => "aborted",
+            Outcome::AssertFailed => "assert-failed",
+            Outcome::StepLimit => "step-limit",
+            Outcome::StackOverflow => "stack-overflow",
+        }
+    }
+
+    /// The runtime error of a trapped or aborted run.
+    pub fn error(&self) -> Option<&RtError> {
+        match self {
+            Outcome::Trapped(e) | Outcome::Aborted(e) => Some(e),
+            _ => None,
+        }
+    }
+
+    /// A schedule- and allocator-independent key: `exit:N`,
+    /// `abort:<kind>`, `trap:<kind>` or the [`tag`](Self::tag). An error
+    /// keeps only its kind, since its addresses and region ids differ
+    /// across backends.
+    pub fn key(&self) -> String {
+        match self {
+            Outcome::Exit(code) => format!("exit:{code}"),
+            Outcome::Aborted(e) => format!("abort:{}", e.kind_name()),
+            Outcome::Trapped(e) => format!("trap:{}", e.kind_name()),
+            _ => self.tag().to_string(),
+        }
+    }
 }
 
 /// The result of executing a module.
@@ -2708,6 +2742,29 @@ mod tests {
         match r.outcome {
             Outcome::Exit(n) => n,
             other => panic!("program did not exit cleanly: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn outcome_names_are_stable() {
+        let (oom, immortal) = (RtError::OutOfMemory, RtError::TraditionalImmortal);
+        let cases = [
+            (Outcome::Exit(7), "exit", "exit:7", None),
+            (Outcome::Trapped(oom.clone()), "trapped", "trap:out_of_memory", Some(&oom)),
+            (
+                Outcome::Aborted(immortal.clone()),
+                "aborted",
+                "abort:traditional_immortal",
+                Some(&immortal),
+            ),
+            (Outcome::AssertFailed, "assert-failed", "assert-failed", None),
+            (Outcome::StepLimit, "step-limit", "step-limit", None),
+            (Outcome::StackOverflow, "stack-overflow", "stack-overflow", None),
+        ];
+        for (o, tag, key, error) in cases {
+            assert_eq!(o.tag(), tag);
+            assert_eq!(o.key(), key);
+            assert_eq!(o.error(), error);
         }
     }
 

@@ -438,14 +438,6 @@ pub fn supervise_compiled(
         let r = run_audited(c, &acfg);
         run_cycles += r.cycles;
 
-        let (tag, error_kind) = match &r.outcome {
-            Outcome::Exit(_) => ("exit", None),
-            Outcome::Trapped(e) => ("trapped", Some(e.kind_name().to_string())),
-            Outcome::Aborted(e) => ("aborted", Some(e.kind_name().to_string())),
-            Outcome::AssertFailed => ("assert-failed", None),
-            Outcome::StepLimit => ("step-limit", None),
-            Outcome::StackOverflow => ("stack-overflow", None),
-        };
         let first = r.faults.as_ref().and_then(|f| f.first());
         // The checkpoint is the last capture: the pre-unwind trap
         // snapshot for trapped runs, else the exit/GC state.
@@ -460,8 +452,8 @@ pub fn supervise_compiled(
             attempt,
             rung: next_rung.clone(),
             backoff_cycles: next_backoff,
-            outcome: tag.to_string(),
-            error_kind,
+            outcome: r.outcome.tag().to_string(),
+            error_kind: r.outcome.error().map(|e| e.kind_name().to_string()),
             injected: r.faults.as_ref().map_or(0, |f| f.total_injected() as u64),
             trigger_op: first.map_or(0, |f| f.op),
             trigger_at: first.map_or(0, |f| f.at),

@@ -217,17 +217,6 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn outcome_key(o: &Outcome) -> String {
-    match o {
-        Outcome::Exit(code) => format!("exit:{code}"),
-        Outcome::Aborted(e) => format!("abort:{}", e.kind_name()),
-        Outcome::Trapped(e) => format!("trap:{}", e.kind_name()),
-        Outcome::AssertFailed => "assert-failed".to_string(),
-        Outcome::StepLimit => "step-limit".to_string(),
-        Outcome::StackOverflow => "stack-overflow".to_string(),
-    }
-}
-
 fn audit_key(r: &RunResult) -> &'static str {
     match &r.audit {
         Some(Ok(())) => "clean",
@@ -252,7 +241,7 @@ fn digest(r: &RunResult) -> u64 {
 fn key(r: &RunResult) -> String {
     format!(
         "{} {} tasks={} {:016x}",
-        outcome_key(&r.outcome),
+        r.outcome.key(),
         audit_key(r),
         r.task_reports.len(),
         digest(r)

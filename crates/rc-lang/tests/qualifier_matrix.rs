@@ -19,7 +19,7 @@
 //!   check and not an unsafe deletion (the programs null the offending
 //!   field back out before teardown, so `nq` runs them to completion).
 
-use rc_lang::{prepare, run, CheckMode, Outcome, RunConfig};
+use rc_lang::{prepare, run, CheckMode, RunConfig};
 
 // ---------------------------------------------------------------------------
 // Static half: sema accept/reject.
@@ -417,20 +417,9 @@ static DYNAMIC_MATRIX: &[(&str, &str, Dynamic)] = &[
     ),
 ];
 
-fn outcome_key(o: &Outcome) -> String {
-    match o {
-        Outcome::Exit(code) => format!("exit:{code}"),
-        Outcome::Aborted(e) => format!("abort:{}", e.kind_name()),
-        Outcome::Trapped(e) => format!("trap:{}", e.kind_name()),
-        Outcome::AssertFailed => "assert-failed".to_string(),
-        Outcome::StepLimit => "step-limit".to_string(),
-        Outcome::StackOverflow => "stack-overflow".to_string(),
-    }
-}
-
 fn run_with(src: &str, config: RunConfig) -> String {
     let compiled = prepare(src).expect("dynamic matrix programs compile");
-    outcome_key(&run(&compiled, &config).outcome)
+    run(&compiled, &config).outcome.key()
 }
 
 #[test]

@@ -101,17 +101,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn outcome_key(o: &Outcome) -> String {
-    match o {
-        Outcome::Exit(code) => format!("exit:{code}"),
-        Outcome::Aborted(e) => format!("abort:{}", e.kind_name()),
-        Outcome::Trapped(e) => format!("trap:{}", e.kind_name()),
-        Outcome::AssertFailed => "assert-failed".to_string(),
-        Outcome::StepLimit => "step-limit".to_string(),
-        Outcome::StackOverflow => "stack-overflow".to_string(),
-    }
-}
-
 fn audit_key(r: &RunResult) -> &'static str {
     match &r.audit {
         Some(Ok(())) => "clean",
@@ -166,7 +155,7 @@ fn sweep() -> String {
         assert_eq!(audit_key(&clean), "clean", "{cname}");
         out.push_str(&format!(
             "none 0 {cname} {} {} {:016x}\n",
-            outcome_key(&clean.outcome),
+            clean.outcome.key(),
             audit_key(&clean),
             digest(&clean)
         ));
@@ -176,7 +165,7 @@ fn sweep() -> String {
                 let r = run_audited(&c, &cfg);
                 out.push_str(&format!(
                     "{pname} {ordinal} {cname} {} {} {:016x}\n",
-                    outcome_key(&r.outcome),
+                    r.outcome.key(),
                     audit_key(&r),
                     digest(&r)
                 ));
