@@ -14,8 +14,7 @@
 
 use std::process::ExitCode;
 
-use rc_bench::critpath;
-use rc_lang::{CheckMode, RunConfig};
+use rc_bench::{critpath, parallelmatrix};
 
 fn main() -> ExitCode {
     let scale = rc_bench::scale_from_args();
@@ -24,14 +23,9 @@ fn main() -> ExitCode {
     let seed = rc_bench::parsed_from_args("--det-seed").unwrap_or(critpath::DET_SEED);
     let cname = rc_bench::value_from_args("--config").unwrap_or_else(|| "lea".to_string());
     let out = rc_bench::value_from_args("--out");
-    let config = match cname.as_str() {
-        "lea" => RunConfig::lea(),
-        "GC" => RunConfig::gc(),
-        "qs" => RunConfig::rc(CheckMode::Qs),
-        other => {
-            eprintln!("critpath: unknown config {other:?} (want lea|GC|qs)");
-            return ExitCode::from(2);
-        }
+    let Some((_, config)) = parallelmatrix::configs().into_iter().find(|(n, _)| *n == cname) else {
+        eprintln!("critpath: unknown config {cname:?} (want lea|GC|qs)");
+        return ExitCode::from(2);
     };
 
     let run = match critpath::collect(&wname, tasks, &cname, &config, scale, seed) {
@@ -45,15 +39,8 @@ fn main() -> ExitCode {
     print!("{}", run.render_text());
 
     if let Some(path) = out {
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("critpath: {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        }
-        if let Err(e) = std::fs::write(&path, run.render()) {
-            eprintln!("critpath: {path}: {e}");
-            return ExitCode::from(2);
+        if let Err(code) = rc_bench::write_output("critpath", &path, &run.render()) {
+            return code;
         }
         println!("report written to {path}");
     }

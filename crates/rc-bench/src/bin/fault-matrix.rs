@@ -20,17 +20,5 @@ fn main() -> ExitCode {
     let scale = rc_bench::scale_from_args();
     let out = rc_bench::value_from_args("--out");
     let report = faultmatrix::collect(scale);
-    print!("{}", report.summary());
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, report.render()) {
-            eprintln!("fault-matrix: {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("report written to {path}");
-    }
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    report.finish("fault-matrix", &report.summary(), out.as_deref())
 }

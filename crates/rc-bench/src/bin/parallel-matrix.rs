@@ -15,9 +15,11 @@
 //!
 //! `--speedup` instead measures real-thread wall-clock scaling (1 vs 4
 //! workers on each workload's 4-task variant) and requires a ≥2×
-//! speedup on at least one workload. On machines reporting fewer than 4
-//! hardware threads the probe is skipped with exit 0: no scaling is
-//! physically possible there, and wall-clock never gates determinism.
+//! speedup on at least one workload (exit 1 otherwise). On machines
+//! reporting fewer than 4 hardware threads the probe is skipped with
+//! exit 0: no scaling is physically possible there, and wall-clock never
+//! gates determinism. A workload the probe cannot measure (no variant, a
+//! compile error, a run that does not exit) exits 2.
 
 use std::process::ExitCode;
 
@@ -30,29 +32,25 @@ fn main() -> ExitCode {
         return speedup(scale);
     }
     let report = parallelmatrix::collect(scale);
-    print!("{}", report.summary());
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, report.render()) {
-            eprintln!("parallel-matrix: {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("report written to {path}");
-    }
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    report.finish("parallel-matrix", &report.summary(), out.as_deref())
 }
 
 fn speedup(scale: rc_workloads::Scale) -> ExitCode {
-    let Some(probes) = parallelmatrix::speedup_probe(scale) else {
-        let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+    let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+    if cores < 4 {
         println!(
             "parallel-matrix: speedup probe skipped ({cores} hardware thread(s) < 4); \
              scheduler equivalence is gated by the deterministic matrix instead"
         );
         return ExitCode::SUCCESS;
+    }
+    let names: Vec<&str> = rc_workloads::all().iter().map(|w| w.name).collect();
+    let probes = match parallelmatrix::speedup_probe(scale, &names) {
+        Ok(probes) => probes,
+        Err(e) => {
+            eprintln!("parallel-matrix: speedup probe: {e}");
+            return ExitCode::from(2);
+        }
     };
     let mut best: Option<&parallelmatrix::Speedup> = None;
     for p in &probes {

@@ -35,19 +35,7 @@ fn main() -> ExitCode {
         return dump_pair(&dir, scale);
     }
     let report = recoverymatrix::collect(scale);
-    print!("{}", report.summary());
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, report.render()) {
-            eprintln!("recovery-matrix: {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("report written to {path}");
-    }
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    report.finish("recovery-matrix", &report.summary(), out.as_deref())
 }
 
 /// Replays the budget-squeeze recovery story on `moss/qs` — the

@@ -20,7 +20,7 @@
 use std::process::ExitCode;
 
 use rc_bench::{critpath, provenance};
-use rc_lang::{CheckMode, RunConfig};
+use rc_lang::RunConfig;
 
 fn main() -> ExitCode {
     if rc_bench::flag_from_args("--parallel") {
@@ -36,15 +36,9 @@ fn main() -> ExitCode {
         eprintln!("trace-export: unknown workload {wname:?}");
         return ExitCode::from(2);
     };
-    let config = match cname.as_str() {
-        "nq" => RunConfig::rc(CheckMode::Nq),
-        "qs" => RunConfig::rc(CheckMode::Qs),
-        "inf" => RunConfig::rc_inf(),
-        "nc" => RunConfig::rc(CheckMode::Nc),
-        other => {
-            eprintln!("trace-export: unknown config {other:?} (want nq|qs|inf|nc)");
-            return ExitCode::from(2);
-        }
+    let Some((_, config)) = RunConfig::figure8().into_iter().find(|(n, _)| *n == cname) else {
+        eprintln!("trace-export: unknown config {cname:?} (want nq|qs|inf|nc)");
+        return ExitCode::from(2);
     };
 
     let export = provenance::collect(&workload, &cname, &config, scale);
@@ -92,15 +86,8 @@ fn parallel() -> ExitCode {
 }
 
 fn write_trace(out: &str, json: String) -> ExitCode {
-    if let Some(dir) = std::path::Path::new(out).parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("trace-export: {}: {e}", dir.display());
-            return ExitCode::from(2);
-        }
-    }
-    if let Err(e) = std::fs::write(out, json) {
-        eprintln!("trace-export: {out}: {e}");
-        return ExitCode::from(2);
+    if let Err(code) = rc_bench::write_output("trace-export", out, &json) {
+        return code;
     }
     println!("trace written to {out} (load in https://ui.perfetto.dev)");
     ExitCode::SUCCESS

@@ -8,8 +8,8 @@
 //! checked for the robustness contract:
 //!
 //! 1. **no panics** — every failure surfaces as a typed
-//!    [`Outcome::Trapped`]/[`Outcome::Aborted`], never an unwind out of
-//!    the interpreter;
+//!    [`rc_lang::Outcome::Trapped`]/[`rc_lang::Outcome::Aborted`], never
+//!    an unwind out of the interpreter;
 //! 2. **post-fault audit cleanliness** — after the trap handler tears the
 //!    region stack down, `Heap::audit()` must pass;
 //! 3. **cross-config agreement** — for allocation-plane scenarios, all
@@ -17,21 +17,19 @@
 //!    same allocation ordinal), since the Alloc plane counts allocations
 //!    backend-independently.
 //!
-//! Violations are collected into the report (and fail the gate) rather
-//! than thrown, so one bad cell never hides the rest of the matrix.
-//! Every number is virtual-clock, so two reports from the same tree are
-//! byte-identical — same property the trajectory gate relies on. The
-//! schema string [`SCHEMA`] names the layout; see `docs/ROBUSTNESS.md`.
+//! The report is a [`Matrix`], so violations fail the gate without
+//! hiding the rest of the matrix, and it is byte-identical across runs.
+//! The schema string [`SCHEMA`] names the layout; see
+//! `docs/ROBUSTNESS.md`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use rc_lang::interp::{run_audited, Outcome, RunResult};
+use rc_lang::interp::{run_audited, RunResult};
 use rc_lang::RunConfig;
 use rc_workloads::driver::prepare_workload;
 use rc_workloads::{Scale, Workload};
 use region_rt::{FaultMode, FaultPlan, Json};
 
-use crate::panic_msg;
+use crate::matrix::Matrix;
+use crate::report::Row;
 
 /// Schema identifier embedded in every report; bumped on layout change
 /// (registered in [`crate::schema`]).
@@ -74,7 +72,7 @@ pub fn scenarios() -> Vec<FaultScenario> {
 }
 
 /// One workload × scenario × configuration cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultRun {
     /// Workload name.
     pub workload: String,
@@ -82,8 +80,7 @@ pub struct FaultRun {
     pub scenario: String,
     /// Configuration display name (Figure 7 column).
     pub config: String,
-    /// How the run ended: `exit`, `trapped`, `aborted`, `assert-failed`,
-    /// `step-limit`, `stack-overflow` or `panicked`.
+    /// How the run ended: an [`rc_lang::Outcome::tag`] or `panicked`.
     pub outcome: String,
     /// The typed error's stable kind tag, for trapped/aborted runs.
     pub error_kind: Option<String>,
@@ -106,104 +103,51 @@ impl FaultRun {
     pub fn key(&self) -> String {
         format!("{}/{}/{}", self.workload, self.scenario, self.config)
     }
+}
 
-    /// Encodes the cell as one JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
+impl Row for FaultRun {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
             ("workload", Json::s(&*self.workload)),
             ("scenario", Json::s(&*self.scenario)),
             ("config", Json::s(&*self.config)),
             ("outcome", Json::s(&*self.outcome)),
-            (
-                "error_kind",
-                match &self.error_kind {
-                    Some(k) => Json::s(&**k),
-                    None => Json::Null,
-                },
-            ),
+            ("error_kind", self.error_kind.as_deref().map_or(Json::Null, Json::s)),
             ("injected", Json::U(self.injected)),
             ("first_op", Json::U(self.first_op)),
             ("first_at", Json::U(self.first_at)),
             ("audit_clean", Json::Bool(self.audit_clean)),
             ("cycles", Json::U(self.cycles)),
             ("steps", Json::U(self.steps)),
-        ])
+        ]
     }
 }
 
-/// The full matrix report: every cell plus the contract violations.
-#[derive(Debug, Clone)]
-pub struct FaultMatrixReport {
-    /// Workload scale the matrix ran at.
-    pub scale: u32,
-    /// All cells, workload-major, scenario-then-configuration order.
-    pub runs: Vec<FaultRun>,
-    /// Robustness-contract violations (empty = the gate passes).
-    pub violations: Vec<String>,
-}
-
-impl FaultMatrixReport {
-    /// Whether the robustness gate passes.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Encodes the report, schema string first.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::s(SCHEMA)),
-            ("scale", Json::U(self.scale as u64)),
-            ("passed", Json::Bool(self.passed())),
-            ("violations", Json::A(self.violations.iter().map(|v| Json::s(&**v)).collect())),
-            ("runs", Json::A(self.runs.iter().map(FaultRun::to_json).collect())),
-        ])
-    }
-
-    /// Renders the report as pretty-printed JSON (the
-    /// `FAULTMATRIX_rc.json` format).
-    pub fn render(&self) -> String {
-        let mut s = self.to_json().render_pretty();
-        s.push('\n');
-        s
-    }
-
-    /// A short human summary: cell counts by outcome, then violations.
+impl Matrix<FaultRun> {
+    /// A short human summary: cell counts by outcome, then the gate.
     pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
         let count = |tag: &str| self.runs.iter().filter(|r| r.outcome == tag).count();
-        let _ = writeln!(
-            out,
-            "fault-matrix: {} cells — {} exited, {} trapped, {} other",
-            self.runs.len(),
-            count("exit"),
-            count("trapped"),
-            self.runs.len() - count("exit") - count("trapped"),
-        );
+        let (exited, trapped) = (count("exit"), count("trapped"));
         let injected: u64 = self.runs.iter().map(|r| r.injected).sum();
-        let _ = writeln!(out, "injections fired: {injected}");
-        if self.passed() {
-            let _ = writeln!(out, "robustness gate: PASS");
-        } else {
-            let _ = writeln!(out, "robustness gate: FAIL ({} violations)", self.violations.len());
-            for v in &self.violations {
-                let _ = writeln!(out, "  - {v}");
-            }
-        }
-        out
+        format!(
+            "fault-matrix: {} cells — {exited} exited, {trapped} trapped, {} other\n\
+             injections fired: {injected}\n{}",
+            self.runs.len(),
+            self.runs.len() - exited - trapped,
+            self.verdict("robustness"),
+        )
     }
 }
 
 /// Runs the full matrix over all eight workloads.
-pub fn collect(scale: Scale) -> FaultMatrixReport {
+pub fn collect(scale: Scale) -> Matrix<FaultRun> {
     collect_for(scale, &rc_workloads::all())
 }
 
 /// Runs the matrix over the given workloads: every [`scenarios`] column
 /// under every Figure 7 configuration, trap-and-unwind recovery on.
-pub fn collect_for(scale: Scale, workloads: &[Workload]) -> FaultMatrixReport {
-    let mut runs = Vec::new();
-    let mut violations = Vec::new();
+pub fn collect_for(scale: Scale, workloads: &[Workload]) -> Matrix<FaultRun> {
+    let mut m = Matrix::new(SCHEMA, scale);
     for w in workloads {
         let c = prepare_workload(w, scale);
         for scenario in scenarios() {
@@ -212,31 +156,41 @@ pub fn collect_for(scale: Scale, workloads: &[Workload]) -> FaultMatrixReport {
                     .trapping()
                     .with_faults(scenario.plan.clone())
                     .with_page_budget(scenario.page_budget);
-                let key = format!("{}/{}/{name}", w.name, scenario.name);
-                // `run_audited` re-raises interpreter-thread panics on
-                // this thread, so a catch here observes them all.
-                let cell = match catch_unwind(AssertUnwindSafe(|| run_audited(&c, &cfg))) {
-                    Ok(r) => cell_of(w.name, scenario.name, name, &r),
-                    Err(payload) => {
-                        violations.push(format!("{key}: panicked: {}", panic_msg(&payload)));
-                        panicked_cell(w.name, scenario.name, name)
-                    }
+                let id = FaultRun {
+                    workload: w.name.to_string(),
+                    scenario: scenario.name.to_string(),
+                    config: name.to_string(),
+                    ..FaultRun::default()
                 };
-                if cell.outcome != "panicked" && !cell.audit_clean {
-                    violations.push(format!("{key}: post-fault heap audit failed"));
-                }
-                if cell.outcome == "aborted" {
-                    violations.push(format!(
-                        "{key}: aborted ({}) despite trap-and-unwind recovery",
-                        cell.error_kind.as_deref().unwrap_or("?"),
-                    ));
-                }
-                runs.push(cell);
+                let key = id.key();
+                m.cell(
+                    &key,
+                    |v| {
+                        let cell = cell_of(id.clone(), &run_audited(&c, &cfg));
+                        gate_cell(&key, &cell, v);
+                        cell
+                    },
+                    || FaultRun { outcome: "panicked".to_string(), ..id.clone() },
+                );
             }
         }
     }
-    check_alloc_agreement(&runs, &mut violations);
-    FaultMatrixReport { scale: scale.0, runs, violations }
+    check_alloc_agreement(&m.runs, &mut m.violations);
+    m
+}
+
+/// Applies the per-cell robustness contract: a clean post-fault audit,
+/// and no abort under trap-and-unwind recovery.
+fn gate_cell(key: &str, cell: &FaultRun, violations: &mut Vec<String>) {
+    if !cell.audit_clean {
+        violations.push(format!("{key}: post-fault heap audit failed"));
+    }
+    if cell.outcome == "aborted" {
+        violations.push(format!(
+            "{key}: aborted ({}) despite trap-and-unwind recovery",
+            cell.error_kind.as_deref().unwrap_or("?"),
+        ));
+    }
 }
 
 /// The cross-config agreement check: within one workload × alloc-plane
@@ -276,46 +230,19 @@ fn check_alloc_agreement(runs: &[FaultRun], violations: &mut Vec<String>) {
     }
 }
 
-fn cell_of(workload: &str, scenario: &str, config: &str, r: &RunResult) -> FaultRun {
-    let (outcome, error_kind) = match &r.outcome {
-        Outcome::Exit(_) => ("exit", None),
-        Outcome::Trapped(e) => ("trapped", Some(e.kind_name().to_string())),
-        Outcome::Aborted(e) => ("aborted", Some(e.kind_name().to_string())),
-        Outcome::AssertFailed => ("assert-failed", None),
-        Outcome::StepLimit => ("step-limit", None),
-        Outcome::StackOverflow => ("stack-overflow", None),
-    };
+/// The cell `id` names, filled in from its run.
+fn cell_of(id: FaultRun, r: &RunResult) -> FaultRun {
     let first = r.faults.as_ref().and_then(|f| f.first());
     FaultRun {
-        workload: workload.to_string(),
-        scenario: scenario.to_string(),
-        config: config.to_string(),
-        outcome: outcome.to_string(),
-        error_kind,
+        outcome: r.outcome.tag().to_string(),
+        error_kind: r.outcome.error().map(|e| e.kind_name().to_string()),
         injected: r.faults.as_ref().map_or(0, |f| f.total_injected() as u64),
         first_op: first.map_or(0, |f| f.op),
         first_at: first.map_or(0, |f| f.at),
         audit_clean: matches!(r.audit, Some(Ok(()))),
         cycles: r.cycles,
         steps: r.steps,
-    }
-}
-
-/// A placeholder cell for a run that panicked (already a violation; the
-/// zeros keep the report shape uniform).
-fn panicked_cell(workload: &str, scenario: &str, config: &str) -> FaultRun {
-    FaultRun {
-        workload: workload.to_string(),
-        scenario: scenario.to_string(),
-        config: config.to_string(),
-        outcome: "panicked".to_string(),
-        error_kind: None,
-        injected: 0,
-        first_op: 0,
-        first_at: 0,
-        audit_clean: false,
-        cycles: 0,
-        steps: 0,
+        ..id
     }
 }
 
@@ -323,7 +250,7 @@ fn panicked_cell(workload: &str, scenario: &str, config: &str) -> FaultRun {
 mod tests {
     use super::*;
 
-    fn tiny_matrix() -> FaultMatrixReport {
+    fn tiny_matrix() -> Matrix<FaultRun> {
         collect_for(Scale::TINY, &[rc_workloads::by_name("tile").unwrap()])
     }
 

@@ -16,6 +16,12 @@
 //! | Perfetto provenance trace           | `cargo run -p rc-bench --bin trace-export` |
 //! | Heap snapshot dump + analysis       | `cargo run -p rc-bench --bin rc-inspect` |
 //!
+//! The fault, recovery and parallel matrices share one driver,
+//! [`matrix`]: one gated report type, one cell runner that turns a
+//! panicking cell into a violation, and one ending for their binaries.
+//! Each matrix module keeps only its scenarios, configurations, cell
+//! constructor, contract checks and the first lines of its summary.
+//!
 //! Runtime-operation wall-clock benchmarks live in `benches/runtime_ops.rs`
 //! (run with `cargo bench -p rc-bench`), on the dependency-free harness in
 //! [`microbench`]; `bench/` (rc-perf) times whole workloads. Every output
@@ -28,6 +34,7 @@ pub mod critpath;
 pub mod faultmatrix;
 pub mod fuzzreport;
 pub mod inspect;
+pub mod matrix;
 pub mod microbench;
 pub mod parallelmatrix;
 pub mod provenance;
@@ -35,6 +42,9 @@ pub mod recoverymatrix;
 pub mod report;
 pub mod schema;
 pub mod trajectory;
+
+use std::path::Path;
+use std::process::ExitCode;
 
 use rc_workloads::Scale;
 
@@ -82,13 +92,13 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// The message of a caught panic, for reporting a crashed cell.
-pub(crate) fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Writes a binary's output file, creating its directory first. On an
+/// error, prints `program: path: error` on stderr and gives the exit code
+/// 2 to return.
+pub fn write_output(program: &str, path: &str, text: &str) -> Result<(), ExitCode> {
+    let dir = Path::new(path).parent().unwrap_or(Path::new(""));
+    std::fs::create_dir_all(dir).and_then(|()| std::fs::write(path, text)).map_err(|e| {
+        eprintln!("{program}: {path}: {e}");
+        ExitCode::from(2)
+    })
 }

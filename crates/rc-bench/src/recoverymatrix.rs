@@ -23,20 +23,17 @@
 //!    [`PolicyExhausted`](rc_lang::SupervisionOutcome::PolicyExhausted) — nothing
 //!    lands [`Unrecoverable`](rc_lang::SupervisionOutcome::Unrecoverable).
 //!
-//! Violations are collected into the report (and fail the gate) rather
-//! than thrown, so one bad cell never hides the rest. Every number is
-//! virtual-clock, so two reports from the same tree are byte-identical —
-//! `tools/pins.sh` pins the report. The schema string [`SCHEMA`]
-//! names the layout; see `docs/ROBUSTNESS.md`.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! The report is a [`Matrix`], so violations fail the gate without
+//! hiding the rest, and `tools/pins.sh` pins it byte for byte. The
+//! schema string [`SCHEMA`] names the layout; see `docs/ROBUSTNESS.md`.
 
 use rc_lang::{supervise_compiled, CheckMode, RecoveryPolicy, RunConfig, SupervisionReport};
 use rc_workloads::driver::prepare_workload;
 use rc_workloads::{Scale, Workload};
 use region_rt::{FaultMode, FaultPlan, Json};
 
-use crate::panic_msg;
+use crate::matrix::Matrix;
+use crate::report::Row;
 
 /// Schema identifier embedded in every report; bumped on layout change
 /// (registered in [`crate::schema`]).
@@ -131,7 +128,7 @@ pub fn configs() -> Vec<(&'static str, RunConfig)> {
 }
 
 /// One workload × scenario × configuration cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryRun {
     /// Workload name.
     pub workload: String,
@@ -165,10 +162,11 @@ impl RecoveryRun {
     pub fn key(&self) -> String {
         format!("{}/{}/{}", self.workload, self.scenario, self.config)
     }
+}
 
-    /// Encodes the cell as one JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
+impl Row for RecoveryRun {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
             ("workload", Json::s(&*self.workload)),
             ("scenario", Json::s(&*self.scenario)),
             ("config", Json::s(&*self.config)),
@@ -182,114 +180,65 @@ impl RecoveryRun {
             ("backoff_cycles", Json::U(self.backoff_cycles)),
             (
                 "supervision",
-                match &self.supervision {
-                    Some(rep) => rep.to_json(),
-                    None => Json::Null,
-                },
+                self.supervision.as_ref().map_or(Json::Null, SupervisionReport::to_json),
             ),
-        ])
+        ]
     }
 }
 
-/// The full matrix report: every cell plus the contract violations.
-#[derive(Debug, Clone)]
-pub struct RecoveryMatrixReport {
-    /// Workload scale the matrix ran at.
-    pub scale: u32,
-    /// All cells, workload-major, scenario-then-configuration order.
-    pub runs: Vec<RecoveryRun>,
-    /// Recovery-contract violations (empty = the gate passes).
-    pub violations: Vec<String>,
-}
-
-impl RecoveryMatrixReport {
-    /// Whether the recovery gate passes.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Encodes the report, schema string first.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::s(SCHEMA)),
-            ("scale", Json::U(self.scale as u64)),
-            ("passed", Json::Bool(self.passed())),
-            ("violations", Json::A(self.violations.iter().map(|v| Json::s(&**v)).collect())),
-            ("runs", Json::A(self.runs.iter().map(RecoveryRun::to_json).collect())),
-        ])
-    }
-
-    /// Renders the report as pretty-printed JSON (the
-    /// `RECOVERYMATRIX_rc.json` format).
-    pub fn render(&self) -> String {
-        let mut s = self.to_json().render_pretty();
-        s.push('\n');
-        s
-    }
-
-    /// A short human summary: cell counts by verdict, then violations.
+impl Matrix<RecoveryRun> {
+    /// A short human summary: cell counts by verdict, then the gate.
     pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
         let count = |tag: &str| self.runs.iter().filter(|r| r.outcome == tag).count();
-        let _ = writeln!(
-            out,
-            "recovery-matrix: {} cells — {} completed ({} via recovery), {} exhausted, {} other",
-            self.runs.len(),
-            count("completed"),
-            self.runs.iter().filter(|r| r.recovered).count(),
-            count("policy-exhausted"),
-            self.runs.len() - count("completed") - count("policy-exhausted"),
-        );
+        let (completed, exhausted) = (count("completed"), count("policy-exhausted"));
+        let recovered = self.runs.iter().filter(|r| r.recovered).count();
         let retries: u64 = self.runs.iter().map(|r| r.attempts.saturating_sub(1) as u64).sum();
-        let _ = writeln!(out, "re-executions: {retries}");
-        if self.passed() {
-            let _ = writeln!(out, "recovery gate: PASS");
-        } else {
-            let _ = writeln!(out, "recovery gate: FAIL ({} violations)", self.violations.len());
-            for v in &self.violations {
-                let _ = writeln!(out, "  - {v}");
-            }
-        }
-        out
+        format!(
+            "recovery-matrix: {} cells — {completed} completed ({recovered} via recovery), \
+             {exhausted} exhausted, {} other\nre-executions: {retries}\n{}",
+            self.runs.len(),
+            self.runs.len() - completed - exhausted,
+            self.verdict("recovery"),
+        )
     }
 }
 
 /// Runs the full matrix over all eight workloads.
-pub fn collect(scale: Scale) -> RecoveryMatrixReport {
+pub fn collect(scale: Scale) -> Matrix<RecoveryRun> {
     collect_for(scale, &rc_workloads::all())
 }
 
 /// Runs the matrix over the given workloads: every [`scenarios`] column
 /// under every [`configs`] configuration, supervised.
-pub fn collect_for(scale: Scale, workloads: &[Workload]) -> RecoveryMatrixReport {
-    let mut runs = Vec::new();
-    let mut violations = Vec::new();
+pub fn collect_for(scale: Scale, workloads: &[Workload]) -> Matrix<RecoveryRun> {
+    let mut m = Matrix::new(SCHEMA, scale);
     for w in workloads {
         let c = prepare_workload(w, scale);
         for scenario in scenarios() {
             for (name, cfg) in configs() {
                 let cfg =
                     cfg.with_faults(scenario.plan.clone()).with_page_budget(scenario.page_budget);
-                let key = format!("{}/{}/{name}", w.name, scenario.name);
-                // `supervise_compiled` runs the interpreter on a scoped
-                // thread that re-raises panics here, so the catch
-                // observes them all.
-                let cell = match catch_unwind(AssertUnwindSafe(|| {
-                    supervise_compiled(&c, &cfg, &scenario.policy)
-                })) {
-                    Ok(rep) => cell_of(w.name, scenario.name, name, rep),
-                    Err(payload) => {
-                        violations.push(format!("{key}: panicked: {}", panic_msg(&payload)));
-                        panicked_cell(w.name, scenario.name, name)
-                    }
+                let id = RecoveryRun {
+                    workload: w.name.to_string(),
+                    scenario: scenario.name.to_string(),
+                    config: name.to_string(),
+                    ..RecoveryRun::default()
                 };
-                gate_cell(&key, &scenario, &cell, &mut violations);
-                runs.push(cell);
+                let key = id.key();
+                m.cell(
+                    &key,
+                    |v| {
+                        let cell =
+                            cell_of(id.clone(), supervise_compiled(&c, &cfg, &scenario.policy));
+                        gate_cell(&key, &scenario, &cell, v);
+                        cell
+                    },
+                    || RecoveryRun { outcome: "panicked".to_string(), ..id.clone() },
+                );
             }
         }
     }
-    RecoveryMatrixReport { scale: scale.0, runs, violations }
+    m
 }
 
 /// Applies the recovery contract to one cell.
@@ -299,9 +248,6 @@ fn gate_cell(
     cell: &RecoveryRun,
     violations: &mut Vec<String>,
 ) {
-    if cell.outcome == "panicked" {
-        return; // already a violation
-    }
     if !cell.checkpoints_ok {
         violations.push(format!("{key}: a checkpoint failed to restore"));
     }
@@ -329,11 +275,9 @@ fn gate_cell(
     }
 }
 
-fn cell_of(workload: &str, scenario: &str, config: &str, rep: SupervisionReport) -> RecoveryRun {
+/// The cell `id` names, filled in from its supervision record.
+fn cell_of(id: RecoveryRun, rep: SupervisionReport) -> RecoveryRun {
     RecoveryRun {
-        workload: workload.to_string(),
-        scenario: scenario.to_string(),
-        config: config.to_string(),
         outcome: rep.outcome.as_str().to_string(),
         attempts: rep.attempts.len() as u32,
         recovered: rep.recovered(),
@@ -343,25 +287,7 @@ fn cell_of(workload: &str, scenario: &str, config: &str, rep: SupervisionReport)
         run_cycles: rep.run_cycles,
         backoff_cycles: rep.backoff_cycles,
         supervision: Some(rep),
-    }
-}
-
-/// A placeholder cell for a run that panicked (already a violation; the
-/// zeros keep the report shape uniform).
-fn panicked_cell(workload: &str, scenario: &str, config: &str) -> RecoveryRun {
-    RecoveryRun {
-        workload: workload.to_string(),
-        scenario: scenario.to_string(),
-        config: config.to_string(),
-        outcome: "panicked".to_string(),
-        attempts: 0,
-        recovered: false,
-        checkpoints_ok: false,
-        audits_clean: false,
-        injected: 0,
-        run_cycles: 0,
-        backoff_cycles: 0,
-        supervision: None,
+        ..id
     }
 }
 
@@ -369,7 +295,7 @@ fn panicked_cell(workload: &str, scenario: &str, config: &str) -> RecoveryRun {
 mod tests {
     use super::*;
 
-    fn tiny_matrix() -> RecoveryMatrixReport {
+    fn tiny_matrix() -> Matrix<RecoveryRun> {
         collect_for(Scale::TINY, &[rc_workloads::by_name("tile").unwrap()])
     }
 

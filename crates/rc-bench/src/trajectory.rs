@@ -19,6 +19,8 @@ use rc_workloads::driver::prepare_workload;
 use rc_workloads::{Scale, Workload};
 use region_rt::{sparkline, Json, MetricsSnapshot};
 
+use crate::report::{rows_json, Row};
+
 /// Schema identifier embedded in every report; bumped on layout change
 /// (registered in [`crate::schema`]).
 pub const SCHEMA: &str = crate::schema::Schema::Trajectory.id();
@@ -59,10 +61,9 @@ pub struct BenchRun {
     pub samples: Vec<MetricsSnapshot>,
 }
 
-impl BenchRun {
-    /// Encodes the run as one JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
+impl Row for BenchRun {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
             ("workload", Json::s(&*self.workload)),
             ("config", Json::s(&*self.config)),
             ("cycles", Json::U(self.cycles)),
@@ -74,7 +75,7 @@ impl BenchRun {
             ("objects_allocated", Json::U(self.objects_allocated)),
             ("words_allocated", Json::U(self.words_allocated)),
             ("samples", Json::A(self.samples.iter().map(MetricsSnapshot::to_json).collect())),
-        ])
+        ]
     }
 }
 
@@ -93,7 +94,7 @@ impl BenchReport {
         Json::obj(vec![
             ("schema", Json::s(SCHEMA)),
             ("scale", Json::U(self.scale as u64)),
-            ("runs", Json::A(self.runs.iter().map(BenchRun::to_json).collect())),
+            ("runs", rows_json(&self.runs)),
         ])
     }
 

@@ -11,6 +11,8 @@ fn a_missing_or_bad_value_exits_2_before_any_work() {
         (env!("CARGO_BIN_EXE_fault-matrix"), &["--scale", "1", "--out"], "--out"),
         (env!("CARGO_BIN_EXE_fault-matrix"), &["--scale", "one"], "--scale"),
         (env!("CARGO_BIN_EXE_fault-matrix"), &["--out", "--scale", "1"], "--out"),
+        (env!("CARGO_BIN_EXE_recovery-matrix"), &["--scale", "1", "--out"], "--out"),
+        (env!("CARGO_BIN_EXE_parallel-matrix"), &["--scale", "1", "--out"], "--out"),
         (env!("CARGO_BIN_EXE_critpath"), &["--scale", "1", "--workload"], "--workload"),
         (env!("CARGO_BIN_EXE_critpath"), &["--scale", "eight"], "--scale"),
         (env!("CARGO_BIN_EXE_experiments"), &["--scale", "1", "--trace"], "--trace"),
