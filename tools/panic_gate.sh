@@ -11,32 +11,13 @@
 # code takes its entries with it.
 #
 # Test code is skipped only where it is a column-0 `#[cfg(test)]` module
-# whose body ends at a column-0 `}`; scanning resumes after it. Every other
-# `#[cfg(test)]` item, and whatever follows it, is scanned like any code.
-# See docs/ROBUSTNESS.md.
+# whose body ends at a column-0 `}` (tools/strip_test_mods.awk); scanning
+# resumes after it. Every other `#[cfg(test)]` item, and whatever follows
+# it, is scanned like any code. See docs/ROBUSTNESS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 allowlist=tools/panic_allowlist.txt
-# Prints a source file without its test modules. A module is skipped when a
-# column-0 `#[cfg(test)]` (further attribute or comment lines may follow)
-# leads to a `mod name {` line, through the module's column-0 `}`.
-strip_test_mods='
-skip { if ($0 ~ /^}/) skip = 0; next }
-{
-    test = pending
-    pending = 0
-    if ($0 ~ /^#\[cfg\(test\)\]/) {
-        sub(/^#\[cfg\(test\)\][ \t]*/, "")
-        test = 1
-        if ($0 == "") { pending = 1; next }
-    } else if (test && $0 ~ /^(#\[|\/\/)/) {
-        pending = 1
-        next
-    }
-    if (test && $0 ~ /^(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+ *\{ *$/) { skip = 1; next }
-    print
-}'
 status=0
 sites=""
 shopt -s nullglob
@@ -52,7 +33,7 @@ for f in crates/region-rt/src/*.rs crates/region-rt/src/*/*.rs crates/rlang/src/
             echo "panic-gate: not allowlisted: $f: $trimmed" >&2
             status=1
         fi
-    done < <(awk "$strip_test_mods" "$f" \
+    done < <(awk -f tools/strip_test_mods.awk "$f" \
         | grep -vE '^[[:space:]]*//' \
         | grep -E 'panic!\(|unreachable!\(|todo!\(|unimplemented!\(|\.unwrap\(\)|\.expect\("' \
         || true)
