@@ -11,10 +11,11 @@
 #                           digests and the committed copies from that run
 #
 # Each manifest line runs in its own directory, target/pins/runN/<dir>, and
-# digest paths are relative to target/pins/runN. The check fails when a
-# command exits nonzero, a digest differs, a listed output is missing, or a
-# run writes a file that is not listed. Refresh only after an output moved
-# on purpose. See docs/TESTING.md "Pinned outputs".
+# digest paths are relative to target/pins/runN. A line's stdout is one of
+# its outputs, <dir>/stdout.txt; its stderr goes to target/pins/runN.logs/.
+# The check fails when a command exits nonzero, a digest differs, a listed
+# output is missing, or a run writes a file that is not listed. Refresh only
+# after an output moved on purpose. See docs/TESTING.md "Pinned outputs".
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,13 +30,14 @@ parallel-matrix/PARALLELMATRIX_rc.json baselines/PARALLELMATRIX_rc.json
 trajectory/target/experiments/BENCH_baseline.json baselines/BENCH_baseline.json
 experiments/EXPERIMENTS.md EXPERIMENTS.md"
 
-# pin <dir> <command>: runs one manifest line in $run/<dir>, its output
-# logged to $run.logs/<dir>.log. Chain commands with && so any failure counts.
+# pin <dir> <command>: runs one manifest line in $run/<dir>, its stdout
+# written to $run/<dir>/stdout.txt and its stderr to $run.logs/<dir>.log.
+# Chain commands with && so any failure counts.
 pin() {
     mkdir -p "$run/$1"
-    if ! (cd "$run/$1" && eval "$2") > "$run.logs/$1.log" 2>&1; then
+    if ! (cd "$run/$1" && eval "$2") > "$run/$1/stdout.txt" 2> "$run.logs/$1.log"; then
         echo "pins: $run/$1 failed: $2" >&2
-        tail -n 20 "$run.logs/$1.log" >&2
+        tail -n 20 "$run/$1/stdout.txt" "$run.logs/$1.log" >&2
         exit 1
     fi
 }
