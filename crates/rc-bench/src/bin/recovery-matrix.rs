@@ -76,9 +76,8 @@ fn dump_pair(dir: &str, scale: Scale) -> ExitCode {
 
     for (name, snap) in [("recovery_trap.json", &trap), ("recovery_exit.json", &exit)] {
         let path = format!("{dir}/{name}");
-        if let Err(e) = std::fs::write(&path, snap.render()) {
-            eprintln!("recovery-matrix: {path}: {e}");
-            return ExitCode::from(2);
+        if let Err(code) = rc_bench::write_output("recovery-matrix", &path, &snap.render()) {
+            return code;
         }
         println!("snapshot written to {path}");
     }

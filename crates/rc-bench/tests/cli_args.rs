@@ -1,7 +1,8 @@
 //! A value flag with a missing or bad value is a usage error: the binary
 //! prints a message on stderr and exits 2 before doing any work, instead
 //! of silently running a different experiment (at the default scale, say,
-//! or without writing its report).
+//! or without writing its report). An output directory that does not
+//! exist yet is created.
 
 use std::process::Command;
 
@@ -32,4 +33,21 @@ fn a_missing_or_bad_value_exits_2_before_any_work() {
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{name} {args:?} wrote a file");
     }
     std::fs::remove_dir(&dir).unwrap();
+}
+
+/// `--dump-pair DIR` creates `DIR`, as every `--out` does.
+#[test]
+fn dump_pair_creates_its_directory() {
+    let root = std::env::temp_dir().join(format!("rc-bench-dump-pair-{}", std::process::id()));
+    let dir = root.join("a/b");
+    let out = Command::new(env!("CARGO_BIN_EXE_recovery-matrix"))
+        .args(["--scale", "1", "--dump-pair"])
+        .arg(&dir)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    for name in ["recovery_trap.json", "recovery_exit.json"] {
+        assert!(dir.join(name).is_file(), "{name} missing");
+    }
+    std::fs::remove_dir_all(&root).unwrap();
 }
