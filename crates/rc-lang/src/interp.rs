@@ -667,35 +667,9 @@ where
         let mut startup_fault = None;
         let slices = Slices::of(config.sched, 0);
 
-        // Annotations are ignored in the layouts of nq and C@: every
-        // pointer is a counted pointer (so fewer objects qualify for the
-        // pointerfree allocator, and the delete-time scan grows).
-        let quals_ignored = config.backend == Backend::CAt || config.checks == CheckMode::Nq;
-        let eff = |q: Qual| -> PtrKind {
-            if quals_ignored {
-                return PtrKind::Counted;
-            }
-            match q {
-                Qual::None => PtrKind::Counted,
-                Qual::SameRegion => PtrKind::SameRegion,
-                Qual::ParentPtr => PtrKind::ParentPtr,
-                Qual::Traditional => PtrKind::Traditional,
-            }
-        };
-        let slot_of = |ty: RcType| -> SlotKind {
-            match ty {
-                RcType::Int => SlotKind::Data,
-                // Region handles are unannotated `struct region *` values
-                // pointing at descriptors in the traditional region.
-                RcType::Region => SlotKind::Ptr(eff(Qual::None)),
-                RcType::Ptr { qual, .. } => SlotKind::Ptr(eff(qual)),
-                RcType::IntPtr(qual) => SlotKind::Ptr(eff(qual)),
-            }
-        };
-
         let mut layouts = Vec::new();
         for s in &c.module.structs {
-            let slots = s.fields.iter().map(|f| slot_of(f.ty)).collect();
+            let slots = s.fields.iter().map(|f| slot_kind(config, f.ty)).collect();
             layouts.push(heap.register_type(TypeLayout::new(s.name.clone(), slots)));
         }
         let int_cell = heap.register_type(TypeLayout::data("__int_cell", 1));
@@ -707,7 +681,7 @@ where
             .module
             .globals
             .iter()
-            .map(|g| if g.array_len.is_some() { SlotKind::Data } else { slot_of(g.ty) })
+            .map(|g| if g.array_len.is_some() { SlotKind::Data } else { slot_kind(config, g.ty) })
             .collect();
         let globals_ty = heap.register_type(TypeLayout::new(
             "__globals",
@@ -723,7 +697,7 @@ where
                 Some(n) => {
                     let ty = heap.register_type(TypeLayout::new(
                         format!("__garr_{}", g.name),
-                        vec![slot_of(g.ty); n as usize],
+                        vec![slot_kind(config, g.ty); n as usize],
                     ));
                     let addr = startup_alloc(&mut heap, &mut startup_fault, ty);
                     global_arrays.push(Some((addr, n)));
@@ -1012,7 +986,8 @@ where
     fn call(&mut self, f: FuncRef, nargs: usize, pin: u32, ret: usize) -> Result<(), Halt> {
         let pins = self.pins.len();
         if self.func(f).deletes {
-            self.pin_for_call(pin);
+            let pinned = self.pin_live(pin);
+            self.pins.extend(pinned);
         }
         self.enter(f, self.stack.len() - nargs, ret, pins)
     }
@@ -1086,13 +1061,7 @@ where
     fn stack_array_type(&mut self, var: &HVar, n: u32) -> TypeId {
         // Cache layouts so repeated calls do not bloat the type table.
         let key_name = format!("__stk_{}_{}", var.name, n);
-        let slot = match var.ty {
-            RcType::Int => SlotKind::Data,
-            RcType::Region => SlotKind::Ptr(self.effective_kind(Qual::None)),
-            RcType::Ptr { qual, .. } | RcType::IntPtr(qual) => {
-                SlotKind::Ptr(self.effective_kind(qual))
-            }
-        };
+        let slot = slot_kind(self.config, var.ty);
         let key = (key_name.clone(), slot_tag(slot));
         if let Some(id) = self.stack_types.get(&key) {
             return *id;
@@ -1100,20 +1069,6 @@ where
         let id = self.heap.register_type(TypeLayout::new(key_name, vec![slot; n as usize]));
         self.stack_types.insert(key, id);
         id
-    }
-
-    fn effective_kind(&self, q: Qual) -> PtrKind {
-        let quals_ignored =
-            self.config.backend == Backend::CAt || self.config.checks == CheckMode::Nq;
-        if quals_ignored {
-            return PtrKind::Counted;
-        }
-        match q {
-            Qual::None => PtrKind::Counted,
-            Qual::SameRegion => PtrKind::SameRegion,
-            Qual::ParentPtr => PtrKind::ParentPtr,
-            Qual::Traditional => PtrKind::Traditional,
-        }
     }
 
     /// The driver loop proper: runs instructions from `pc`, charging each
@@ -1322,8 +1277,7 @@ where
                 }
                 Op::DeleteRegion(pin) => {
                     let rv = self.pop();
-                    let pins = self.pin_list(pin);
-                    let pinned = self.do_pins(&pins);
+                    let pinned = self.pin_live(pin);
                     let res = self.delete_region(rv);
                     self.unpin(pinned);
                     let code = match res {
@@ -1697,10 +1651,7 @@ where
                         }
                     }
                 };
-                while self.desc_of_real.len() <= rid.0 as usize {
-                    self.desc_of_real.push(Addr::NULL);
-                }
-                self.desc_of_real[rid.0 as usize] = desc;
+                self.set_descriptor(rid, desc);
                 RtRegion::Real(rid)
             }
         };
@@ -1810,12 +1761,18 @@ where
         // Objects in the traditional region (malloc'd) have no user-created
         // descriptor; lazily create one.
         let desc = self.heap.m_alloc(self.desc_ty, 1).map_err(abort)?;
-        while self.desc_of_real.len() <= rid.0 as usize {
-            self.desc_of_real.push(Addr::NULL);
-        }
-        self.desc_of_real[rid.0 as usize] = desc;
+        self.set_descriptor(rid, desc);
         self.desc_map.insert(desc, RtRegion::Real(rid));
         Ok(desc)
+    }
+
+    /// Records `desc` as real region `rid`'s descriptor.
+    fn set_descriptor(&mut self, rid: RegionId, desc: Addr) {
+        let i = rid.0 as usize;
+        if self.desc_of_real.len() <= i {
+            self.desc_of_real.resize(i + 1, Addr::NULL);
+        }
+        self.desc_of_real[i] = desc;
     }
 
     fn maybe_collect(&mut self) {
@@ -1857,36 +1814,23 @@ where
     // ---- deletes pinning -----------------------------------------------
 
     /// Pins the regions of the current frame's live pointer locals at pin
-    /// site `pin` for a `deletes` call; the callee's frame releases them.
-    fn pin_for_call(&mut self, pin: u32) {
-        for a in self.pin_list(pin) {
-            if let Some(rid) = self.heap.try_region_of(a) {
-                self.heap.pin_region(rid);
-                self.pins.push(rid);
-            }
-        }
-    }
-
-    fn pin_list(&self, pin: u32) -> Vec<Addr> {
-        if self.config.backend != Backend::Rc {
-            return Vec::new();
-        }
-        self.c.pins[self.func.0 as usize]
-            .pins(pin)
-            .iter()
-            .filter_map(|&v| match self.stack[self.base + v.0 as usize] {
-                Value::Ptr(a) if !a.is_null() => Some(a),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn do_pins(&mut self, ptrs: &[Addr]) -> Vec<RegionId> {
+    /// site `pin` (a `deletes` call or a `deleteregion`), returning them
+    /// in pinning order; nothing is pinned outside the RC backend.
+    fn pin_live(&mut self, pin: u32) -> Vec<RegionId> {
         let mut pinned = Vec::new();
-        for &a in ptrs {
-            if let Some(rid) = self.heap.try_region_of(a) {
-                self.heap.pin_region(rid);
-                pinned.push(rid);
+        if self.config.backend != Backend::Rc {
+            return pinned;
+        }
+        let c: &'c Compiled = self.c;
+        for v in c.pins[self.func.0 as usize].pins(pin) {
+            match self.stack[self.base + v.0 as usize] {
+                Value::Ptr(a) if !a.is_null() => {
+                    if let Some(rid) = self.heap.try_region_of(a) {
+                        self.heap.pin_region(rid);
+                        pinned.push(rid);
+                    }
+                }
+                _ => {}
             }
         }
         pinned
@@ -2202,6 +2146,29 @@ fn binary(op: crate::ast::BinOp, l: Value, r: Value) -> Value {
         And => Value::Int(i64::from(l.truthy() && r.truthy())),
         Or => Value::Int(i64::from(l.truthy() || r.truthy())),
     }
+}
+
+/// The slot a value of type `ty` takes in a heap object's layout.
+/// Annotations are ignored in the layouts of nq and C@: every pointer is a
+/// counted pointer (so fewer objects qualify for the pointerfree
+/// allocator, and the delete-time scan grows).
+fn slot_kind(config: &RunConfig, ty: RcType) -> SlotKind {
+    let qual = match ty {
+        RcType::Int => return SlotKind::Data,
+        // Region handles are unannotated `struct region *` values
+        // pointing at descriptors in the traditional region.
+        RcType::Region => Qual::None,
+        RcType::Ptr { qual, .. } | RcType::IntPtr(qual) => qual,
+    };
+    if config.backend == Backend::CAt || config.checks == CheckMode::Nq {
+        return SlotKind::Ptr(PtrKind::Counted);
+    }
+    SlotKind::Ptr(match qual {
+        Qual::None => PtrKind::Counted,
+        Qual::SameRegion => PtrKind::SameRegion,
+        Qual::ParentPtr => PtrKind::ParentPtr,
+        Qual::Traditional => PtrKind::Traditional,
+    })
 }
 
 fn slot_tag(s: SlotKind) -> u8 {
