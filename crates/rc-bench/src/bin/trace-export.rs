@@ -45,11 +45,11 @@ fn main() -> ExitCode {
 
     print!("{}", provenance::coverage_markdown(&export));
     println!(
-        "\n{} spans ({} closed), {} notes ({} dropped)",
+        "\n{} spans ({} closed), {} events ({} dropped)",
         export.spans.spans().len(),
         export.spans.closed_count(),
-        export.spans.notes().len(),
-        export.spans.notes_dropped()
+        export.tracer.len(),
+        export.tracer.dropped()
     );
 
     write_trace(&out, provenance::chrome_trace(&export).render_pretty())

@@ -209,8 +209,9 @@ pub fn top(s: &HeapSnapshot, limit: usize) -> String {
 }
 
 /// `leaks`: regions still holding words, ranked by how long they have
-/// been idle (virtual cycles since the last span note touched them),
-/// with each one's retained words attributed to allocation sites.
+/// been idle (virtual cycles since their span's last alloc, count update
+/// or check), with each one's retained words attributed to allocation
+/// sites.
 pub fn leaks(s: &HeapSnapshot, limit: usize) -> String {
     let mut out = header(s);
     let held = retained_by_region(s);
@@ -228,7 +229,7 @@ pub fn leaks(s: &HeapSnapshot, limit: usize) -> String {
     }
     for r in holders.iter().take(limit) {
         let idle = if r.last_touch == 0 {
-            "idle unknown (no span notes)".to_string()
+            "idle unknown (no span touch)".to_string()
         } else {
             format!("idle {} cycles", s.at_cycles.saturating_sub(r.last_touch))
         };

@@ -1,23 +1,26 @@
 //! Cross-layer provenance: the static↔dynamic check-site join and the
 //! Perfetto trace export (`rc-trace-export/v1`).
 //!
-//! [`collect`] runs one workload with region lifecycle spans on
-//! ([`rc_lang::RunConfig::with_spans`]) and joins three layers:
+//! [`collect`] runs one workload with region lifecycle spans and tracing
+//! on ([`rc_lang::RunConfig::with_spans`], [`rc_lang::RunConfig::traced`])
+//! and joins three layers:
 //!
 //! - the **static** layer — per check site, the inference verdict and the
 //!   [`rlang::ProvenanceReason`] behind it (the lattice meet point or
 //!   ⊤-weakening that blocked elimination), via
 //!   [`rc_lang::site_verdicts`];
 //! - the **dynamic** layer — per site, how often the check actually ran
-//!   and failed, from the span tree's exact folded tallies
-//!   ([`region_rt::SpanTree`]);
+//!   and failed, from the run's check counter
+//!   ([`rc_lang::RunResult::check_counts`]);
 //! - the **structural** layer — every region's `newregion` →
-//!   `deleteregion` lifecycle as a span in the parent/child tree.
+//!   `deleteregion` lifecycle as a span in the parent/child tree
+//!   ([`region_rt::SpanTree`]).
 //!
 //! [`chrome_trace`] renders the join as Chrome trace-event JSON that
 //! Perfetto loads directly: region spans as `"X"` complete events (one
-//! track per region), check/GC/fault notes as `"i"` instants whose args
-//! carry `file:line`, the dynamic outcome and the static reason. Every
+//! track per region), and the check/GC/fault events of the tracer's ring
+//! as `"i"` instants whose args carry `file:line`, the dynamic outcome
+//! and the static verdict and reason of the check's site. Every
 //! timestamp is virtual-clock, so two exports of the same workload ×
 //! configuration are byte-identical — which is what `tools/pins.sh`
 //! checks.
@@ -29,7 +32,7 @@ use rc_lang::{site_verdicts, RunConfig, SiteVerdict};
 use rc_workloads::driver::prepare_workload;
 use rc_workloads::{Scale, Workload};
 use region_rt::trace::{check_kind_name, NO_REGION};
-use region_rt::{Event, Json, SpanTree, NO_CHECK_SITE};
+use region_rt::{Event, Json, SpanTree, Tracer, NO_CHECK_SITE};
 
 use crate::report::Row;
 
@@ -100,12 +103,15 @@ pub struct TraceExport {
     pub eliminated_sites: u64,
     /// The verified span tree.
     pub spans: Box<SpanTree>,
+    /// The run's tracer, whose ring holds the raw events the instants
+    /// are drawn from.
+    pub tracer: Box<Tracer>,
     /// End-of-run virtual time (closes still-open spans in the render).
     pub end_cycles: u64,
 }
 
-/// Runs `workload` under `config` (with spans forced on) and assembles
-/// the provenance join.
+/// Runs `workload` under `config` (with spans and tracing forced on) and
+/// assembles the provenance join.
 ///
 /// # Panics
 ///
@@ -120,7 +126,7 @@ pub fn collect(
 ) -> TraceExport {
     let c = prepare_workload(workload, scale);
     let verdicts: Vec<SiteVerdict> = site_verdicts(&c.module, &c.analysis);
-    let r = run(&c, &config.clone().with_spans());
+    let r = run(&c, &config.clone().with_spans().traced());
     match r.outcome {
         Outcome::Exit(_) => {}
         ref other => panic!("{}/{config_name}: did not exit cleanly: {other:?}", workload.name),
@@ -129,6 +135,7 @@ pub fn collect(
     if let Some(Err(e)) = spans.verification() {
         panic!("{}/{config_name}: span tree malformed: {e}", workload.name);
     }
+    let counts = r.check_counts.expect("spans attach the check counter");
 
     let coverage: Vec<SiteCoverageRow> = verdicts
         .iter()
@@ -137,8 +144,8 @@ pub fn collect(
             line: v.line,
             eliminated: v.safe,
             reason: v.reason.clone(),
-            fires: spans.check_sites().runs(v.site),
-            fails: spans.check_sites().fails(v.site),
+            fires: counts.runs(v.site),
+            fails: counts.fails(v.site),
         })
         .collect();
     let eliminated = coverage.iter().filter(|r| r.eliminated).count();
@@ -155,6 +162,7 @@ pub fn collect(
         coverage,
         eliminated_sites: eliminated as u64,
         spans,
+        tracer: r.tracer.expect("tracing was enabled"),
         end_cycles: r.cycles,
     }
 }
@@ -163,9 +171,11 @@ pub fn collect(
 ///
 /// Layout: pid 1 is the run; each region is a thread (track) named
 /// `region <id>`; region lifecycles are `"X"` complete events whose args
-/// carry the span's exact folded aggregates; checks, collections and
-/// injected faults are `"i"` thread-scoped instants. Still-open spans
-/// (the traditional region, leaked regions) close at `end_cycles`.
+/// carry the span's exact folded aggregates; the checks, collections and
+/// injected faults in the tracer's ring are `"i"` thread-scoped instants,
+/// a check's verdict and reason those of its site's coverage row.
+/// Still-open spans (the traditional region, leaked regions) close at
+/// `end_cycles`.
 pub fn chrome_trace(x: &TraceExport) -> Json {
     let by_site: BTreeMap<u32, &SiteCoverageRow> = x.coverage.iter().map(|r| (r.site, r)).collect();
     let mut events: Vec<Json> = Vec::new();
@@ -204,14 +214,13 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
         ]));
     }
 
-    for n in x.spans.notes() {
-        match *n {
-            Event::CheckRun { kind, region, site, check_site, passed, statically_safe, at } => {
-                let (line, reason) = match by_site.get(&check_site) {
-                    Some(r) => (r.line, r.reason.as_str()),
-                    None => (site, ""),
+    for ev in x.tracer.events() {
+        match *ev {
+            Event::CheckRun { kind, region, site, check_site, passed, at } => {
+                let (line, verdict, reason) = match by_site.get(&check_site) {
+                    Some(r) => (r.line, r.verdict(), r.reason.as_str()),
+                    None => (site, "retained", ""),
                 };
-                let verdict = if statically_safe { "eliminated" } else { "retained" };
                 events.push(Json::obj(vec![
                     ("name", Json::S(format!("chk {}", check_kind_name(kind)))),
                     ("cat", Json::s("check")),
@@ -277,8 +286,9 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
                     ("args", Json::obj(vec![("op", Json::U(op))])),
                 ]));
             }
-            // Allocs and RC updates appear as exact aggregates in the
-            // span args; raw instants for them would dwarf the trace.
+            // Region lifecycles are the spans, and allocs and RC updates
+            // appear as their exact aggregates: raw instants for them
+            // would dwarf the trace. Audits belong to no region's track.
             _ => {}
         }
     }
@@ -293,7 +303,7 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
                 ("workload", Json::s(&*x.workload)),
                 ("config", Json::s(&*x.config)),
                 ("eliminated_sites", Json::U(x.eliminated_sites)),
-                ("notes_dropped", Json::U(x.spans.notes_dropped())),
+                ("notes_dropped", Json::U(x.tracer.dropped())),
                 ("end_cycles", Json::U(x.end_cycles)),
             ]),
         ),

@@ -1,20 +1,24 @@
-//! Property test: the span tree is a *third* accounting of the same run,
-//! and all three ledgers must agree exactly.
+//! Property test: the span tree is one of four accountings of the same
+//! run, and all four ledgers must agree exactly.
 //!
 //! For 48 SplitMix64-chosen (workload × config) combinations, one run
 //! records lifecycle spans ([`region_rt::SpanTree`]), the global event
-//! counters ([`region_rt::Stats`]) and the folded telemetry profile
-//! ([`region_rt::Profile`]) simultaneously, then cross-checks:
+//! counters ([`region_rt::Stats`]), the folded telemetry profile
+//! ([`region_rt::Profile`]) and the per-site check tallies
+//! ([`region_rt::CheckCounter`]) simultaneously, then cross-checks:
 //!
 //! - span-tree totals (allocs, alloc words, checks, RC updates) equal
 //!   the corresponding [`region_rt::Stats`] counters;
 //! - every deleted region's span duration equals the profile's
 //!   `lifetime_cycles`, and its allocation tally equals the profile's
 //!   per-region attribution;
+//! - the check tallies' runs and failures equal the spans' `checks` and
+//!   `checks_failed`, and the tracer's ring holds one check event per
+//!   tallied run;
 //! - the tree passes structural verification against the heap's own
 //!   region table.
 //!
-//! Any drift means one of the three observers dropped or double-counted
+//! Any drift means one of the four observers dropped or double-counted
 //! an event — exactly the bug class telemetry must not have.
 
 use rc_lang::interp::run;
@@ -88,6 +92,18 @@ fn span_totals_match_stats_and_profile_across_48_seeds() {
                 assert_eq!(dur, rp.lifetime_cycles, "{ctx}: region {} lifetime", rp.region);
             }
         }
+        // Ledger 1 vs ledger 4: the per-site check tallies, which a span
+        // run attaches, against the spans and the raw check events.
+        let counts = r.check_counts.as_deref().unwrap_or_else(|| panic!("{ctx}: tallies missing"));
+        let failed: u64 = spans.spans().iter().map(|s| s.checks_failed).sum();
+        assert_eq!(counts.total_runs(), spans.total_checks(), "{ctx}: tallied runs");
+        assert_eq!(counts.total_fails(), failed, "{ctx}: tallied failures");
+        let tracer = r.tracer.as_deref().unwrap_or_else(|| panic!("{ctx}: tracer missing"));
+        assert_eq!(tracer.dropped(), 0, "{ctx}: the ring kept every event");
+        let check_events =
+            tracer.events().filter(|e| matches!(e, region_rt::Event::CheckRun { .. })).count();
+        assert_eq!(check_events as u64, counts.total_runs(), "{ctx}: check events");
+
         // The sweep must actually exercise region reclamation, not just
         // trivially pass on runs with no deletions.
         if seed == 0 {

@@ -13,14 +13,16 @@
 //!    constraint inference.
 //! 3. **Heap hygiene** — every configuration's post-run audit (reference
 //!    counts reconciled against a full heap scan) must pass.
-//! 4. **Replay determinism** — rerunning the reference configuration
-//!    yields byte-identical statistics and the same outcome; generated
-//!    source is a pure function of the seed (checked by the driver).
+//! 4. **Replay determinism** — rerunning the reference configuration,
+//!    traced and with spans on, yields the same outcome and identical
+//!    statistics, span trees, raw events (every kind the tracer's ring
+//!    holds) and per-site check tallies ([`replay_difference`]);
+//!    generated source is a pure function of the seed (checked by the
+//!    driver).
 //! 5. **Span well-formedness** — the replay runs record region lifecycle
 //!    spans ([`rc_lang::RunConfig::with_spans`]); the resulting span tree
 //!    must verify against the heap's own region table
-//!    ([`region_rt::SpanTree::verification`]) and be identical between
-//!    the two replays.
+//!    ([`region_rt::SpanTree::verification`]).
 //! 6. **Restore fixpoint** — rerunning the baseline (`lea`) configuration
 //!    with post-mortem snapshots on, every captured snapshot must pass
 //!    [`region_rt::Heap::restore`]: the restored heap verifies, audits,
@@ -42,7 +44,7 @@
 //!    reports with `span ≤ work == merged cycles`. A report set that does
 //!    not re-compose is attribution the observability layer cannot trust.
 
-use rc_lang::{CheckMode, Outcome, RunConfig};
+use rc_lang::{CheckMode, Outcome, RunConfig, RunResult};
 use rlang::SiteId;
 
 /// A violated oracle assertion.
@@ -377,27 +379,14 @@ pub fn check_source(src: &str, step_budget: u64) -> Result<CaseReport, rc_lang::
         counter.map_or((0, 0), |c| (c.total_runs(), c.total_fails()));
     violations.extend(soundness_violations(&compiled.analysis.eliminated_sites, counter));
 
-    // (4) + (5): replay the reference configuration with lifecycle spans
-    // on; dynamic-event statistics and the span tree itself must be
-    // byte-identical run to run, and the tree must verify against the
-    // heap's region table.
-    let inf = budgeted(RunConfig::rc_inf().with_spans());
+    // (4) + (5): replay the reference configuration traced and with
+    // lifecycle spans on; the two runs must agree on everything they
+    // observed, and the tree must verify against the heap's region table.
+    let inf = budgeted(RunConfig::rc_inf().with_spans().traced());
     let a = rc_lang::run_audited(&compiled, &inf);
     let b = rc_lang::run_audited(&compiled, &inf);
     steps += a.steps + b.steps;
-    if a.outcome.key() != b.outcome.key() {
-        violations.push(Violation::NonDeterministic {
-            detail: format!("outcome {} vs {}", a.outcome.key(), b.outcome.key()),
-        });
-    } else if a.stats != b.stats {
-        violations.push(Violation::NonDeterministic {
-            detail: "dynamic-event statistics differ between identical runs".to_string(),
-        });
-    } else if a.spans != b.spans {
-        violations.push(Violation::NonDeterministic {
-            detail: "span trees differ between identical runs".to_string(),
-        });
-    }
+    violations.extend(replay_difference(&a, &b));
     for r in [&a, &b] {
         match r.spans.as_deref().and_then(|t| t.verification()) {
             Some(Ok(())) => {}
@@ -439,6 +428,29 @@ pub fn check_source(src: &str, step_budget: u64) -> Result<CaseReport, rc_lang::
         checks_counted,
         checks_fired,
     })
+}
+
+/// Oracle (4) in isolation: the first way two runs of the same program
+/// under the same configuration differ — outcome, [`region_rt::Stats`],
+/// span tree, the raw events in the tracer's ring, or the per-site check
+/// tallies — as a [`Violation::NonDeterministic`], or `None` when they
+/// agree.
+pub fn replay_difference(a: &RunResult, b: &RunResult) -> Option<Violation> {
+    let detail = if a.outcome.key() != b.outcome.key() {
+        format!("outcome {} vs {}", a.outcome.key(), b.outcome.key())
+    } else if a.stats != b.stats {
+        "dynamic-event statistics differ between identical runs".to_string()
+    } else if a.spans != b.spans {
+        "span trees differ between identical runs".to_string()
+    } else if !a.tracer.iter().flat_map(|t| t.events()).eq(b.tracer.iter().flat_map(|t| t.events()))
+    {
+        "raw events differ between identical runs".to_string()
+    } else if a.check_counts != b.check_counts {
+        "check tallies differ between identical runs".to_string()
+    } else {
+        return None;
+    };
+    Some(Violation::NonDeterministic { detail })
 }
 
 /// Oracle (2) in isolation: given the analysis' eliminated-site list and
@@ -566,6 +578,26 @@ int main() deletes {
                 .any(|v| matches!(v, Violation::UnsoundElimination { fails, .. } if *fails > 0)),
             "expected an unsound elimination, got {vs:?}"
         );
+    }
+
+    #[test]
+    fn replay_difference_sees_raw_events_and_tallies() {
+        let compiled = rc_lang::prepare(FIGURE1).expect("compiles");
+        let replay = RunConfig::rc_inf().with_spans().traced();
+        let run = || rc_lang::run_audited(&compiled, &replay);
+        let a = run();
+        assert_eq!(replay_difference(&a, &run()), None, "identical replays agree");
+
+        let mut b = run();
+        b.tracer.as_mut().expect("traced").record(region_rt::Event::AuditRun { ok: true, at: 0 });
+        assert_eq!((a.stats == b.stats, a.spans == b.spans), (true, true));
+        let v = replay_difference(&a, &b).expect("an extra raw event is a difference");
+        assert_eq!((v.kind(), v.to_string().contains("raw events")), ("nondet", true));
+
+        let mut b = run();
+        b.check_counts.as_mut().expect("spans count checks").record(0, false);
+        let v = replay_difference(&a, &b).expect("an extra tally is a difference");
+        assert_eq!((v.kind(), v.to_string().contains("check tallies")), ("nondet", true));
     }
 
     #[test]

@@ -151,11 +151,14 @@ pub struct RunConfig {
     /// back in [`crate::interp::RunResult::check_counts`].
     pub count_checks: bool,
     /// Region lifecycle spans ([`region_rt::span`]): model every
-    /// `newregion`…`deleteregion` interval as a span with alloc/RC/check
-    /// annotations carrying static↔dynamic provenance, verified against
-    /// the heap's region tree at run end and returned in
-    /// [`crate::interp::RunResult::spans`]. Off by default (one
-    /// predictable branch per instrumented operation).
+    /// `newregion`…`deleteregion` interval as a span with exact
+    /// alloc/RC/check aggregates, verified against the heap's region
+    /// tree at run end and returned in
+    /// [`crate::interp::RunResult::spans`]. Also tallies checks per site
+    /// into [`crate::interp::RunResult::check_counts`], without changing
+    /// how stores are checked (that stays [`RunConfig::count_checks`]'s
+    /// job). Off by default (one predictable branch per instrumented
+    /// operation).
     pub spans: bool,
     /// How `spawn`ed tasks are scheduled; merged results are identical
     /// across all modes (isolation makes the schedule unobservable).

@@ -136,9 +136,10 @@ pub struct RunResult {
     /// The telemetry tracer, when [`RunConfig::trace`] was on:
     /// recent raw events plus the folded [`region_rt::Profile`].
     pub tracer: Option<Box<region_rt::Tracer>>,
-    /// Per-site check-outcome tallies, when
-    /// [`RunConfig::count_checks`] was on: how often each annotated
-    /// store's predicate ran and how often it would have fired.
+    /// Per-site check-outcome tallies, when [`RunConfig::count_checks`]
+    /// or [`RunConfig::spans`] was on: how often each annotated store's
+    /// check ran and how often it failed (or, when counting, would have
+    /// fired).
     pub check_counts: Option<Box<region_rt::CheckCounter>>,
     /// The metrics timeline, when [`RunConfig::sample_interval`] was
     /// nonzero: periodic heap snapshots plus one final forced sample at
@@ -149,10 +150,11 @@ pub struct RunResult {
     /// and virtual times.
     pub faults: Option<FaultReport>,
     /// The region-lifecycle span tree, when [`RunConfig::spans`] was on:
-    /// one span per region with provenance-stamped alloc/RC/check notes,
-    /// already
-    /// verified against the heap's region table (see
-    /// [`region_rt::SpanTree::verification`]).
+    /// one span per region with its exact alloc/RC/check aggregates,
+    /// already verified against the heap's region table (see
+    /// [`region_rt::SpanTree::verification`]). The run's raw events are
+    /// in [`RunResult::tracer`] and its per-site check tallies in
+    /// [`RunResult::check_counts`].
     pub spans: Option<Box<region_rt::SpanTree>>,
     /// Post-mortem heap snapshots, when [`RunConfig::snapshots`] was on:
     /// one per GC pause (reason `gc`), then either the pre-unwind trap
@@ -653,11 +655,12 @@ where
         if config.sample_interval != 0 {
             heap.enable_sampling(config.sample_interval, config.sample_cap);
         }
-        if config.count_checks {
+        // A span run's per-site check tallies come from the counter too.
+        if config.count_checks || config.spans {
             heap.enable_check_counting();
         }
         if config.spans {
-            heap.enable_spans(region_rt::DEFAULT_SPAN_NOTE_CAP);
+            heap.enable_spans();
         }
         // Arm the fault planes before the startup allocations so those are
         // fault-eligible too (reported via `startup_fault`, not a panic).
@@ -1579,11 +1582,6 @@ where
                 }
                 if self.config.count_checks || self.config.spans {
                     self.heap.set_check_site(site.0);
-                }
-                if self.config.spans {
-                    // Stamp the static verdict so the span layer's check
-                    // events carry their inference provenance.
-                    self.heap.set_check_verdict(self.c.analysis.is_safe(site));
                 }
                 self.heap.write_ptr(obj, field, val.addr(), mode).map_err(abort)
             }

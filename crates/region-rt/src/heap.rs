@@ -122,9 +122,6 @@ pub struct Heap {
     pub(crate) fault_check: Option<Box<FaultArm>>,
     /// Current front-end check-site id for check attribution.
     pub(crate) check_site: u32,
-    /// Static verdict of the current check site (see
-    /// [`Heap::set_check_verdict`]); stamped into check events.
-    pub(crate) check_safe: bool,
 }
 
 impl Heap {
@@ -157,7 +154,6 @@ impl Heap {
             fault_rc: None,
             fault_check: None,
             check_site: crate::checkcount::NO_CHECK_SITE,
-            check_safe: false,
         }
     }
 

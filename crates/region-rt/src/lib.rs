@@ -43,8 +43,8 @@
 //!   histograms, hot-region/hot-site tables, a region flamegraph, JSONL
 //!   export ([`profile`], [`json`]) — by a span tree modeling every
 //!   region lifecycle as a `newregion`…`deleteregion` interval with
-//!   span-scoped alloc/RC/check notes for provenance export ([`span`]),
-//!   and by per-site check counters ([`checkcount`]); plus a
+//!   exact per-region alloc/RC/check aggregates ([`span`]), and by
+//!   per-site check counters ([`checkcount`]); plus a
 //!   deterministic virtual-clock timeline sampler for time-resolved
 //!   occupancy, fragmentation, and RC/check-rate metrics ([`timeline`]).
 //!   See `docs/OBSERVABILITY.md`;
@@ -127,7 +127,7 @@ pub use snapshot::{
     HeapSnapshot, PageSnapshot, RegionSnapshot, SiteRetained, SnapOwner, SnapshotReason,
     SNAPSHOT_SCHEMA,
 };
-pub use span::{Span, SpanTree, DEFAULT_SPAN_NOTE_CAP};
+pub use span::{Span, SpanTree};
 pub use stats::{AssignCategory, Stats};
 pub use timeline::{
     sparkline, HeapGauges, MetricsSnapshot, Timeline, DEFAULT_SAMPLE_INTERVAL, DEFAULT_TIMELINE_CAP,

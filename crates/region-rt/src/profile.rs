@@ -613,8 +613,8 @@ mod tests {
     }
 
     fn check(kind: PtrKind, site: u32, passed: bool) -> Event {
-        let (region, check_site, statically_safe, at) = (1, site, false, 0);
-        Event::CheckRun { kind, region, site, check_site, passed, statically_safe, at }
+        let (region, check_site, at) = (1, site, 0);
+        Event::CheckRun { kind, region, site, check_site, passed, at }
     }
 
     #[test]

@@ -195,7 +195,6 @@ impl Heap {
             site: h.trace_site,
             check_site: h.check_site,
             passed,
-            statically_safe: h.check_safe,
             at: h.clock.cycles(),
         });
         Ok(passed)

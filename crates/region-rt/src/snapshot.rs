@@ -105,9 +105,8 @@ pub struct RegionSnapshot {
     /// Virtual time of reclamation (`None` while live or spans off).
     pub closed_at: Option<u64>,
     /// Span aggregate: virtual time of the last alloc, count update or
-    /// check on this region (0 when spans off or never touched), exact
-    /// even when the note buffer dropped notes — the idle time the
-    /// `leaks` query ranks by.
+    /// check on this region (0 when spans off or never touched) — the
+    /// idle time the `leaks` query ranks by.
     pub last_touch: u64,
 }
 
@@ -778,7 +777,7 @@ mod tests {
         let mut h = Heap::with_defaults();
         let ty = h.register_type(TypeLayout::data("cell", 3));
         let big = h.register_type(TypeLayout::data("big", 2000));
-        h.enable_spans(1024);
+        h.enable_spans();
         let r1 = h.new_region();
         let r2 = h.new_subregion(r1).unwrap();
         h.set_trace_site(7);
@@ -842,25 +841,20 @@ mod tests {
         assert!(r2.freed_words > 0);
     }
 
-    /// `last_touch` is folded at emission time like the other span
-    /// aggregates, so a full note buffer cannot make it stale.
+    /// A region's `last_touch` is its span's latest event.
     #[test]
-    fn last_touch_is_exact_when_notes_are_dropped() {
-        let probe = |note_cap: usize| {
-            let mut h = Heap::with_defaults();
-            let ty = h.register_type(TypeLayout::data("cell", 1));
-            h.enable_spans(note_cap);
-            let r = h.new_region();
-            for _ in 0..40 {
-                h.ralloc(r, ty).unwrap();
-            }
-            let at_last_alloc = h.clock.cycles();
-            let dropped = h.spans().unwrap().notes_dropped();
-            let row = &h.snapshot(SnapshotReason::Exit).regions[r.0 as usize];
-            (dropped, row.allocs, row.last_touch, at_last_alloc)
-        };
-        assert_eq!(probe(16), (24, 40, 536, 536));
-        assert_eq!(probe(1024), (0, 40, 536, 536));
+    fn last_touch_is_the_latest_event() {
+        let mut h = Heap::with_defaults();
+        let ty = h.register_type(TypeLayout::data("cell", 1));
+        h.enable_spans();
+        let r = h.new_region();
+        for _ in 0..40 {
+            h.ralloc(r, ty).unwrap();
+        }
+        let at_last_alloc = h.clock.cycles();
+        h.new_region();
+        let row = &h.snapshot(SnapshotReason::Exit).regions[r.0 as usize];
+        assert_eq!((row.allocs, row.last_touch, at_last_alloc), (40, 536, 536));
     }
 
     #[test]

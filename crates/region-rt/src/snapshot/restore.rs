@@ -1009,7 +1009,6 @@ impl Heap {
             fault_rc: None,
             fault_check: None,
             check_site: crate::checkcount::NO_CHECK_SITE,
-            check_safe: false,
         };
 
         if shape.spans_on {
@@ -1094,7 +1093,7 @@ mod tests {
         let mut h = Heap::with_defaults();
         let ty = h.register_type(TypeLayout::data("cell", 3));
         let big = h.register_type(TypeLayout::data("big", 2000));
-        h.enable_spans(1024);
+        h.enable_spans();
         let r1 = h.new_region();
         let r2 = h.new_subregion(r1).unwrap();
         h.set_trace_site(7);

@@ -5,10 +5,10 @@
 //! every region's lifecycle (`newregion` → `deleteregion`) is a [`Span`]
 //! in a parent/child tree mirroring the DFS `id`/`nextid` hierarchy of
 //! [`crate::region`], and every alloc / rc-update / check / collection /
-//! injected fault [`Event`] is attached to its owning span as a note.
-//! The tree is what the Perfetto exporter in `rc-bench` renders (spans on
-//! tracks, notes as instants) and what the fuzzer's well-formedness
-//! oracle cross-checks.
+//! injected fault [`Event`] is folded into its owning span's aggregates.
+//! The tree is what the Perfetto exporter in `rc-bench` renders (one
+//! track per span) and what the fuzzer's well-formedness oracle
+//! cross-checks.
 //!
 //! Design constraints, shared with the rest of the telemetry stack (see
 //! `docs/OBSERVABILITY.md`):
@@ -16,25 +16,21 @@
 //! - **One stream.** The tree is a consumer of the heap's event stream:
 //!   [`SpanTree::fold`] sees the same [`Event`]s as the tracer, emitted
 //!   once per site behind the heap's one observer guard.
-//! - **Bounded notes, exact aggregates.** Raw notes live in a bounded
-//!   vector (newest dropped when full, never reallocated past the cap),
-//!   but per-span counters, last-touch stamps and the per-check-site
-//!   tally are folded at emission time, so they stay exact no matter how
-//!   many notes were dropped.
-//! - **Deterministic.** Spans and notes are stamped by the virtual
-//!   clock only; two runs of the same program produce identical trees.
+//! - **Aggregates only.** The tree keeps no raw events and no per-site
+//!   tallies: the tracer's ring holds the raw events and the
+//!   [`CheckCounter`](crate::CheckCounter) the per-check-site tallies.
+//!   Per-span counters and last-touch stamps are folded at emission time,
+//!   so they are exact.
+//! - **Deterministic.** Spans are stamped by the virtual clock only; two
+//!   runs of the same program produce identical trees.
 //!
 //! Span indices equal region indices: the runtime never reuses a region
 //! slot, so `spans()[r]` is region `r`'s span for the whole run.
 
-use crate::checkcount::{CheckCounter, NO_CHECK_SITE};
 use crate::cost::Cycles;
 use crate::heap::Heap;
 use crate::region::{is_ancestor, RegionData, TRADITIONAL};
 use crate::trace::{Event, NO_REGION};
-
-/// Default bound on retained raw notes.
-pub const DEFAULT_SPAN_NOTE_CAP: usize = 256 * 1024;
 
 /// One region lifecycle. `region` is the raw
 /// [`RegionId`](crate::region::RegionId) index; the span for region `r`
@@ -66,8 +62,9 @@ pub struct Span {
     pub faults: u64,
     /// Words of storage freed when the span closed.
     pub freed_words: u64,
-    /// Virtual time of the latest note attributed to this span (0 =
-    /// never touched): what post-mortem tools rank idle regions by.
+    /// Virtual time of the latest alloc, count update, check, collection
+    /// or fault attributed to this span (0 = never touched): what
+    /// post-mortem tools rank idle regions by.
     pub last_touch: Cycles,
 }
 
@@ -96,43 +93,30 @@ impl Span {
 }
 
 /// The span tree of one run: one [`Span`] per region (index = region
-/// id), bounded raw notes (the alloc / rc-update / check / collection /
-/// fault [`Event`]s, in emission order), and exact folded tallies.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// id) with its exact folded aggregates, and the verification verdict.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanTree {
     spans: Vec<Span>,
-    notes: Vec<Event>,
-    note_cap: usize,
-    notes_dropped: u64,
-    check_sites: CheckCounter,
     verified: Option<Result<(), String>>,
 }
 
 impl SpanTree {
-    /// An empty tree retaining at most `note_cap` raw notes (clamped to
-    /// at least 16).
-    pub fn new(note_cap: usize) -> SpanTree {
-        SpanTree {
-            spans: Vec::new(),
-            notes: Vec::new(),
-            note_cap: note_cap.max(16),
-            notes_dropped: 0,
-            check_sites: CheckCounter::new(),
-            verified: None,
-        }
+    /// An empty tree.
+    pub fn new() -> SpanTree {
+        SpanTree::default()
     }
 
     /// Rebuilds a tree from snapshot-recorded span aggregates (restore
-    /// path). Raw notes are not part of a snapshot.
+    /// path).
     pub(crate) fn from_snapshot(spans: Vec<Span>) -> SpanTree {
-        SpanTree { spans, ..SpanTree::new(DEFAULT_SPAN_NOTE_CAP) }
+        SpanTree { spans, verified: None }
     }
 
     /// A tree seeded from an existing region table: every region already
     /// created gets a span (closed with zero duration if already dead,
     /// so the index invariant holds from the first recorded event).
-    pub fn seeded(note_cap: usize, regions: &[RegionData]) -> SpanTree {
-        let mut t = SpanTree::new(note_cap);
+    pub fn seeded(regions: &[RegionData]) -> SpanTree {
+        let mut t = SpanTree::new();
         for (i, rd) in regions.iter().enumerate() {
             let parent = rd.parent.map_or(NO_REGION, |p| p.0);
             let mut s = Span::new(i as u32, parent, rd.born_at);
@@ -147,9 +131,9 @@ impl SpanTree {
     /// Folds one event into the tree: creations open spans (at the
     /// region's `born_at`, so durations equal the profile's
     /// `lifetime_cycles`), reclamations close them, and allocs, count
-    /// updates, checks, collections and faults become notes on their
-    /// span (collections and faults on the root: fault planes and the
-    /// collector are process-level).
+    /// updates, checks, collections and faults count on their span and
+    /// stamp its last touch (collections and faults on the root: fault
+    /// planes and the collector are process-level).
     pub fn fold(&mut self, ev: &Event) {
         match *ev {
             Event::RegionCreated { region, born_at, .. } => {
@@ -162,30 +146,27 @@ impl SpanTree {
                 self.close(region, at, live_words)
             }
             Event::Alloc { region, words, at, .. } => {
-                if let Some(s) = self.note(region, at, ev) {
+                if let Some(s) = self.touch(region, at) {
                     s.allocs += 1;
                     s.alloc_words += words as u64;
                 }
             }
             Event::RcUpdate { from, at, .. } => {
-                if let Some(s) = self.note(from, at, ev) {
+                if let Some(s) = self.touch(from, at) {
                     s.rc_updates += 1;
                 }
             }
-            Event::CheckRun { region, check_site, passed, at, .. } => {
-                if check_site != NO_CHECK_SITE {
-                    self.check_sites.record(check_site, passed);
-                }
-                if let Some(s) = self.note(region, at, ev) {
+            Event::CheckRun { region, passed, at, .. } => {
+                if let Some(s) = self.touch(region, at) {
                     s.checks += 1;
                     s.checks_failed += u64::from(!passed);
                 }
             }
             Event::GcCollection { at, .. } => {
-                self.note(TRADITIONAL.0, at, ev);
+                self.touch(TRADITIONAL.0, at);
             }
             Event::Fault { at, .. } => {
-                if let Some(s) = self.note(TRADITIONAL.0, at, ev) {
+                if let Some(s) = self.touch(TRADITIONAL.0, at) {
                     s.faults += 1;
                 }
             }
@@ -204,18 +185,9 @@ impl SpanTree {
         }
     }
 
-    fn push_note(&mut self, ev: Event) {
-        if self.notes.len() < self.note_cap {
-            self.notes.push(ev);
-        } else {
-            self.notes_dropped += 1;
-        }
-    }
-
-    /// Retains `ev` as a note on `region`'s span and stamps the span's
-    /// last touch; returns the span for the caller's counters.
-    fn note(&mut self, region: u32, at: Cycles, ev: &Event) -> Option<&mut Span> {
-        self.push_note(*ev);
+    /// Stamps `region`'s span's last touch; returns the span for the
+    /// caller's counters.
+    fn touch(&mut self, region: u32, at: Cycles) -> Option<&mut Span> {
         let s = self.spans.get_mut(region as usize)?;
         s.last_touch = s.last_touch.max(at);
         Some(s)
@@ -227,10 +199,7 @@ impl SpanTree {
     /// The other tree's region 0 — its facet of the shared traditional
     /// region — folds its counters into this tree's root span; every
     /// other region `r ≥ 1` is renumbered to `len(self) + r - 1`, which
-    /// keeps the `spans[i].region == i` index invariant dense. Notes are
-    /// appended in emission order with every region field renumbered the
-    /// same way (still bounded by this tree's note cap), and
-    /// per-check-site tallies sum.
+    /// keeps the `spans[i].region == i` index invariant dense.
     /// The merge is associative: `(a ⊔ b) ⊔ c` and `a ⊔ (b ⊔ c)` assign
     /// every region the same global index and the same counters. It is
     /// deliberately *not* commutative — shard order is join order.
@@ -271,24 +240,6 @@ impl SpanTree {
             ns.parent = remap(s.parent);
             self.spans.push(ns);
         }
-        for n in &other.notes {
-            let mut nn = *n;
-            // Collections and faults, the other note kinds, carry no
-            // region.
-            match &mut nn {
-                Event::Alloc { region, .. } | Event::CheckRun { region, .. } => {
-                    *region = remap(*region)
-                }
-                Event::RcUpdate { from, to, .. } => {
-                    *from = remap(*from);
-                    *to = remap(*to);
-                }
-                _ => {}
-            }
-            self.push_note(nn);
-        }
-        self.notes_dropped += other.notes_dropped;
-        self.check_sites.merge(&other.check_sites);
         if let Some(Err(e)) = &other.verified {
             if !matches!(self.verified, Some(Err(_))) {
                 self.verified = Some(Err(e.clone()));
@@ -320,22 +271,6 @@ impl SpanTree {
     /// All spans, region id ascending (index = region id).
     pub fn spans(&self) -> &[Span] {
         &self.spans
-    }
-
-    /// Retained raw notes, emission order.
-    pub fn notes(&self) -> &[Event] {
-        &self.notes
-    }
-
-    /// Notes discarded because the bound was hit.
-    pub fn notes_dropped(&self) -> u64 {
-        self.notes_dropped
-    }
-
-    /// Exact per-check-site outcome tallies (checks whose site the
-    /// interpreter published).
-    pub fn check_sites(&self) -> &CheckCounter {
-        &self.check_sites
     }
 
     /// Spans still open.
@@ -477,11 +412,11 @@ impl SpanTree {
 }
 
 impl Heap {
-    /// Attaches a [`SpanTree`] retaining at most `note_cap` raw notes.
-    /// Regions that already exist are seeded (the traditional region's
-    /// span opens at time 0). Replaces any existing tree.
-    pub fn enable_spans(&mut self, note_cap: usize) {
-        let tree = SpanTree::seeded(note_cap, &self.regions);
+    /// Attaches a [`SpanTree`]. Regions that already exist are seeded
+    /// (the traditional region's span opens at time 0). Replaces any
+    /// existing tree.
+    pub fn enable_spans(&mut self) {
+        let tree = SpanTree::seeded(&self.regions);
         self.observers_mut().spans = Some(Box::new(tree));
     }
 
@@ -493,14 +428,6 @@ impl Heap {
     /// The attached span tree, if any.
     pub fn spans(&self) -> Option<&SpanTree> {
         self.observers.as_ref()?.spans.as_deref()
-    }
-
-    /// Publishes the static verdict of the next annotation check's site
-    /// (pairs with [`Heap::set_check_site`]); stamped into
-    /// [`Event::CheckRun`] as `statically_safe`.
-    #[inline(always)]
-    pub fn set_check_verdict(&mut self, safe: bool) {
-        self.check_safe = safe;
     }
 
     /// Verifies the span tree against the live region table and stamps
@@ -522,8 +449,7 @@ mod tests {
     use crate::layout::{PtrKind, SlotKind, TypeLayout};
 
     fn check(region: u32, at: Cycles, check_site: u32, passed: bool) -> Event {
-        let kind = PtrKind::SameRegion;
-        Event::CheckRun { kind, region, site: 1, check_site, passed, statically_safe: false, at }
+        Event::CheckRun { kind: PtrKind::SameRegion, region, site: 1, check_site, passed, at }
     }
 
     fn ty(h: &mut Heap) -> crate::layout::TypeId {
@@ -534,7 +460,7 @@ mod tests {
     fn spans_mirror_region_lifecycles() {
         let mut h = Heap::with_defaults();
         let ty = ty(&mut h);
-        h.enable_spans(DEFAULT_SPAN_NOTE_CAP);
+        h.enable_spans();
         let parent = h.new_region();
         let child = h.new_subregion(parent).unwrap();
         h.ralloc(child, ty).unwrap();
@@ -558,7 +484,7 @@ mod tests {
     #[test]
     fn child_nesting_and_duration_hold() {
         let mut h = Heap::with_defaults();
-        h.enable_spans(64);
+        h.enable_spans();
         let r = h.new_region();
         let s = h.new_subregion(r).unwrap();
         h.delete_region(s).unwrap();
@@ -571,31 +497,31 @@ mod tests {
     }
 
     #[test]
-    fn note_bound_drops_but_tallies_stay_exact() {
-        let mut t = SpanTree::new(16);
+    fn checks_fold_into_their_span() {
+        let mut t = SpanTree::new();
         t.open(0, NO_REGION, 0);
+        t.open(1, 0, 0);
         for i in 0..40 {
-            t.fold(&check(0, i, 7, i % 2 == 0));
+            t.fold(&check(i as u32 % 2, i, 7, i % 4 < 2));
         }
-        assert_eq!(t.notes().len(), 16);
-        assert_eq!(t.notes_dropped(), 24);
-        assert_eq!(t.check_sites().runs(7), 40, "fold is exact despite drops");
-        assert_eq!(t.check_sites().fails(7), 20);
+        let (root, r1) = (t.spans()[0], t.spans()[1]);
+        assert_eq!((root.checks, root.checks_failed), (20, 10));
+        assert_eq!((r1.checks, r1.checks_failed), (20, 10));
         assert_eq!(t.total_checks(), 40);
-        assert_eq!(t.spans()[0].last_touch, 39, "so is the last touch");
+        assert_eq!((root.last_touch, r1.last_touch), (38, 39), "each span's latest check");
     }
 
     #[test]
     fn verify_catches_unbalanced_and_misnested_trees() {
         let mut h = Heap::with_defaults();
-        h.enable_spans(64);
+        h.enable_spans();
         let r = h.new_region();
         // Balanced so far.
         assert!(h.seal_spans().is_ok());
         // Tamper: close the live region's span.
         let mut t = h.take_spans().unwrap();
         t.close(r.0, 5, 0);
-        h.enable_spans(64);
+        h.enable_spans();
         // Fresh tree is consistent again.
         assert!(h.seal_spans().is_ok());
         // The tampered tree fails against the same region table.
@@ -606,7 +532,7 @@ mod tests {
     #[test]
     fn unwind_closes_every_span_bottom_up() {
         let mut h = Heap::with_defaults();
-        h.enable_spans(1024);
+        h.enable_spans();
         let a = h.new_region();
         let b = h.new_subregion(a).unwrap();
         let _c = h.new_subregion(b).unwrap();
@@ -617,10 +543,10 @@ mod tests {
     }
 
     /// A shard-shaped tree: root span plus `extra` regions with distinct
-    /// counters, one alloc note each, and some traditional-region
-    /// activity to exercise the root fold.
+    /// counters, one alloc and one check each, and some
+    /// traditional-region activity to exercise the root fold.
     fn shard_tree(extra: u32, salt: u64) -> SpanTree {
-        let mut t = SpanTree::new(64);
+        let mut t = SpanTree::new();
         t.open(0, NO_REGION, 0);
         t.fold(&Event::Alloc { region: 0, site: 1, words: salt as u32 + 1, at: salt });
         for r in 1..=extra {
@@ -654,11 +580,10 @@ mod tests {
         // b's traditional activity folded into a's root span.
         assert_eq!(a.spans()[0].allocs, root_allocs + 1);
         assert_eq!(a.spans()[0].alloc_words, root_words + 51);
-        // Exact tallies: site 11 fired once in each tree.
-        assert_eq!(a.check_sites().runs(11), 2);
-        // Grafted notes kept emission order with remapped regions.
-        let last = *a.notes().last().unwrap();
-        assert!(matches!(last, Event::CheckRun { region: 5, .. }), "{last:?}");
+        // Grafted spans keep their own counters: b's region 1 ran one
+        // failing check, its region 2 one passing check.
+        let (g1, g2) = (a.spans()[3], a.spans()[4]);
+        assert_eq!((g1.checks, g1.checks_failed, g2.checks, g2.checks_failed), (1, 1, 1, 0));
     }
 
     #[test]
@@ -697,7 +622,7 @@ mod tests {
         t.structurally_well_formed().unwrap();
         t.close(2, 1000, 0);
         t.structurally_well_formed().unwrap();
-        let mut bad = SpanTree::new(16);
+        let mut bad = SpanTree::new();
         bad.open(0, NO_REGION, 0);
         bad.spans[0].region = 7;
         assert!(bad.structurally_well_formed().is_err());
@@ -709,7 +634,7 @@ mod tests {
         let r = h.new_region();
         let dead = h.new_region();
         h.delete_region(dead).unwrap();
-        h.enable_spans(64);
+        h.enable_spans();
         assert!(h.seal_spans().is_ok());
         let t = h.spans().unwrap();
         assert_eq!(t.spans().len(), 3);

@@ -6,11 +6,10 @@
 //! emitted once at its site and handed to every attached consumer:
 //!
 //! - the [`Tracer`]: a bounded ring of raw events plus the exact
-//!   [`Profile`] fold;
-//! - the [`SpanTree`]: region lifecycles with
-//!   span-scoped notes and exact per-span aggregates;
-//! - the [`CheckCounter`]: per-check-site
-//!   outcome tallies for the differential harness.
+//!   [`Profile`] fold — the one place raw events are kept;
+//! - the [`SpanTree`]: region lifecycles with exact per-span aggregates;
+//! - the [`CheckCounter`]: per-check-site outcome tallies, for the
+//!   differential harness and the provenance join.
 //!
 //! The [`Stats`](crate::stats::Stats) counters answer *how many*; the
 //! stream answers *which region*, *which allocation site*, and *which
@@ -121,10 +120,6 @@ pub enum Event {
         check_site: u32,
         /// Whether the check passed (a failed check aborts the program).
         passed: bool,
-        /// The static verdict published for the site (`true` =
-        /// eliminable in principle; the check ran anyway because the
-        /// configuration keeps all checks).
-        statically_safe: bool,
         /// Virtual time.
         at: Cycles,
     },

@@ -59,7 +59,7 @@ fn workout(seed: u64) -> Heap {
     let mut rng = Rng::new(0xC0FF ^ seed);
     let mut h = Heap::with_defaults();
     if rng.bool() {
-        h.enable_spans(if rng.bool() { 32 } else { 1024 });
+        h.enable_spans();
     }
     let types: Vec<_> = (0..4)
         .map(|i| {

@@ -44,7 +44,7 @@ fn seed_document() -> String {
     let mut h = Heap::with_defaults();
     let ty = h.register_type(TypeLayout::data("cell", 3));
     let big = h.register_type(TypeLayout::data("big", 1500));
-    h.enable_spans(256);
+    h.enable_spans();
     let r1 = h.new_region();
     let r2 = h.new_subregion(r1).unwrap();
     h.set_trace_site(4);

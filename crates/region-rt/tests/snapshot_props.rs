@@ -3,7 +3,7 @@
 //! For each of 48 SplitMix64 seeds, a random workout drives every
 //! allocator the snapshot covers — region tree create/delete, bump
 //! allocation (objects and arrays), malloc alloc/free, GC alloc/collect,
-//! span notes on and off — and then asserts the snapshot contract:
+//! spans on and off — and then asserts the snapshot contract:
 //!
 //! 1. `snapshot → render → Json::parse → from_json` rebuilds an
 //!    identical value that re-renders byte-identically;
@@ -49,13 +49,12 @@ impl Rng {
 
 /// Builds a randomly worked heap. Returns the heap with a mix of live and
 /// reclaimed regions, live and freed malloc objects, and collected GC
-/// state; on odd-ish seeds spans are recorded (with a small cap so note
-/// decimation fires too).
+/// state; on odd-ish seeds spans are recorded.
 fn workout(seed: u64) -> Heap {
     let mut rng = Rng::new(0x54AF ^ seed);
     let mut h = Heap::with_defaults();
     if rng.bool() {
-        h.enable_spans(if rng.bool() { 32 } else { 1024 });
+        h.enable_spans();
     }
     let types: Vec<_> = (0..4)
         .map(|i| {
