@@ -16,9 +16,8 @@
 //! 4. **Replay determinism** — rerunning the reference configuration,
 //!    traced and with spans on, yields the same outcome and identical
 //!    statistics, span trees, raw events (every kind the tracer's ring
-//!    holds) and per-site check tallies ([`replay_difference`]);
-//!    generated source is a pure function of the seed (checked by the
-//!    driver).
+//!    holds) and per-site check tallies; generated source is a pure
+//!    function of the seed (checked by the driver).
 //! 5. **Span well-formedness** — the replay runs record region lifecycle
 //!    spans ([`rc_lang::RunConfig::with_spans`]); the resulting span tree
 //!    must verify against the heap's own region table
@@ -430,12 +429,11 @@ pub fn check_source(src: &str, step_budget: u64) -> Result<CaseReport, rc_lang::
     })
 }
 
-/// Oracle (4) in isolation: the first way two runs of the same program
-/// under the same configuration differ — outcome, [`region_rt::Stats`],
-/// span tree, the raw events in the tracer's ring, or the per-site check
-/// tallies — as a [`Violation::NonDeterministic`], or `None` when they
-/// agree.
-pub fn replay_difference(a: &RunResult, b: &RunResult) -> Option<Violation> {
+/// Oracle (4): the first way two runs of the same program under the same
+/// configuration differ — outcome, [`region_rt::Stats`], span tree, the
+/// raw events in the tracer's ring, or the per-site check tallies — as a
+/// [`Violation::NonDeterministic`], or `None` when they agree.
+fn replay_difference(a: &RunResult, b: &RunResult) -> Option<Violation> {
     let detail = if a.outcome.key() != b.outcome.key() {
         format!("outcome {} vs {}", a.outcome.key(), b.outcome.key())
     } else if a.stats != b.stats {

@@ -13,6 +13,8 @@
 //!
 //! The counter is a consumer of the heap's event stream: it tallies
 //! every [`Event::CheckRun`](crate::trace::Event) by its `check_site`.
+//! It is the only per-site tally: the interpreter also attaches one to
+//! runs that record spans, for the provenance join's fires and fails.
 //! Attribution uses the front end's check-site ids (the same `SiteId`
 //! space rlang's verdicts are keyed by), published through
 //! [`Heap::set_check_site`] — deliberately separate from the telemetry
