@@ -584,10 +584,11 @@ struct Interp<'c, 'scope, 'env> {
     step_cap: u64,
     /// `config.costs.base_op`, charged on every step.
     base_op: u64,
-    /// Whether a step does nothing but count and charge `base_op` (no
-    /// timeline sampling, no det slice), so that [`Interp::charge`] may
-    /// take several at once.
-    plain_steps: bool,
+    /// No step below this one meets the step cap or ends the det slice,
+    /// so [`Interp::charge`] may take steps at once up to it. It never
+    /// exceeds `step_cap + 1` or the slice's last step, and lags behind
+    /// them (0 at the start) until a step at or past it moves it up.
+    bound: u64,
     /// Steps the instruction at `pc` still owes, when a det slice ended
     /// among them.
     owed: Option<u32>,
@@ -605,8 +606,8 @@ struct Interp<'c, 'scope, 'env> {
     snapshots: Vec<region_rt::HeapSnapshot>,
     /// Where children's threads spawn, under the thread scheduler.
     pool: Option<Pool<'scope, 'env>>,
-    /// This task's slice stream, under the deterministic scheduler (one
-    /// [`Slices::tick`] per step).
+    /// This task's slice stream, under the deterministic scheduler; only
+    /// a step at or past `bound` reads it.
     slices: Option<Slices>,
     /// This task's scheduler-event recorder on the run's shared virtual
     /// clock (`start_task` installs a child recorder for spawned tasks).
@@ -755,7 +756,7 @@ where
             steps: 0,
             step_cap: if config.step_limit == 0 { u64::MAX } else { config.step_limit },
             base_op: config.costs.base_op,
-            plain_steps: config.sample_interval == 0 && slices.is_none(),
+            bound: 0,
             owed: None,
             startup_fault,
             observing: config.trace
@@ -882,7 +883,7 @@ where
             Resume::Run => self.exec(),
             Resume::Slice => {
                 if let Some(s) = &mut self.slices {
-                    let slice = s.grant();
+                    let slice = s.grant(self.steps);
                     self.sched
                         .stamp(self.heap.clock.cycles(), SchedEventKind::BatonAcquire { slice });
                 }
@@ -921,9 +922,12 @@ where
         }
     }
 
-    /// One interpreter step. Every evaluated node, every statement and
-    /// every `while` back-edge takes exactly one, in evaluation order:
-    /// det slices and timeline samples are counted in steps. A step that
+    /// One interpreter step, the unit [`Interp::charge`] counts in. Every
+    /// evaluated node, every statement and every `while` back-edge takes
+    /// exactly one, in evaluation order: det slices and timeline samples
+    /// are counted in steps. Steps arrive in batches; this one-at-a-time
+    /// form runs only for an instruction among whose steps the step cap,
+    /// the end of the det slice or a timeline sample falls. A step that
     /// ends the task's det slice stops it with [`Stop::Slice`], and meets
     /// the step cap only when the task runs again.
     #[inline(always)]
@@ -934,31 +938,56 @@ where
         // land at regular points in program execution even when the
         // runtime is idle (one branch when sampling is off).
         self.heap.sample_tick();
-        // The deterministic scheduler's preemption point: every step
-        // burns one slice unit (a no-op branch under the other
-        // schedulers).
-        if let Some(ran) = self.slices.as_mut().and_then(Slices::tick) {
-            self.end_slice(ran);
+        if self.steps >= self.bound {
+            return self.at_bound();
+        }
+        Ok(())
+    }
+
+    /// A step at or past `bound`: the deterministic scheduler's preemption
+    /// point and the step cap. Ends the det slice or halts at the cap when
+    /// this step meets either; otherwise moves `bound` up to the nearer of
+    /// the two. Out of line and cold so that [`Interp::step`] stays small.
+    #[cold]
+    #[inline(never)]
+    fn at_bound(&mut self) -> Result<(), Stop> {
+        if let Some(ran) = self.slices.as_ref().and_then(|s| s.ends_at(self.steps)) {
+            // The task parks, and stamps its next slice's `baton_acquire`
+            // when it runs again.
+            self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::BatonRelease { ran });
             return Err(Stop::Slice);
         }
         if self.steps > self.step_cap {
             return Err(Halt::new(HaltKind::StepLimit).into());
         }
+        let slice_end = self.slices.as_ref().map_or(u64::MAX, Slices::end);
+        self.bound = self.step_cap.saturating_add(1).min(slice_end);
         Ok(())
     }
 
-    /// `n` steps, as [`Interp::step`] would take them one by one. While
-    /// steps are plain and the cap is not in reach they are taken at once.
-    /// When a step ends the det slice, the instruction resumes with only
-    /// the steps it still owes, which `owed` keeps.
+    /// `n` steps, as [`Interp::step`] would take them one by one. They
+    /// are taken at once, in one compare against `bound` and one against
+    /// the sampler's countdown, unless the step cap, the end of the det
+    /// slice or a timeline sample may fall among them; only then do they
+    /// go one at a time, for this instruction alone. When a step ends the
+    /// det slice, the instruction resumes with only the steps it still
+    /// owes, which `owed` keeps (the slice's end left `bound` behind, so
+    /// the resumed instruction goes one at a time too).
     #[inline(always)]
     fn charge(&mut self, n: u32) -> Result<(), Stop> {
         let n64 = u64::from(n);
-        if self.plain_steps && self.steps + n64 <= self.step_cap {
+        if self.steps + n64 < self.bound && self.heap.sample_ticks(n64) {
             self.steps += n64;
             self.heap.clock.charge(self.base_op * n64);
             return Ok(());
         }
+        self.charge_each(n)
+    }
+
+    /// [`Interp::charge`]'s step-by-step path.
+    #[cold]
+    #[inline(never)]
+    fn charge_each(&mut self, n: u32) -> Result<(), Stop> {
         let mut left = self.owed.take().unwrap_or(n);
         while left != 0 {
             left -= 1;
@@ -968,15 +997,6 @@ where
             }
         }
         Ok(())
-    }
-
-    /// Stamps the end of a det slice; the task parks, and stamps its next
-    /// slice's `baton_acquire` when it runs again. Out of line and cold so
-    /// that [`Interp::step`] stays small.
-    #[cold]
-    #[inline(never)]
-    fn end_slice(&mut self, ran: u64) {
-        self.sched.stamp(self.heap.clock.cycles(), SchedEventKind::BatonRelease { ran });
     }
 
     fn func(&self, f: FuncRef) -> &'c HFunc {

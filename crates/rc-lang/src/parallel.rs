@@ -54,16 +54,16 @@ const MAX_SLICE: u64 = 64;
 #[derive(Debug)]
 pub(crate) struct Slices {
     rng: SplitMix64,
-    /// Steps left in the current slice.
-    left: u64,
+    /// The task's step count at the current slice's last step.
+    end: u64,
     /// The current slice's full length (for `baton_release` events:
     /// `ran == granted` at expiry).
     granted: u64,
 }
 
 impl Slices {
-    /// Task `id`'s stream under `sched`, with its first slice drawn
-    /// (`None` outside the deterministic scheduler).
+    /// Task `id`'s stream under `sched`, with its first slice drawn from
+    /// step 0 (`None` outside the deterministic scheduler).
     pub(crate) fn of(sched: crate::config::SchedMode, id: usize) -> Option<Slices> {
         let crate::config::SchedMode::Deterministic { seed } = sched else {
             return None;
@@ -71,25 +71,29 @@ impl Slices {
         let mut rng = SplitMix64(seed ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         // One warm-up scrambles low-entropy (seed ^ small-id) states.
         rng.next();
-        let mut s = Slices { rng, left: 0, granted: 0 };
-        s.grant();
+        let mut s = Slices { rng, end: 0, granted: 0 };
+        s.grant(0);
         Some(s)
     }
 
-    /// One interpreter step: burns a slice step. Returns `Some(ran)` when
-    /// the slice is spent; the task then passes the turn and takes its
-    /// next slice with [`Slices::grant`] when it runs again.
-    #[inline]
-    pub(crate) fn tick(&mut self) -> Option<u64> {
-        self.left -= 1;
-        (self.left == 0).then_some(self.granted)
+    /// The task's step count at the current slice's last step.
+    pub(crate) fn end(&self) -> u64 {
+        self.end
     }
 
-    /// Draws the next slice and returns its length.
-    pub(crate) fn grant(&mut self) -> u64 {
-        self.left = 1 + self.rng.next() % MAX_SLICE;
-        self.granted = self.left;
-        self.left
+    /// `Some(ran)` when the task's `steps`-th step is the current slice's
+    /// last; the task then passes the turn and takes its next slice with
+    /// [`Slices::grant`] when it runs again.
+    pub(crate) fn ends_at(&self, steps: u64) -> Option<u64> {
+        (steps == self.end).then_some(self.granted)
+    }
+
+    /// Draws the next slice, which starts after the task's `steps`-th
+    /// step, and returns its length.
+    pub(crate) fn grant(&mut self, steps: u64) -> u64 {
+        self.granted = 1 + self.rng.next() % MAX_SLICE;
+        self.end = steps + self.granted;
+        self.granted
     }
 }
 
@@ -221,10 +225,13 @@ mod tests {
             panic!("the deterministic scheduler has slice streams");
         };
         assert_ne!(
-            (0..4).map(|_| s0.grant()).collect::<Vec<_>>(),
-            (0..4).map(|_| s1.grant()).collect::<Vec<_>>()
+            (0..4).map(|_| s0.grant(0)).collect::<Vec<_>>(),
+            (0..4).map(|_| s1.grant(0)).collect::<Vec<_>>()
         );
-        assert!((0..64).all(|_| (1..=MAX_SLICE).contains(&s0.grant())));
+        assert!((0..64).all(|_| (1..=MAX_SLICE).contains(&s0.grant(0))));
+        let ran = s0.grant(100);
+        assert_eq!((s0.end(), s0.ends_at(100 + ran)), (100 + ran, Some(ran)));
+        assert_eq!(s0.ends_at(99 + ran), None);
         assert!(Slices::of(SchedMode::Inline, 0).is_none());
     }
 

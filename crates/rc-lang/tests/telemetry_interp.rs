@@ -5,6 +5,7 @@
 
 use rc_lang::interp::{prepare, run};
 use rc_lang::{CheckMode, RunConfig};
+use region_rt::MetricsSnapshot;
 
 /// The paper's Figure 1 program (nested sameregion list), with known
 /// line numbers: the rallocs sit on lines 12 and 13, the annotated
@@ -150,4 +151,111 @@ fn sampling_does_not_perturb_the_run_and_aligns_sites() {
         "no sample attributed to the hot loop: {:?}",
         s.iter().map(|x| x.site).collect::<Vec<_>>()
     );
+}
+
+/// Calls, a loop and a `deletes` callee: `fill` allocates `k` nodes into
+/// a fresh region, `drop` deletes it.
+const CALLS: &str = "\
+struct node { int v; struct node *sameregion next; };
+
+static int fill(region r, int n) {
+    struct node *head = null;
+    int i;
+    for (i = 0; i < n; i = i + 1) {
+        struct node *c = ralloc(r, struct node);
+        c->v = i;
+        c->next = head;
+        head = c;
+    }
+    return n;
+}
+
+static int drop(region s) deletes {
+    deleteregion(s);
+    return 1;
+}
+
+int main() deletes {
+    int total = 0;
+    int k;
+    for (k = 0; k < 12; k = k + 1) {
+        region r = newregion();
+        total = total + fill(r, k);
+        total = total + drop(r);
+    }
+    return total;
+}
+";
+
+/// A sample's `d_*` columns, in `MetricsSnapshot` order.
+fn deltas(s: &MetricsSnapshot) -> [u64; 10] {
+    [
+        s.d_cycles,
+        s.d_allocs,
+        s.d_alloc_words,
+        s.d_rc_updates,
+        s.d_checks,
+        s.d_rc_cycles,
+        s.d_check_cycles,
+        s.d_alloc_cycles,
+        s.d_gc_collections,
+        s.d_gc_cycles,
+    ]
+}
+
+/// The interpreter takes an instruction's steps at once unless a sample
+/// falls among them, so a sample must land where one step at a time puts
+/// it. Interval 1 samples every tick, so no step is ever batched there:
+/// each sample of a longer interval must equal the interval-1 sample at
+/// the same tick, and its deltas must sum that sample's window.
+#[test]
+fn batched_samples_land_where_single_steps_put_them() {
+    let cap = 1 << 20; // more samples than any run takes: no decimation
+    for (src, exit) in [(FIG1, (0..50).sum()), (CALLS, 66 + 12)] {
+        let c = prepare(src).unwrap();
+        let single = run(&c, &RunConfig::rc(CheckMode::Qs).with_sampling(1, cap));
+        assert_eq!(single.outcome, rc_lang::interp::Outcome::Exit(exit));
+        let tl = single.timeline.as_ref().expect("sampling on");
+        let base = tl.samples();
+        // Every tick, every step among them, was a sample; the run's end
+        // adds one more.
+        assert!(tl.ticks() >= single.steps, "{} ticks for {} steps", tl.ticks(), single.steps);
+        assert_eq!(base.len() as u64, tl.ticks() + 1);
+        assert!(base.iter().zip(1..).all(|(s, t)| s.ticks == t.min(tl.ticks())));
+        // A step charges its base cost just before it ticks, so each step's
+        // sample has a window of its own that holds that charge.
+        let base_op = RunConfig::rc(CheckMode::Qs).costs.base_op;
+        assert!(base_op > 0);
+        assert!(base.iter().filter(|s| s.d_cycles >= base_op).count() as u64 >= single.steps);
+
+        for interval in [2, 3, 7, 64, 256] {
+            let r = run(&c, &RunConfig::rc(CheckMode::Qs).with_sampling(interval, cap));
+            assert_eq!(r.outcome, single.outcome);
+            assert_eq!((&r.stats, r.cycles, r.steps), (&single.stats, single.cycles, single.steps));
+            let tl_k = r.timeline.as_ref().expect("sampling on");
+            assert_eq!(tl_k.ticks(), tl.ticks(), "interval {interval}");
+            let samples = tl_k.samples();
+            assert_eq!(samples.len() as u64, tl.ticks() / interval + 1, "interval {interval}");
+            let mut from = 0;
+            for (j, x) in samples.iter().enumerate() {
+                // The run's last sample matches the interval-1 run's last.
+                let at = if j + 1 == samples.len() { base.len() - 1 } else { x.ticks as usize - 1 };
+                let (b, window) = (&base[at], &base[from..=at]);
+                let ctx = format!("interval {interval}, sample {j} at tick {}", x.ticks);
+                assert_eq!(x.ticks, b.ticks, "{ctx}");
+                assert_eq!(x.at_cycles, b.at_cycles, "{ctx}");
+                assert_eq!(x.site, b.site, "{ctx}");
+                let words = |s: &MetricsSnapshot| (s.live_words, s.peak_live_words);
+                assert_eq!(words(x), words(b), "{ctx}");
+                assert_eq!(x.gauges, b.gauges, "{ctx}");
+                let summed = window.iter().map(deltas).fold([0; 10], |mut acc, d| {
+                    acc.iter_mut().zip(d).for_each(|(a, d)| *a += d);
+                    acc
+                });
+                assert_eq!(deltas(x), summed, "{ctx}");
+                from = at + 1;
+            }
+            assert_eq!(from, base.len(), "interval {interval}: every tick in some window");
+        }
+    }
 }

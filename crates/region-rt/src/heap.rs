@@ -610,8 +610,9 @@ impl Heap {
     }
 
     /// One sampling tick. Every instrumented runtime event (allocation,
-    /// count update, check, free, collection, interpreter step) calls
-    /// this; with sampling disabled it is a single compare against zero.
+    /// count update, check, free, collection) calls this, and so does an
+    /// interpreter step that [`Heap::sample_ticks`] could not take; with
+    /// sampling disabled it is a single compare against zero.
     #[inline(always)]
     pub fn sample_tick(&mut self) {
         if self.sample_countdown != 0 {
@@ -620,6 +621,22 @@ impl Heap {
                 self.sample_take();
             }
         }
+    }
+
+    /// `n` sampling ticks at once, taken only when no sample falls among
+    /// them: returns whether it took them. When it returns `false` nothing
+    /// was consumed, and the caller ticks one at a time with
+    /// [`Heap::sample_tick`]. The interpreter takes an instruction's steps
+    /// this way; with sampling disabled it always succeeds, after one
+    /// compare.
+    #[inline(always)]
+    pub fn sample_ticks(&mut self, n: u64) -> bool {
+        // A countdown of 0 (sampling off) wraps to u64::MAX here.
+        if self.sample_countdown.wrapping_sub(1) < n {
+            return false;
+        }
+        self.sample_countdown = self.sample_countdown.saturating_sub(n);
+        true
     }
 
     /// Takes an immediate snapshot regardless of the tick countdown (used
@@ -1121,6 +1138,22 @@ mod tests {
         h.sample_now();
         assert!(h.take_timeline().is_some());
         assert!(!h.sampling_enabled());
+    }
+
+    #[test]
+    fn sample_ticks_take_only_runs_without_a_sample() {
+        let mut h = Heap::with_defaults();
+        assert!(h.sample_ticks(u64::MAX), "sampling off: any run is taken");
+        h.enable_sampling(4, 16);
+        assert!(h.sample_ticks(3));
+        assert!(!h.sample_ticks(1), "the 4th tick is a sample");
+        assert!(h.timeline().unwrap().is_empty(), "a refused run consumes nothing");
+        h.sample_tick();
+        assert_eq!(h.timeline().unwrap().len(), 1);
+        assert!(!h.sample_ticks(4));
+        assert!(h.sample_ticks(3));
+        h.sample_tick();
+        assert_eq!(h.timeline().unwrap().ticks(), 8);
     }
 
     #[test]

@@ -226,7 +226,8 @@ fn write_f64(out: &mut String, f: f64) {
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string, quoted and escaped.
+pub(crate) fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -2,7 +2,7 @@
 //! `Stats` counters for the same run, the ring must stay bounded, and
 //! every event kind keeps its encoding.
 
-use region_rt::{Addr, Heap, HeapConfig, PtrKind, SlotKind, TypeLayout, WriteMode};
+use region_rt::{Addr, Heap, HeapConfig, Json, PtrKind, SlotKind, TypeLayout, WriteMode};
 
 fn workout(h: &mut Heap) {
     let counted = h
@@ -152,8 +152,9 @@ fn every_event_kind_has_a_pinned_encoding() {
     h.delete_region(r1).unwrap();
 
     let t = h.take_tracer().unwrap();
+    let tagged = t.events_jsonl("t");
     assert_eq!(
-        t.events_jsonl("t"),
+        tagged,
         concat!(
             r#"{"run":"t","ev":"region_created","region":1,"at":66}"#,
             "\n",
@@ -193,6 +194,14 @@ fn every_event_kind_has_a_pinned_encoding() {
             "\n",
         )
     );
+    // The untagged form (what rc-perf's paper-observed exports) is each
+    // tagged line without its `"run"` field.
+    assert_eq!(t.events_jsonl(""), tagged.replace(r#"{"run":"t","#, "{"));
+    // A tag is escaped as any JSON string is.
+    let tag = r#"a"b\c"#;
+    let escaped = format!("{{\"run\":{},", Json::s(tag).render());
+    assert_eq!(escaped, r#"{"run":"a\"b\\c","#);
+    assert_eq!(t.events_jsonl(tag), tagged.replace(r#"{"run":"t","#, &escaped));
     assert_eq!(
         t.profile().to_json("t").render(),
         concat!(
