@@ -10,8 +10,8 @@
 # review. It also fails on an entry that vets no site any more, so deleted
 # code takes its entries with it.
 #
-# Test code is skipped only where it is a column-0 `#[cfg(test)]` module
-# whose body ends at a column-0 `}` (tools/strip_test_mods.awk); scanning
+# Test code is skipped only where it is a column-0 `#[cfg(test)]` module,
+# through the brace that closes it (tools/strip_test_mods.awk); scanning
 # resumes after it. Every other `#[cfg(test)]` item, and whatever follows
 # it, is scanned like any code. See docs/ROBUSTNESS.md.
 set -euo pipefail
