@@ -12,7 +12,10 @@
 //!
 //! Cost discipline matches the tracer (see `docs/OBSERVABILITY.md`):
 //! emission sites call [`Heap::sample_tick`](crate::heap::Heap), which is
-//! a single compare-with-zero branch while sampling is disabled.
+//! a single compare-with-zero branch while sampling is disabled. The
+//! interpreter takes an instruction's steps with one
+//! [`Heap::sample_ticks`](crate::heap::Heap::sample_ticks), and ticks them
+//! one at a time only when a sample falls among them.
 //! Sampling is observation-only: it never changes `Stats`, virtual
 //! cycles, or program outcome.
 //!
