@@ -190,7 +190,7 @@ impl Event {
                 if to == NO_REGION {
                     out.push_str("null");
                 } else {
-                    push_u64(out, to.into());
+                    json::push_u64(out, to.into());
                 }
                 flag(out, "full", full);
                 num(out, "site", site.into());
@@ -237,7 +237,7 @@ fn key(out: &mut String, name: &str) {
 /// Appends a number field, written as [`Json::U`](crate::Json::U) renders it.
 fn num(out: &mut String, name: &str, n: u64) {
     key(out, name);
-    push_u64(out, n);
+    json::push_u64(out, n);
 }
 
 /// Appends a string field whose value needs no escaping.
@@ -252,21 +252,6 @@ fn text(out: &mut String, name: &str, value: &str) {
 fn flag(out: &mut String, name: &str, b: bool) {
     key(out, name);
     out.push_str(if b { "true" } else { "false" });
-}
-
-/// Appends `n` in decimal.
-fn push_u64(out: &mut String, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[i..]).unwrap_or_default());
 }
 
 /// Stable lower-case name of a check kind for export.
