@@ -1186,6 +1186,10 @@ where
                     let x = self.top();
                     self.write_slot(self.globals_obj, g as usize, x, ty, site)?;
                 }
+                Op::StoreGlobal { g, ty, site } => {
+                    let x = self.pop();
+                    self.write_slot(self.globals_obj, g as usize, x, ty, site)?;
+                }
                 Op::NonNull => {
                     nonnull(self.top())?;
                 }
@@ -1263,6 +1267,12 @@ where
                     let addr = self.pop().addr();
                     self.heap.write_int(addr, i, x.raw()).map_err(abort)?;
                     self.stack.push(x);
+                }
+                Op::StoreIntElem => {
+                    let x = self.pop();
+                    let i = int(self.pop()) as usize;
+                    let addr = self.pop().addr();
+                    self.heap.write_int(addr, i, x.raw()).map_err(abort)?;
                 }
                 Op::Bin(op) => {
                     let r = self.pop();
@@ -2439,6 +2449,12 @@ enum Op {
         ty: RcType,
         site: SiteId,
     },
+    /// `x →`, storing into a scalar global (an assignment statement).
+    StoreGlobal {
+        g: u32,
+        ty: RcType,
+        site: SiteId,
+    },
     /// `p → p`, aborting when `p` is null: a dereference checked before
     /// the operands after it are evaluated.
     NonNull,
@@ -2491,6 +2507,8 @@ enum Op {
     IntElem,
     /// `p i x → x`, storing into an int element (`i` already checked).
     SetIntElem,
+    /// `p i x →`, storing into an int element (an assignment statement).
+    StoreIntElem,
     /// `a b → a op b`.
     Bin(crate::ast::BinOp),
     /// `a → a op v` for a variable `v`.
@@ -2753,6 +2771,20 @@ impl<'m> Lower<'m> {
                 self.expr(val);
                 let ty = self.field_ty(*s, *field);
                 self.emit(Op::StoreField { field: *field, ty, site: *site });
+            }
+            HStmt::Expr(HExpr::AssignGlobal { g, val, site }) => {
+                self.step();
+                self.expr(val);
+                self.emit(Op::StoreGlobal { g: g.0, ty: self.m.global(*g).ty, site: *site });
+            }
+            HStmt::Expr(HExpr::AssignIntElem { ptr, idx, val }) => {
+                self.step();
+                self.expr(ptr);
+                self.emit(Op::NonNull);
+                self.expr(idx);
+                self.emit(Op::NonNeg);
+                self.expr(val);
+                self.emit(Op::StoreIntElem);
             }
             HStmt::Expr(e) => {
                 self.expr(e);
@@ -3751,6 +3783,42 @@ mod lowering_tests {
             .collect();
         assert_eq!(whens, [false, true]);
         assert_eq!(run(&c, &RunConfig::rc_inf()).outcome, Outcome::Exit(0));
+    }
+
+    /// Assignment statements to globals and int elements store without
+    /// keeping the value, as those to locals and fields do: no `SetGlobal`
+    /// or `SetIntElem` is followed by a `Pop`. Assignments inside
+    /// expressions keep the value.
+    #[test]
+    fn assignment_statements_store_without_a_pop() {
+        let src = r#"
+            int total;
+            int *digits;
+            int main() {
+                region r = newregion();
+                digits = rarrayalloc(r, 4, int);
+                int i = 0;
+                while (i < 4) {
+                    digits[i] = i * 2;
+                    total = total + digits[i];
+                    i = i + 1;
+                }
+                int x = total = digits[1] = 7;
+                return total + x + digits[1];
+            }
+        "#;
+        let c = prepare(src).unwrap();
+        let ops: Vec<&Op> = c.module.code.ops.iter().map(|ins| &ins.op).collect();
+        for pair in ops.windows(2) {
+            let set = matches!(pair[0], Op::SetGlobal { .. } | Op::SetIntElem);
+            assert!(!(set && *pair[1] == Op::Pop), "{:?} then Pop", pair[0]);
+        }
+        let count = |f: fn(&Op) -> bool| ops.iter().filter(|op| f(op)).count();
+        assert_eq!(count(|op| matches!(op, Op::StoreGlobal { .. })), 2);
+        assert_eq!(count(|op| matches!(op, Op::StoreIntElem)), 1);
+        assert_eq!(count(|op| matches!(op, Op::SetGlobal { .. })), 1);
+        assert_eq!(count(|op| matches!(op, Op::SetIntElem)), 1);
+        assert_eq!(run(&c, &RunConfig::rc_inf()).outcome, Outcome::Exit(21));
     }
 
     #[test]
