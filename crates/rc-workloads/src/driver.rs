@@ -1,6 +1,6 @@
 //! Running workloads under configurations.
 
-use rc_lang::interp::{prepare, run, run_audited, Compiled, Outcome, RunResult};
+use rc_lang::interp::{prepare, run_audited, Compiled, Outcome};
 use rc_lang::RunConfig;
 
 use crate::{Scale, Workload};
@@ -17,12 +17,6 @@ pub fn prepare_workload(w: &Workload, scale: Scale) -> Compiled {
         Ok(c) => c,
         Err(e) => panic!("workload {} does not compile: {e}", w.name),
     }
-}
-
-/// Compiles and runs a workload.
-pub fn run_workload(w: &Workload, scale: Scale, config: &RunConfig) -> RunResult {
-    let c = prepare_workload(w, scale);
-    run(&c, config)
 }
 
 /// Static annotation statistics for Table 3.

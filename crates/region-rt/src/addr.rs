@@ -13,9 +13,6 @@
 /// Number of 8-byte words in one heap page (8 KB / 8 = 1024).
 pub const WORDS_PER_PAGE: usize = 1024;
 
-/// Size of one heap page in bytes (paper: "currently 8KB").
-pub const PAGE_BYTES: usize = WORDS_PER_PAGE * 8;
-
 /// log2 of [`WORDS_PER_PAGE`], used to split an address into page and word.
 pub const PAGE_SHIFT: u32 = 10;
 

@@ -167,11 +167,6 @@ impl Heap {
         self.types.register(layout)
     }
 
-    /// Looks up a registered layout.
-    pub fn type_layout(&self, id: TypeId) -> &TypeLayout {
-        self.types.get(id)
-    }
-
     /// Whether reference counting is enabled.
     pub fn rc_enabled(&self) -> bool {
         self.rc_enabled
@@ -561,11 +556,6 @@ impl Heap {
     /// Whether a region is live.
     pub fn region_alive(&self, r: RegionId) -> bool {
         self.region(r).alive
-    }
-
-    /// The parent of a region (None for the traditional region).
-    pub fn region_parent(&self, r: RegionId) -> Option<RegionId> {
-        self.region(r).parent
     }
 
     /// Number of regions ever created (including the traditional region).

@@ -27,15 +27,6 @@ pub enum PtrKind {
     Traditional,
 }
 
-impl PtrKind {
-    /// Whether assignments through this kind of pointer update reference
-    /// counts. Only unannotated pointers do; the three annotations replace
-    /// the count update with a cheaper check.
-    pub fn is_counted(self) -> bool {
-        matches!(self, PtrKind::Counted)
-    }
-}
-
 /// One word of an object layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotKind {
@@ -47,13 +38,6 @@ pub enum SlotKind {
     /// region heap, so handles never contribute to reference counts; they
     /// are tracked so the auditor and the GC can treat them precisely.
     RegionHandle,
-}
-
-impl SlotKind {
-    /// Whether this slot can hold a heap address.
-    pub fn is_ptr(self) -> bool {
-        matches!(self, SlotKind::Ptr(_))
-    }
 }
 
 /// Layout of one object type: a name plus the kind of every word.

@@ -348,15 +348,6 @@ impl Profile {
         &self.lifetime_hist
     }
 
-    /// Top `n` regions by allocated words (ties: lower region id first).
-    pub fn hot_regions(&self, n: usize) -> Vec<&RegionProfile> {
-        let mut v: Vec<&RegionProfile> =
-            self.regions.values().filter(|r| r.alloc_words > 0).collect();
-        v.sort_by(|a, b| b.alloc_words.cmp(&a.alloc_words).then(a.region.cmp(&b.region)));
-        v.truncate(n);
-        v
-    }
-
     /// Top `n` check sites by executed checks (ties: lower line first).
     pub fn hot_check_sites(&self, n: usize) -> Vec<&SiteProfile> {
         let mut v: Vec<&SiteProfile> =

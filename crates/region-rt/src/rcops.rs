@@ -17,7 +17,7 @@ use crate::addr::Addr;
 use crate::error::RtError;
 use crate::heap::Heap;
 use crate::layout::PtrKind;
-use crate::region::{is_ancestor, RegionId, TRADITIONAL};
+use crate::region::{is_ancestor, TRADITIONAL};
 use crate::stats::AssignCategory;
 use crate::trace::{Event, NO_REGION};
 
@@ -208,13 +208,6 @@ impl Heap {
     #[inline]
     pub fn read_ptr(&self, obj: Addr, field: usize) -> Result<Addr, RtError> {
         Ok(Addr::from_raw(self.read_word(obj, field)?))
-    }
-
-    /// The external reference count a region would need to reach zero
-    /// before deletion, ignoring pins (test helper).
-    pub fn region_heap_refs(&self, r: RegionId) -> i64 {
-        let region = &self.regions[r.0 as usize];
-        region.rc - region.pins
     }
 }
 

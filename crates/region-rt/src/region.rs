@@ -18,13 +18,6 @@ pub struct RegionId(pub u32);
 /// The distinguished traditional region.
 pub const TRADITIONAL: RegionId = RegionId(0);
 
-impl RegionId {
-    /// Whether this is the traditional region.
-    pub fn is_traditional(self) -> bool {
-        self == TRADITIONAL
-    }
-}
-
 /// Per-region state.
 #[derive(Debug)]
 pub struct RegionData {
