@@ -45,29 +45,47 @@ pub struct MallocObj {
 }
 
 /// State of the malloc baseline allocator.
-#[derive(Debug, Default)]
+///
+/// A size class hands out its most recently freed slot first, else the
+/// next uncarved slot of its current page, in address order, as Lea's
+/// malloc splits chunks off its top. A class takes a fresh page only when
+/// it has neither.
+#[derive(Debug)]
 pub struct MallocState {
+    /// Freed slots per size class, last freed on top.
     free_lists: Vec<Vec<Addr>>,
+    /// Per size class, the page it carves slots from and the word offset
+    /// of that page's next uncarved slot: `WORDS_PER_PAGE` before the
+    /// class's first page and once a page is carved out.
+    carve: [(u32, usize); SIZE_CLASSES.len()],
     live: HashMap<u64, MallocObj>,
+}
+
+impl Default for MallocState {
+    fn default() -> MallocState {
+        MallocState::new()
+    }
 }
 
 impl MallocState {
     /// Empty allocator state.
     pub fn new() -> MallocState {
-        MallocState { free_lists: vec![Vec::new(); SIZE_CLASSES.len()], live: HashMap::new() }
+        MallocState::from_snapshot(vec![Vec::new(); SIZE_CLASSES.len()], HashMap::new())
     }
 
     /// Rebuilds malloc state from a snapshot (restore path). Free-list
     /// entries are placeholder slots on the reserved page 0 that only
-    /// reproduce per-class depths; a restored heap is for validation and
-    /// inspection, and its free lists are depth-faithful, not
-    /// address-faithful (snapshots record depths only).
+    /// reproduce per-class depths, and no class has a page to carve, so
+    /// the next allocation that finds its list empty takes a fresh page.
+    /// A restored heap is for validation and inspection, and its free
+    /// lists are depth-faithful, not address-faithful (snapshots record
+    /// depths only).
     pub(crate) fn from_snapshot(
         free_lists: Vec<Vec<Addr>>,
         live: HashMap<u64, MallocObj>,
     ) -> MallocState {
         debug_assert_eq!(free_lists.len(), SIZE_CLASSES.len());
-        MallocState { free_lists, live }
+        MallocState { free_lists, carve: [(0, WORDS_PER_PAGE); SIZE_CLASSES.len()], live }
     }
 
     /// Live allocation metadata for the auditor.
@@ -80,17 +98,23 @@ impl MallocState {
         self.live.len()
     }
 
-    /// Total free slots across all size-class free lists — the timeline's
-    /// external-fragmentation gauge for the malloc baseline (slots carved
-    /// or freed but not currently serving an allocation).
+    /// Total free slots across all size classes — the timeline's
+    /// external-fragmentation gauge for the malloc baseline (slots freed,
+    /// or on a class's current page and not yet carved).
     pub fn free_list_depth(&self) -> usize {
-        self.free_lists.iter().map(Vec::len).sum()
+        (0..SIZE_CLASSES.len()).map(|class| self.depth(class)).sum()
     }
 
     /// Free slots per size class, parallel to [`SIZE_CLASSES`] — the
     /// snapshot's fragmentation breakdown.
     pub fn free_list_depths(&self) -> Vec<u32> {
-        self.free_lists.iter().map(|l| l.len() as u32).collect()
+        (0..SIZE_CLASSES.len()).map(|class| self.depth(class) as u32).collect()
+    }
+
+    /// One class's free slots: those freed, plus the uncarved rest of its
+    /// current page, which the class hands out before it takes a page.
+    fn depth(&self, class: usize) -> usize {
+        self.free_lists[class].len() + (WORDS_PER_PAGE - self.carve[class].1) / SIZE_CLASSES[class]
     }
 }
 
@@ -108,25 +132,32 @@ impl Heap {
         let mut cycles = self.costs.malloc_alloc;
         let addr = match size_class(words) {
             Some(class) => {
-                if self.malloc.free_lists[class].is_empty() {
-                    // Carve a fresh page into objects of this class.
-                    cycles += self.costs.malloc_slow_extra;
-                    let stride = SIZE_CLASSES[class];
-                    let (page, recycled) = self
-                        .store
-                        .acquire2(PageOwner::Region(TRADITIONAL))
-                        .map_err(|e| self.fault_stamp_oom(e))?;
-                    let per_page = WORDS_PER_PAGE / stride;
-                    for i in (0..per_page).rev() {
-                        self.malloc.free_lists[class]
-                            .push(Addr::from_parts(page, (i * stride) as u32));
+                let stride = SIZE_CLASSES[class];
+                let addr = match self.malloc.free_lists[class].pop() {
+                    Some(a) => a,
+                    None => {
+                        if self.malloc.carve[class].1 + stride > WORDS_PER_PAGE {
+                            // Start carving a fresh page into this class.
+                            cycles += self.costs.malloc_slow_extra;
+                            let (page, recycled) = self
+                                .store
+                                .acquire2(PageOwner::Region(TRADITIONAL))
+                                .map_err(|e| self.fault_stamp_oom(e))?;
+                            cycles += if recycled {
+                                self.costs.page_recycle
+                            } else {
+                                self.costs.page_fetch
+                            };
+                            self.malloc.carve[class] = (page, 0);
+                        }
+                        let (page, next) = &mut self.malloc.carve[class];
+                        let a = Addr::from_parts(*page, *next as u32);
+                        *next += stride;
+                        a
                     }
-                    cycles +=
-                        if recycled { self.costs.page_recycle } else { self.costs.page_fetch };
-                }
-                let addr = self.malloc.free_lists[class].pop().expect("list refilled");
+                };
                 // Recycled slots may hold stale data.
-                for w in 0..SIZE_CLASSES[class] {
+                for w in 0..stride {
                     self.store.write(addr.offset(w), 0);
                 }
                 self.malloc.live.insert(
@@ -324,6 +355,89 @@ mod tests {
         assert_eq!(h.malloc.free_list_depth(), 255);
         h.m_free(a).unwrap();
         assert_eq!(h.malloc.free_list_depth(), 256);
+    }
+
+    /// The allocator as it was before slots were carved on demand: a
+    /// class whose free list is empty takes a fresh page and pushes every
+    /// slot of it, last slot first, and each allocation pops the top.
+    struct EagerModel {
+        lists: Vec<Vec<Addr>>,
+        next_page: u32,
+        cycles: u64,
+    }
+
+    impl EagerModel {
+        fn alloc(&mut self, class: usize, costs: &crate::cost::CostModel) -> Addr {
+            self.cycles += costs.malloc_alloc;
+            if self.lists[class].is_empty() {
+                self.cycles += costs.malloc_slow_extra + costs.page_fetch;
+                let stride = SIZE_CLASSES[class];
+                for i in (0..WORDS_PER_PAGE / stride).rev() {
+                    self.lists[class].push(Addr::from_parts(self.next_page, (i * stride) as u32));
+                }
+                self.next_page += 1;
+            }
+            self.lists[class].pop().unwrap()
+        }
+
+        fn depths(&self) -> Vec<u32> {
+            self.lists.iter().map(|l| l.len() as u32).collect()
+        }
+    }
+
+    #[test]
+    fn on_demand_carving_matches_eager_model() {
+        // Classes 0 and 4 carve 1,024 and 64 slots a page, class 9 two
+        // and class 10 one, so pages run out and fresh ones are taken.
+        const CLASSES: [usize; 4] = [0, 4, 9, 10];
+        let mut h = Heap::with_defaults();
+        let tys: Vec<TypeId> = CLASSES
+            .iter()
+            .map(|&c| h.register_type(TypeLayout::data("slot", SIZE_CLASSES[c])))
+            .collect();
+        let mut model = EagerModel {
+            lists: vec![Vec::new(); SIZE_CLASSES.len()],
+            next_page: h.store.page_count() as u32,
+            cycles: h.clock.cycles(),
+        };
+        let mut rng = 0x5eed_u64;
+        let mut live: Vec<(Addr, usize)> = Vec::new();
+        let mut first_use = [true; SIZE_CLASSES.len()];
+        let mut restores = 0;
+        for step in 0..1500 {
+            if live.is_empty() || crate::fault::splitmix64(&mut rng) % 5 < 3 {
+                let k = (crate::fault::splitmix64(&mut rng) % CLASSES.len() as u64) as usize;
+                let class = CLASSES[k];
+                let a = h.m_alloc(tys[k], 1).unwrap();
+                assert_eq!(a, model.alloc(class, &h.costs), "allocation {step} (class {class})");
+                if std::mem::take(&mut first_use[class]) {
+                    assert_eq!(h.malloc.free_lists[class].capacity(), 0, "class {class} carved");
+                }
+                live.push((a, class));
+            } else {
+                let i = (crate::fault::splitmix64(&mut rng) % live.len() as u64) as usize;
+                let (a, class) = live.swap_remove(i);
+                h.m_free(a).unwrap();
+                model.lists[class].push(a);
+                model.cycles += h.costs.malloc_free;
+            }
+            assert_eq!(h.malloc.free_list_depths(), model.depths(), "after step {step}");
+            assert_eq!(h.malloc.free_list_depth(), model.lists.iter().map(Vec::len).sum());
+            assert_eq!(h.clock.cycles(), model.cycles, "after step {step}");
+            if step % 250 == 125 {
+                assert!(
+                    h.malloc.carve.iter().any(|&(_, next)| next > 0 && next < WORDS_PER_PAGE),
+                    "some class is mid-page at step {step}"
+                );
+                let restored =
+                    Heap::restore(&h.snapshot(crate::snapshot::SnapshotReason::Exit)).unwrap();
+                assert_eq!(restored.malloc.free_list_depths(), h.malloc.free_list_depths());
+                restores += 1;
+            }
+        }
+        assert!(CLASSES.iter().all(|&c| !first_use[c]), "every class was used");
+        assert!(model.next_page > 20, "pages ran out: {} taken", model.next_page);
+        assert_eq!(restores, 6);
     }
 
     #[test]

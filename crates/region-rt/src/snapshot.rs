@@ -199,7 +199,8 @@ pub struct HeapSnapshot {
     pub pages: Vec<PageSnapshot>,
     /// The page free pool in release order (tail recycled first).
     pub free_chain: Vec<u32>,
-    /// Malloc free slots per size class (parallel to `SIZE_CLASSES`).
+    /// Malloc free slots per size class (parallel to `SIZE_CLASSES`):
+    /// freed slots plus the uncarved rest of the class's current page.
     pub malloc_free_depths: Vec<u32>,
     /// GC free slots per size class.
     pub gc_free_depths: Vec<u32>,

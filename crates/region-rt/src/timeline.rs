@@ -58,8 +58,8 @@ pub struct HeapGauges {
     /// pages with used words in `(i/8, (i+1)/8]` of a page — the
     /// internal-fragmentation picture.
     pub occupancy: [u32; OCCUPANCY_BUCKETS],
-    /// Total free slots across the malloc baseline's size-class free
-    /// lists.
+    /// Total free slots across the malloc baseline's size classes: freed
+    /// slots plus the uncarved rest of each class's current page.
     pub malloc_free_depth: u32,
 }
 
