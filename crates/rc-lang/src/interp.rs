@@ -219,7 +219,7 @@ fn run_root<'c, 'scope, 'env>(
 where
     'c: 'scope,
 {
-    let mut interp = Interp::new(c, config);
+    let mut interp = Box::new(Interp::new(c, config));
     interp.pool = pool;
     if let Some(pool) = pool {
         pool.sem.acquire();
@@ -230,7 +230,7 @@ where
     // thread outlives the run. The root's own failure wins; otherwise the
     // earliest-spawned failed task decides the outcome, exactly as an
     // explicit `join` would have.
-    let outcome = interp.run_main();
+    let outcome = Interp::run_main(&mut interp);
     // Stamp the merge ordinals now that the shard list is final (shard
     // ids are DFS positions fixed by program order, not by timing).
     for (i, s) in interp.shards.iter_mut().enumerate() {
@@ -293,7 +293,7 @@ where
             timeline: None, // patched from the root's taken instruments below
             tracer: None,
         });
-        for s in &interp.shards {
+        for s in &mut interp.shards {
             task_reports.push(TaskReport {
                 id: s.id,
                 parent: s.handoff.from,
@@ -303,7 +303,7 @@ where
                 cycles: s.heap.clock.cycles(),
                 steps: s.steps,
                 stats: s.heap.stats.clone(),
-                sched: s.sched.clone(),
+                sched: std::mem::take(&mut s.sched),
                 timeline: s.timeline.clone(),
                 tracer: s.tracer.clone(),
             });
@@ -810,12 +810,12 @@ where
         }
     }
 
-    fn run_main(&mut self) -> Outcome {
-        let halt = match self.startup_fault.take() {
+    fn run_main(this: &mut Box<Self>) -> Outcome {
+        let halt = match this.startup_fault.take() {
             Some(e) => Some(abort(e)),
-            None => self.enter(self.c.module.main, 0, 0, 0).err(),
+            None => this.enter(this.c.module.main, 0, 0, 0).err(),
         };
-        match self.drive(Resume::Start(halt)) {
+        match Interp::drive(this, Resume::Start(halt)) {
             Ok(Value::Int(n)) => Outcome::Exit(n),
             Ok(_) => Outcome::Exit(0),
             Err(h) => halt_outcome(h),
@@ -830,27 +830,29 @@ where
     /// whenever a task parks. A task parks when its det slice ends, at a
     /// `join` (or at its end) with children, and, under the inline
     /// scheduler, at a `spawn`: it then waits on its child, which so runs
-    /// to its end at once. A det spawner keeps its turn. Under the thread
-    /// scheduler children run on threads of their own, so only this task
-    /// is here, and a join waits for them on the spot. No RC construct
-    /// nests host frames, and no det or inline run starts a thread.
-    fn drive(&mut self, start: Resume) -> Result<Value, Halt> {
+    /// to its end at once. A det spawner keeps its turn. Every task, this
+    /// one included, is a boxed `Interp`, so a switch swaps two pointers,
+    /// not two interpreters. Under the thread scheduler children run on
+    /// threads of their own, so only this task is here, and a join waits
+    /// for them on the spot. No RC construct nests host frames, and no det
+    /// or inline run starts a thread.
+    fn drive(this: &mut Box<Self>, start: Resume) -> Result<Value, Halt> {
         let mut turns = RoundRobin::default();
         let mut table: Vec<Parked<'c, 'scope, 'env>> = vec![Parked::Empty];
         let mut cur = 0;
-        let mut exit = self.resume(start, &mut table);
+        let mut exit = this.resume(start, &mut table);
         loop {
             let how = match exit {
                 Exit::Spawn(spawned) => {
                     let Spawned { start, region_desc, region_id } = *spawned;
                     let id = turns.spawn(cur);
-                    let (mut task, halt) = start_task(self.c, self.config, start, None);
-                    task.slices = Slices::of(self.config.sched, id);
+                    let (mut task, halt) = start_task(this.c, this.config, start, None);
+                    task.slices = Slices::of(this.config.sched, id);
                     table.push(Parked::Ready(task, Resume::Start(halt)));
                     let state = TaskState::Driven(id);
-                    self.children.push(ChildTask { region_desc, region_id, state });
-                    if self.slices.is_some() {
-                        exit = self.exec();
+                    this.children.push(ChildTask { region_desc, region_id, state });
+                    if this.slices.is_some() {
+                        exit = this.exec();
                         continue;
                     }
                     turns.block(cur);
@@ -858,7 +860,7 @@ where
                 }
                 Exit::Slice => Resume::Slice,
                 Exit::Join => Resume::Join,
-                Exit::Done(res) if !self.children.is_empty() => Resume::End(res),
+                Exit::Done(res) if !this.children.is_empty() => Resume::End(res),
                 Exit::Done(res) => {
                     // The task has ended. The task this loop was called
                     // for ends last, when no other is left to run.
@@ -869,18 +871,18 @@ where
                         return res;
                     };
                     let halt = res.err();
-                    let sched = self.end_task(&halt);
-                    std::mem::swap(self, &mut task);
+                    let sched = this.end_task(&halt);
+                    std::mem::swap(this, &mut task);
                     table[cur] = Parked::Done(task.into_task_done(halt, sched));
                     cur = next;
-                    exit = self.resume(how, &mut table);
+                    exit = this.resume(how, &mut table);
                     continue;
                 }
             };
             if let Resume::Join | Resume::End(_) = how {
-                self.begin_join();
-                if self.pool.is_some() {
-                    exit = self.resume(how, &mut table);
+                this.begin_join();
+                if this.pool.is_some() {
+                    exit = this.resume(how, &mut table);
                     continue;
                 }
                 // A join always passes the turn, even when every child
@@ -890,12 +892,12 @@ where
             let next = turns.next(cur);
             exit = match take_parked(&mut table, next, cur) {
                 Some((mut task, next_how)) => {
-                    std::mem::swap(self, &mut task);
+                    std::mem::swap(this, &mut task);
                     table[cur] = Parked::Ready(task, how);
                     cur = next;
-                    self.resume(next_how, &mut table)
+                    this.resume(next_how, &mut table)
                 }
-                None => self.resume(how, &mut table),
+                None => this.resume(how, &mut table),
             };
         }
     }
@@ -2163,7 +2165,7 @@ where
     pool.sem.acquire();
     start.sched.stamp(0, SchedEventKind::SemaAdmit);
     let (mut task, halt) = start_task(c, config, start, Some(pool));
-    let halt = task.drive(Resume::Start(halt)).err();
+    let halt = Interp::drive(&mut task, Resume::Start(halt)).err();
     let sched = task.end_task(&halt);
     pool.sem.release();
     task.into_task_done(halt, sched)
