@@ -1021,25 +1021,34 @@ impl Heap {
         snap.verify_against(&heap)
             .map_err(|e| corrupt(format!("restored heap failed verification: {e}")))?;
         heap.audit().map_err(|e| corrupt(format!("restored heap failed audit: {e}")))?;
-        let again = snap.resnapshot(&heap).render();
-        let want = snap.render();
-        if again != want {
-            let diff = want
-                .lines()
-                .zip(again.lines())
-                .enumerate()
-                .filter(|(_, (a, b))| a != b)
-                .take(12)
-                .map(|(k, (a, b))| format!("line {}: {} != {}", k + 1, a.trim(), b.trim()))
-                .collect::<Vec<_>>()
-                .join("; ");
-            let diff = if diff.is_empty() { "document lengths differ".to_string() } else { diff };
-            return Err(corrupt(format!(
-                "restored heap re-snapshot diverges from the source document ({diff})"
-            )));
-        }
+        renders_same(snap, &snap.resnapshot(&heap)).map_err(corrupt)?;
         Ok(heap)
     }
+}
+
+/// The byte-identity gate: the restored heap's re-snapshot `again` must
+/// render as the source document `want` does. Equal snapshots render
+/// equally, so the two are rendered only when they differ, which keeps
+/// the gate's verdict and names the first differing lines.
+fn renders_same(want: &HeapSnapshot, again: &HeapSnapshot) -> Result<(), String> {
+    if want == again {
+        return Ok(());
+    }
+    let (want, again) = (want.render(), again.render());
+    if want == again {
+        return Ok(());
+    }
+    let diff = want
+        .lines()
+        .zip(again.lines())
+        .enumerate()
+        .filter(|(_, (a, b))| a != b)
+        .take(12)
+        .map(|(k, (a, b))| format!("line {}: {} != {}", k + 1, a.trim(), b.trim()))
+        .collect::<Vec<_>>()
+        .join("; ");
+    let diff = if diff.is_empty() { "document lengths differ".to_string() } else { diff };
+    Err(format!("restored heap re-snapshot diverges from the source document ({diff})"))
 }
 
 /// Rebuilds one region's lifecycle span from its snapshot row. The parent
@@ -1190,6 +1199,25 @@ mod tests {
         let parsed = HeapSnapshot::from_json(&doc).unwrap();
         let restored = Heap::restore(&parsed).unwrap();
         assert_eq!(parsed.resnapshot(&restored).render(), text);
+    }
+
+    #[test]
+    fn resnapshot_gate_names_the_diverging_line() {
+        let mut h = Heap::with_defaults();
+        let ty = h.register_type(TypeLayout::data("cell", 3));
+        let r = h.new_region();
+        h.ralloc(r, ty).unwrap();
+        h.m_alloc(ty, 2).unwrap();
+        let snap = h.snapshot(SnapshotReason::Exit);
+        assert_eq!(renders_same(&snap, &snap.clone()), Ok(()));
+
+        let mut moved = snap.clone();
+        moved.malloc_live_words += 1;
+        let line = snap.render().lines().position(|l| l.contains("\"malloc_live_words\"")).unwrap();
+        let err = renders_same(&snap, &moved).unwrap_err();
+        assert!(err.starts_with("restored heap re-snapshot diverges"), "{err}");
+        assert!(err.contains(&format!("(line {}: \"malloc_live_words\"", line + 1)), "{err}");
+        assert!(!err.contains("; line"), "no other line differs: {err}");
     }
 
     #[test]
