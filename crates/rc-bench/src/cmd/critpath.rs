@@ -1,6 +1,7 @@
-//! Renders the critical path of one parallel workload cell.
+//! `rc-bench critpath`: renders the critical path of one parallel workload
+//! cell.
 //!
-//! Usage: `cargo run -p rc-bench --bin critpath -- [--workload moss]
+//! Usage: `cargo run -p rc-bench -- critpath [--workload moss]
 //! [--tasks 4] [--config lea|GC|qs] [--scale N] [--det-seed N]
 //! [--out CRITPATH_rc.json]`.
 //!
@@ -14,32 +15,28 @@
 
 use std::process::ExitCode;
 
-use rc_bench::{critpath, parallelmatrix};
+use rc_bench::{critpath, parallelmatrix, Args};
 
-fn main() -> ExitCode {
-    let scale = rc_bench::scale_from_args();
-    let wname = rc_bench::value_from_args("--workload").unwrap_or_else(|| "moss".to_string());
-    let tasks = rc_bench::parsed_from_args("--tasks").unwrap_or(4);
-    let seed = rc_bench::parsed_from_args("--det-seed").unwrap_or(critpath::DET_SEED);
-    let cname = rc_bench::value_from_args("--config").unwrap_or_else(|| "lea".to_string());
-    let out = rc_bench::value_from_args("--out");
+pub fn main(args: Vec<String>) -> ExitCode {
+    let valued = ["--scale", "--workload", "--tasks", "--det-seed", "--config", "--out"];
+    let args = Args::parse("critpath", args, &[], &valued, 0);
+    let scale = args.scale();
+    let wname = args.value("--workload").unwrap_or("moss");
+    let tasks = args.parsed("--tasks").unwrap_or(4);
+    let seed = args.parsed("--det-seed").unwrap_or(critpath::DET_SEED);
+    let cname = args.value("--config").unwrap_or("lea");
+    let out = args.value("--out");
     let Some((_, config)) = parallelmatrix::configs().into_iter().find(|(n, _)| *n == cname) else {
-        eprintln!("critpath: unknown config {cname:?} (want lea|GC|qs)");
-        return ExitCode::from(2);
+        args.fail(&format!("unknown config {cname:?} (want lea|GC|qs)"));
     };
 
-    let run = match critpath::collect(&wname, tasks, &cname, &config, scale, seed) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("critpath: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let run = critpath::collect(wname, tasks, cname, &config, scale, seed);
+    let run = run.unwrap_or_else(|e| args.fail(&e));
 
     print!("{}", run.render_text());
 
     if let Some(path) = out {
-        if let Err(code) = rc_bench::write_output("critpath", &path, &run.render()) {
+        if let Err(code) = rc_bench::write_output("critpath", path, &run.render()) {
             return code;
         }
         println!("report written to {path}");

@@ -1,8 +1,8 @@
-//! Runs the whole evaluation and writes `EXPERIMENTS.md` (plus raw JSON in
-//! `target/experiments/`).
+//! `rc-bench experiments`: runs the whole evaluation and writes
+//! `EXPERIMENTS.md` (plus raw JSON in `target/experiments/`).
 //!
-//! Usage: `cargo run --release -p rc-bench --bin experiments
-//! [--scale N] [--profile] [--trace <path>]`.
+//! Usage: `cargo run --release -p rc-bench -- experiments
+//! [--scale N] [--profile] [--sample] [--trace <path>]`.
 //!
 //! `--profile` appends a telemetry section (per-workload hot check sites
 //! and a region flamegraph) and writes folded profiles to
@@ -13,17 +13,21 @@
 //! report to `target/experiments/BENCH_rc.json`.
 //! A check-site provenance section (static verdicts joined with dynamic
 //! fire counts from the span layer) is always included; per-site Perfetto
-//! traces export separately via the `trace-export` binary.
+//! traces export separately via `rc-bench trace-export`. Exits 0, or 2 on
+//! bad arguments or I/O errors.
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::process::ExitCode;
 
 use rc_bench::report::{self, Row};
+use rc_bench::Args;
 
-fn main() {
-    let scale = rc_bench::scale_from_args();
-    let trace_path = rc_bench::value_from_args("--trace");
-    let profile = rc_bench::flag_from_args("--profile") || trace_path.is_some();
+pub fn main(args: Vec<String>) -> ExitCode {
+    let args =
+        Args::parse("experiments", args, &["--profile", "--sample"], &["--scale", "--trace"], 0);
+    let scale = args.scale();
+    let trace_path = args.value("--trace");
+    let profile = args.flag("--profile") || trace_path.is_some();
     eprintln!("running all experiments at scale {}…", scale.0);
 
     let t1 = report::table1(scale);
@@ -47,60 +51,51 @@ fn main() {
     eprintln!("provenance coverage done");
     let parallel = rc_bench::parallelmatrix::collect(scale);
     eprintln!("parallel matrix done ({} cells)", parallel.runs.len());
-    let trajectory = rc_bench::flag_from_args("--sample").then(|| {
+    let trajectory = args.flag("--sample").then(|| {
         let t = rc_bench::trajectory::collect(scale);
         eprintln!("trajectory done ({} runs)", t.runs.len());
         t
     });
 
-    // Raw JSON for regression diffing.
-    let out_dir = Path::new("target/experiments");
-    std::fs::create_dir_all(out_dir).expect("create target/experiments");
-    dump(out_dir, "table1", &t1);
-    dump(out_dir, "table2", &t2);
-    dump(out_dir, "table3", &t3);
-    dump(out_dir, "fig7", &f7);
-    dump(out_dir, "fig8", &f8);
-    dump(out_dir, "fig9", &f9);
-    dump(out_dir, "provenance", &coverage);
-    let pm_path = out_dir.join("PARALLELMATRIX_rc.json");
-    std::fs::write(&pm_path, parallel.render()).expect("write PARALLELMATRIX_rc.json");
-    eprintln!("wrote {}", pm_path.display());
+    // Raw JSON for regression diffing, then the markdown.
+    let dir = "target/experiments";
+    let mut files = vec![
+        (format!("{dir}/table1.json"), rows(&t1)),
+        (format!("{dir}/table2.json"), rows(&t2)),
+        (format!("{dir}/table3.json"), rows(&t3)),
+        (format!("{dir}/fig7.json"), rows(&f7)),
+        (format!("{dir}/fig8.json"), rows(&f8)),
+        (format!("{dir}/fig9.json"), rows(&f9)),
+        (format!("{dir}/provenance.json"), rows(&coverage)),
+        (format!("{dir}/PARALLELMATRIX_rc.json"), parallel.render()),
+    ];
     if let Some(tel) = &telemetry {
-        dump(out_dir, "telemetry", &tel.rows);
-        let profiles = out_dir.join("profiles.jsonl");
-        std::fs::write(&profiles, tel.profiles_jsonl()).expect("write profiles.jsonl");
-        eprintln!("wrote {}", profiles.display());
-        if let Some(path) = &trace_path {
-            std::fs::write(path, tel.events_jsonl()).expect("write trace jsonl");
-            eprintln!("wrote raw event trace to {path}");
+        files.push((format!("{dir}/telemetry.json"), rows(&tel.rows)));
+        files.push((format!("{dir}/profiles.jsonl"), tel.profiles_jsonl()));
+        if let Some(path) = trace_path {
+            files.push((path.to_string(), tel.events_jsonl()));
         }
     }
     if let Some(traj) = &trajectory {
-        let path = out_dir.join("BENCH_rc.json");
-        std::fs::write(&path, traj.render()).expect("write BENCH_rc.json");
-        eprintln!("wrote {}", path.display());
+        files.push((format!("{dir}/BENCH_rc.json"), traj.render()));
         // The samples-stripped variant, sized for committing as
         // baselines/BENCH_baseline.json (`tools/pins.sh refresh`).
-        let base = out_dir.join("BENCH_baseline.json");
-        std::fs::write(&base, traj.render_baseline()).expect("write baseline variant");
-        eprintln!("wrote {} (commit as baselines/BENCH_baseline.json)", base.display());
+        files.push((format!("{dir}/BENCH_baseline.json"), traj.render_baseline()));
     }
 
     let mut md = String::new();
     let _ = writeln!(md, "# EXPERIMENTS — paper vs. measured\n");
     let _ = writeln!(
         md,
-        "Generated by `cargo run --release -p rc-bench --bin experiments --{}` \
-         (workload scale {}). Our substrate is an instrumented interpreter with \
+        "Generated by `cargo run --release -p rc-bench -- experiments --scale {s}` \
+         (workload scale {s}). Our substrate is an instrumented interpreter with \
          the paper's published instruction costs (23 cycles per reference-count \
          update, 6–14 per annotation check — Figure 3), so *absolute* numbers \
          are virtual instruction counts; the claims to compare are the \
          *shapes*: who wins, relative overheads, and which checks verify. \
          Workloads are ~100× miniatures of the 2001 originals (see \
          `crates/rc-workloads`). Columns prefixed `paper_` quote the paper.\n",
-        format_args!(" --scale {}", scale.0),
-        scale.0,
+        s = scale.0,
     );
 
     let _ = writeln!(md, "## Table 1 — benchmark characteristics\n");
@@ -173,7 +168,7 @@ fn main() {
          equals `Analysis::eliminated_sites` by construction), and \
          `never_failing` counts retained sites that executed and never \
          failed — the headroom a sharper inference could claim. Per-site \
-         detail for every workload exports via `trace-export` \
+         detail for every workload exports via `rc-bench trace-export` \
          (`{}`, Perfetto-loadable — see the \"Spans & provenance\" \
          section of `docs/OBSERVABILITY.md`); the full table for {} \
          follows.\n",
@@ -197,7 +192,7 @@ fn main() {
          unobservable. The full report is \
          `target/experiments/PARALLELMATRIX_rc.json` (`{}`); `tools/pins.sh` \
          pins it by digest. Real-thread wall-clock scaling is a separate \
-         probe (`parallel-matrix --speedup`), gated only on machines with \
+         probe (`rc-bench parallel-matrix --speedup`), gated only on machines with \
          ≥4 hardware threads; see `docs/TESTING.md`.\n",
         rc_bench::parallelmatrix::DET_SEED,
         rc_bench::parallelmatrix::SCHEMA,
@@ -217,8 +212,8 @@ fn main() {
          (the measured Amdahl bound), `merge-tail` its post-join portion, \
          and `blocked` the observed shared-clock stall time under the \
          deterministic scheduler. Per-cell paths render via `rc-bench \
-         --bin critpath`; the multi-track task/scheduler Perfetto export \
-         is `trace-export --parallel` (see `docs/OBSERVABILITY.md`).\n"
+         critpath`; the multi-track task/scheduler Perfetto export is \
+         `rc-bench trace-export --parallel` (see `docs/OBSERVABILITY.md`).\n"
     );
 
     if let Some(tel) = &telemetry {
@@ -250,12 +245,16 @@ fn main() {
         );
     }
 
-    std::fs::write("EXPERIMENTS.md", md).expect("write EXPERIMENTS.md");
-    eprintln!("wrote EXPERIMENTS.md and target/experiments/*.json");
+    files.push(("EXPERIMENTS.md".to_string(), md));
+    for (path, text) in &files {
+        if let Err(code) = rc_bench::write_output("experiments", path, text) {
+            return code;
+        }
+        eprintln!("wrote {path}");
+    }
+    ExitCode::SUCCESS
 }
 
-fn dump<T: Row>(dir: &Path, name: &str, rows: &[T]) {
-    let path = dir.join(format!("{name}.json"));
-    let json = report::rows_json(rows).render_pretty();
-    std::fs::write(path, json).expect("write json");
+fn rows<T: Row>(rows: &[T]) -> String {
+    report::rows_json(rows).render_pretty()
 }

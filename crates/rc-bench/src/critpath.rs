@@ -22,6 +22,8 @@ use rc_workloads::parspawn::par_source;
 use rc_workloads::Scale;
 use region_rt::{critpath_analyze, CritPath, Json, ShardId, TaskReport};
 
+use crate::chrome;
+
 /// Schema identifier embedded in every report; bumped on layout change
 /// (registered in [`crate::schema`]).
 pub const SCHEMA: &str = crate::schema::Schema::CritPath.id();
@@ -195,61 +197,47 @@ pub fn multi_track_trace(run: &CritPathRun) -> Json {
         } else {
             format!("task {} ({}:{})", r.id.0, run.workload, r.spawn_site)
         };
-        events.push(Json::obj(vec![
-            ("name", Json::S(name)),
-            ("cat", Json::s("task")),
-            ("ph", Json::s("X")),
-            ("pid", Json::U(1)),
-            ("tid", Json::U(r.id.0 as u64)),
-            ("ts", Json::U(r.sched.born_at)),
-            ("dur", Json::U(r.sched.ended_at.saturating_sub(r.sched.born_at))),
-            (
-                "args",
-                Json::obj(vec![
-                    ("parent", Json::U(r.parent.0 as u64)),
-                    ("seq", Json::U(r.seq)),
-                    ("cycles", Json::U(r.cycles)),
-                    ("steps", Json::U(r.steps)),
-                    ("blocked_cycles", Json::U(r.sched.blocked_cycles)),
-                    ("on_path_cycles", Json::U(bd.map_or(0, |t| t.on_path_cycles))),
-                    ("on_path", Json::Bool(bd.is_some_and(|t| t.on_path))),
-                    ("events_dropped", Json::U(r.sched.dropped)),
-                ]),
-            ),
-        ]));
+        events.push(chrome::event(
+            name,
+            "task",
+            r.id.0 as u64,
+            r.sched.born_at,
+            Some(r.sched.ended_at.saturating_sub(r.sched.born_at)),
+            vec![
+                ("parent", Json::U(r.parent.0 as u64)),
+                ("seq", Json::U(r.seq)),
+                ("cycles", Json::U(r.cycles)),
+                ("steps", Json::U(r.steps)),
+                ("blocked_cycles", Json::U(r.sched.blocked_cycles)),
+                ("on_path_cycles", Json::U(bd.map_or(0, |t| t.on_path_cycles))),
+                ("on_path", Json::Bool(bd.is_some_and(|t| t.on_path))),
+                ("events_dropped", Json::U(r.sched.dropped)),
+            ],
+        ));
         for e in &r.sched.events {
-            events.push(Json::obj(vec![
-                ("name", Json::s(e.kind.name())),
-                ("cat", Json::s("sched")),
-                ("ph", Json::s("i")),
-                ("s", Json::s("t")),
-                ("pid", Json::U(1)),
-                ("tid", Json::U(r.id.0 as u64)),
-                ("ts", Json::U(e.at)),
-                (
-                    "args",
-                    Json::obj(vec![("local", Json::U(e.local)), ("arg", Json::U(e.kind.arg()))]),
-                ),
-            ]));
+            events.push(chrome::event(
+                e.kind.name(),
+                "sched",
+                r.id.0 as u64,
+                e.at,
+                None,
+                vec![("local", Json::U(e.local)), ("arg", Json::U(e.kind.arg()))],
+            ));
         }
     }
-    Json::obj(vec![
-        ("traceEvents", Json::A(events)),
-        ("displayTimeUnit", Json::s("ns")),
-        (
-            "otherData",
-            Json::obj(vec![
-                ("schema", Json::s(SCHEMA)),
-                ("workload", Json::s(&*run.workload)),
-                ("config", Json::s(&*run.config)),
-                ("tasks", Json::U(u64::from(run.tasks))),
-                ("seed", Json::U(run.seed)),
-                ("work", Json::U(run.cp.work)),
-                ("span", Json::U(run.cp.span)),
-                ("ideal_parallelism_milli", Json::U(run.cp.ideal_parallelism_milli())),
-            ]),
-        ),
-    ])
+    chrome::document(
+        events,
+        vec![
+            ("schema", Json::s(SCHEMA)),
+            ("workload", Json::s(&*run.workload)),
+            ("config", Json::s(&*run.config)),
+            ("tasks", Json::U(u64::from(run.tasks))),
+            ("seed", Json::U(run.seed)),
+            ("work", Json::U(run.cp.work)),
+            ("span", Json::U(run.cp.span)),
+            ("ideal_parallelism_milli", Json::U(run.cp.ideal_parallelism_milli())),
+        ],
+    )
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The offline snapshot analyzer behind the `rc-inspect` binary.
+//! The offline snapshot analyzer behind `rc-bench inspect`.
 //!
 //! Loads one or two `rc-bench-snapshot/v1` documents (captured by the
 //! interpreter's exit/GC/trap hooks) and answers post-mortem queries:

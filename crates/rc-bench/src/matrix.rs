@@ -9,7 +9,7 @@
 //! in it is virtual-clock, so two reports from the same tree are
 //! byte-identical and `tools/pins.sh` pins them. [`Matrix::cell`] runs a
 //! cell under `catch_unwind`, so a panic is a violation too, and
-//! [`Matrix::finish`] is the matrix binaries' shared ending.
+//! [`Matrix::finish`] is the matrix commands' shared ending.
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -110,7 +110,7 @@ impl<C: Row> Matrix<C> {
         out
     }
 
-    /// The matrix binaries' ending: prints `summary`, writes the report
+    /// The matrix commands' ending: prints `summary`, writes the report
     /// to `out` when given (see [`crate::write_output`]), and exits 0
     /// when the gate passes, 1 on a violation, 2 when the report cannot
     /// be written.

@@ -34,6 +34,7 @@ use rc_workloads::{Scale, Workload};
 use region_rt::trace::{check_kind_name, NO_REGION};
 use region_rt::{Event, Json, SpanTree, Tracer, NO_CHECK_SITE};
 
+use crate::chrome;
 use crate::report::Row;
 
 /// Schema identifier embedded in every export; bumped on layout change
@@ -187,31 +188,26 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
         } else {
             format!("region {}", s.region)
         };
-        events.push(Json::obj(vec![
-            ("name", Json::S(name)),
-            ("cat", Json::s("region")),
-            ("ph", Json::s("X")),
-            ("pid", Json::U(1)),
-            ("tid", Json::U(s.region as u64)),
-            ("ts", Json::U(s.opened_at)),
-            ("dur", Json::U(dur)),
-            (
-                "args",
-                Json::obj(vec![
-                    (
-                        "parent",
-                        if s.parent == NO_REGION { Json::Null } else { Json::U(s.parent as u64) },
-                    ),
-                    ("live_at_exit", Json::Bool(s.closed_at.is_none())),
-                    ("allocs", Json::U(s.allocs)),
-                    ("alloc_words", Json::U(s.alloc_words)),
-                    ("rc_updates", Json::U(s.rc_updates)),
-                    ("checks", Json::U(s.checks)),
-                    ("checks_failed", Json::U(s.checks_failed)),
-                    ("freed_words", Json::U(s.freed_words)),
-                ]),
-            ),
-        ]));
+        events.push(chrome::event(
+            name,
+            "region",
+            s.region as u64,
+            s.opened_at,
+            Some(dur),
+            vec![
+                (
+                    "parent",
+                    if s.parent == NO_REGION { Json::Null } else { Json::U(s.parent as u64) },
+                ),
+                ("live_at_exit", Json::Bool(s.closed_at.is_none())),
+                ("allocs", Json::U(s.allocs)),
+                ("alloc_words", Json::U(s.alloc_words)),
+                ("rc_updates", Json::U(s.rc_updates)),
+                ("checks", Json::U(s.checks)),
+                ("checks_failed", Json::U(s.checks_failed)),
+                ("freed_words", Json::U(s.freed_words)),
+            ],
+        ));
     }
 
     for ev in x.tracer.events() {
@@ -221,70 +217,45 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
                     Some(r) => (r.line, r.verdict(), r.reason.as_str()),
                     None => (site, "retained", ""),
                 };
-                events.push(Json::obj(vec![
-                    ("name", Json::S(format!("chk {}", check_kind_name(kind)))),
-                    ("cat", Json::s("check")),
-                    ("ph", Json::s("i")),
-                    ("s", Json::s("t")),
-                    ("pid", Json::U(1)),
-                    ("tid", Json::U(region as u64)),
-                    ("ts", Json::U(at)),
-                    (
-                        "args",
-                        Json::obj(vec![
-                            (
-                                "src",
-                                if check_site == NO_CHECK_SITE {
-                                    Json::Null
-                                } else {
-                                    Json::S(format!("{}:{line}", x.workload))
-                                },
-                            ),
-                            (
-                                "site",
-                                if check_site == NO_CHECK_SITE {
-                                    Json::Null
-                                } else {
-                                    Json::U(check_site as u64)
-                                },
-                            ),
-                            ("kind", Json::s(check_kind_name(kind))),
-                            ("passed", Json::Bool(passed)),
-                            ("verdict", Json::s(verdict)),
-                            ("reason", Json::s(reason)),
-                        ]),
-                    ),
-                ]));
+                let known = |v: Json| if check_site == NO_CHECK_SITE { Json::Null } else { v };
+                events.push(chrome::event(
+                    format!("chk {}", check_kind_name(kind)),
+                    "check",
+                    region as u64,
+                    at,
+                    None,
+                    vec![
+                        ("src", known(Json::S(format!("{}:{line}", x.workload)))),
+                        ("site", known(Json::U(check_site as u64))),
+                        ("kind", Json::s(check_kind_name(kind))),
+                        ("passed", Json::Bool(passed)),
+                        ("verdict", Json::s(verdict)),
+                        ("reason", Json::s(reason)),
+                    ],
+                ));
             }
             Event::GcCollection { marked_words, swept_objects, at } => {
-                events.push(Json::obj(vec![
-                    ("name", Json::s("gc collection")),
-                    ("cat", Json::s("gc")),
-                    ("ph", Json::s("i")),
-                    ("s", Json::s("t")),
-                    ("pid", Json::U(1)),
-                    ("tid", Json::U(0)),
-                    ("ts", Json::U(at)),
-                    (
-                        "args",
-                        Json::obj(vec![
-                            ("marked_words", Json::U(marked_words)),
-                            ("swept_objects", Json::U(swept_objects)),
-                        ]),
-                    ),
-                ]));
+                events.push(chrome::event(
+                    "gc collection",
+                    "gc",
+                    0,
+                    at,
+                    None,
+                    vec![
+                        ("marked_words", Json::U(marked_words)),
+                        ("swept_objects", Json::U(swept_objects)),
+                    ],
+                ));
             }
             Event::Fault { plane, op, at } => {
-                events.push(Json::obj(vec![
-                    ("name", Json::S(format!("fault {}", plane.name()))),
-                    ("cat", Json::s("fault")),
-                    ("ph", Json::s("i")),
-                    ("s", Json::s("t")),
-                    ("pid", Json::U(1)),
-                    ("tid", Json::U(0)),
-                    ("ts", Json::U(at)),
-                    ("args", Json::obj(vec![("op", Json::U(op))])),
-                ]));
+                events.push(chrome::event(
+                    format!("fault {}", plane.name()),
+                    "fault",
+                    0,
+                    at,
+                    None,
+                    vec![("op", Json::U(op))],
+                ));
             }
             // Region lifecycles are the spans, and allocs and RC updates
             // appear as their exact aggregates: raw instants for them
@@ -293,21 +264,17 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
         }
     }
 
-    Json::obj(vec![
-        ("traceEvents", Json::A(events)),
-        ("displayTimeUnit", Json::s("ns")),
-        (
-            "otherData",
-            Json::obj(vec![
-                ("schema", Json::s(SCHEMA)),
-                ("workload", Json::s(&*x.workload)),
-                ("config", Json::s(&*x.config)),
-                ("eliminated_sites", Json::U(x.eliminated_sites)),
-                ("notes_dropped", Json::U(x.tracer.dropped())),
-                ("end_cycles", Json::U(x.end_cycles)),
-            ]),
-        ),
-    ])
+    chrome::document(
+        events,
+        vec![
+            ("schema", Json::s(SCHEMA)),
+            ("workload", Json::s(&*x.workload)),
+            ("config", Json::s(&*x.config)),
+            ("eliminated_sites", Json::U(x.eliminated_sites)),
+            ("notes_dropped", Json::U(x.tracer.dropped())),
+            ("end_cycles", Json::U(x.end_cycles)),
+        ],
+    )
 }
 
 /// One workload's check-site coverage summary (the EXPERIMENTS.md row).

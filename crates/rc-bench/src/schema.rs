@@ -4,7 +4,7 @@
 //! schema string (`"<family>/v<N>"`). `tools/pins.sh` pins each artifact
 //! byte for byte, so a layout change fails CI until its digest is
 //! refreshed; the version bump that goes with it lets readers
-//! (`rc-inspect` for snapshots, the docs) tell the layouts apart. This
+//! (`rc-bench inspect` for snapshots, the docs) tell the layouts apart. This
 //! module is the single source of those strings: each report module
 //! re-exports its own `SCHEMA` from here, and the exhaustive-match test
 //! below guarantees a new artifact cannot ship without registering its
@@ -21,7 +21,7 @@ pub enum Schema {
     FuzzReport,
     /// Perfetto-loadable provenance trace export.
     TraceExport,
-    /// Post-mortem heap snapshot (`rc-inspect` input).
+    /// Post-mortem heap snapshot (`rc-bench inspect` input).
     Snapshot,
     /// Checkpoint-recovery matrix (supervised re-execution).
     RecoveryMatrix,

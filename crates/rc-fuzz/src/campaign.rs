@@ -139,7 +139,7 @@ pub fn run_seed(seed: u64, cfg: &CampaignConfig) -> FuzzCase {
             }
             // Post-mortem pair: the baseline and the first implicated
             // configuration, rerun on the shrunk program with snapshots
-            // on, written beside the repro for `rc-inspect diff`.
+            // on, written beside the repro for `rc-bench inspect diff`.
             let implicated = report
                 .violations
                 .iter()

@@ -22,33 +22,36 @@
 //!
 //! The output is byte-deterministic for fixed options: `tools/pins.sh`
 //! pins the campaign report. Exits 0 when every oracle
-//! assertion held, 1 otherwise, and 2 on a usage error (a value option
-//! with a missing or unparsable value).
+//! assertion held, 1 otherwise, and 2 on a usage error (an option not
+//! listed above, a positional argument, or a value option with a missing
+//! or unparsable value), before any work.
 
 use std::path::PathBuf;
 
-use rc_bench::{flag_from_args, parsed_from_args, value_from_args};
+use rc_bench::Args;
 use rc_fuzz::campaign::{run_campaign, CampaignConfig};
 
 fn main() {
-    let seeds = parsed_from_args("--seeds").unwrap_or(64);
-    let size = parsed_from_args("--size").unwrap_or(6);
-    let budget_steps = parsed_from_args("--budget-steps").unwrap_or(20_000_000);
-    let dump: Option<u64> = parsed_from_args("--dump");
-    let regressions = value_from_args("--regressions").map(PathBuf::from);
-    let regressions_dir = if flag_from_args("--no-write") {
-        None
-    } else {
-        Some(regressions.unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus/regressions")
-        }))
-    };
+    let args = Args::parse(
+        "rc-fuzz",
+        std::env::args().skip(1),
+        &["--json", "--no-write", "--violations", "--no-spawn"],
+        &["--seeds", "--size", "--budget-steps", "--dump", "--regressions"],
+        0,
+    );
+    let seeds = args.parsed("--seeds").unwrap_or(64);
+    let size = args.parsed("--size").unwrap_or(6);
+    let budget_steps = args.parsed("--budget-steps").unwrap_or(20_000_000);
+    let dump: Option<u64> = args.parsed("--dump");
+    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus/regressions");
+    let regressions = args.value("--regressions").map_or(corpus, PathBuf::from);
+    let regressions_dir = (!args.flag("--no-write")).then_some(regressions);
 
     if let Some(seed) = dump {
         let gen_cfg = rc_fuzz::GenConfig {
             size,
-            violations: flag_from_args("--violations"),
-            spawn: !flag_from_args("--no-spawn"),
+            violations: args.flag("--violations"),
+            spawn: !args.flag("--no-spawn"),
         };
         print!("{}", rc_fuzz::generate_source(seed, &gen_cfg));
         return;
@@ -57,7 +60,7 @@ fn main() {
     let cfg = CampaignConfig { seeds, size, budget_steps, regressions_dir };
     let report = run_campaign(&cfg);
 
-    if flag_from_args("--json") {
+    if args.flag("--json") {
         println!("{}", report.render());
     } else {
         println!("{}", report.summary());

@@ -1,11 +1,13 @@
-//! A value option with a missing or bad value is a usage error: `rc-fuzz`
-//! prints a message on stderr and exits 2 before doing any work, instead
-//! of silently running a campaign with the default in its place.
+//! A bad command line is a usage error: `rc-fuzz` prints a message on
+//! stderr and exits 2 before doing any work, instead of silently running a
+//! campaign with the default in its place. A value option with a missing
+//! or bad value, an option `rc-fuzz` does not take, and a positional
+//! argument are all bad.
 
 use std::process::Command;
 
 #[test]
-fn a_missing_or_bad_value_exits_2_before_any_work() {
+fn a_bad_argument_exits_2_before_any_work() {
     let cases: &[(&[&str], &str)] = &[
         (&["--seeds", "two", "--no-write"], "--seeds"),
         (&["--regressions", ".", "--dump", "x"], "--dump"),
@@ -13,6 +15,9 @@ fn a_missing_or_bad_value_exits_2_before_any_work() {
         (&["--regressions", ".", "--seeds", "1", "--budget-steps", "lots"], "--budget-steps"),
         (&["--seeds", "1", "--no-write", "--dump"], "--dump"),
         (&["--seeds", "1", "--regressions", "--no-write"], "--regressions"),
+        // An option rc-fuzz does not take, and a stray positional.
+        (&["--seeds", "1", "--no-write", "--dumpp", "7"], "--dumpp"),
+        (&["--seeds", "1", "--no-write", "extra"], "extra"),
     ];
     // Run in an empty directory, which `--regressions .` names: a run that
     // went ahead and shrank a failing seed would write its repro here.

@@ -173,9 +173,9 @@ pub struct RunResult {
     /// Each task's un-merged observability facet (root first, then
     /// shards in DFS order), for programs that spawned: per-task
     /// `Stats`/cycles/steps, the typed scheduler-event log on the shared
-    /// virtual clock, and — when sampling/tracing were on — the task's
-    /// own timeline and trace. The merged telemetry above is exactly the
-    /// in-order fold of these. Empty for programs without tasks.
+    /// virtual clock, and — when sampling was on — the task's own
+    /// timeline. The merged telemetry above is exactly the in-order fold
+    /// of these. Empty for programs without tasks.
     pub task_reports: Vec<TaskReport>,
 }
 
@@ -290,8 +290,7 @@ where
             steps: interp.steps,
             stats: interp.heap.stats.clone(),
             sched: root_sched,
-            timeline: None, // patched from the root's taken instruments below
-            tracer: None,
+            timeline: None, // patched from the root's taken timeline below
         });
         for s in &mut interp.shards {
             task_reports.push(TaskReport {
@@ -305,7 +304,6 @@ where
                 stats: s.heap.stats.clone(),
                 sched: std::mem::take(&mut s.sched),
                 timeline: s.timeline.clone(),
-                tracer: s.tracer.clone(),
             });
         }
     }
@@ -321,7 +319,6 @@ where
     let mut check_counts = interp.heap.take_check_counter();
     if let Some(root) = task_reports.first_mut() {
         root.timeline = timeline.clone();
-        root.tracer = tracer.clone();
     }
     for s in &mut interp.shards {
         stats = stats.merge(&s.heap.stats);

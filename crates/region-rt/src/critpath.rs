@@ -380,7 +380,6 @@ mod tests {
                 ..SchedLog::default()
             },
             timeline: None,
-            tracer: None,
         }
     }
 

@@ -3,7 +3,7 @@
 //! The build environment is offline and the workspace carries no external
 //! crates, so the telemetry JSONL export and the bench-harness artifact
 //! dumps share this hand-rolled implementation instead of `serde_json`.
-//! The parser reads artifacts back (heap snapshots for `rc-inspect` and
+//! The parser reads artifacts back (heap snapshots for `rc-bench inspect` and
 //! restore, reports in round-trip tests); it is a plain recursive-descent
 //! RFC 8259 reader with byte offsets in its errors.
 

@@ -416,9 +416,11 @@ impl SchedRecorder {
 /// One task's un-merged observability facet, preserved alongside the
 /// merged report when a program spawned: identity (spawn-tree position
 /// and source site), work (cycles/steps/[`Stats`]), the scheduler log,
-/// and — when the corresponding instrument was enabled — the task's own
-/// timeline and trace. The merged view is exactly the in-order fold of
-/// these (asserted by the fuzz oracle and the critpath property tests).
+/// and — when sampling was on — the task's own timeline. The merged view
+/// is exactly the in-order fold of these (asserted by the fuzz oracle and
+/// the critpath property tests). Tracing has no per-task facet: each
+/// task's profile folds into the run's one tracer, whose raw events are
+/// the root task's.
 #[derive(Debug, Clone)]
 pub struct TaskReport {
     /// The task's shard id ([`ShardId::ROOT`] for the main task).
@@ -441,8 +443,6 @@ pub struct TaskReport {
     pub sched: SchedLog,
     /// The task's timeline, if sampling was on.
     pub timeline: Option<Box<Timeline>>,
-    /// The task's event ring + profile, if tracing was on.
-    pub tracer: Option<Box<Tracer>>,
 }
 
 impl TaskReport {

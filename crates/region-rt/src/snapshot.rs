@@ -7,7 +7,7 @@
 //! retained words folded from the live-object tables. Snapshots are taken
 //! at program exit, at every GC, and on a trap (before the unwind clears
 //! the heap), then serialized with the schema tag [`SNAPSHOT_SCHEMA`] for
-//! the `rc-inspect` offline analyzer.
+//! the `rc-bench inspect` offline analyzer.
 //!
 //! The capture is exhaustively cross-checked: [`HeapSnapshot::verify_against`]
 //! asserts the identity `live_words == region + malloc + gc requested

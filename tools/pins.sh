@@ -46,37 +46,37 @@ manifest() {
     # rc-fuzz exits 1 on any oracle violation.
     pin fuzz "$bin/rc-fuzz --seeds 64 --json --no-write > FUZZ_rc.json"
     pin fuzz-dump "$bin/rc-fuzz --dump 7 --size 8 --violations > seed7_size8.rc"
-    # experiments writes EXPERIMENTS.md and target/experiments/ here.
-    pin telemetry "$bin/experiments --scale 1 --profile --trace target/experiments/events.jsonl"
-    pin trajectory "$bin/experiments --scale 1 --sample"
-    pin experiments "$bin/experiments --profile --sample"
-    pin ablations "$bin/ablations --scale 1 --profile --trace events.jsonl > ablations.txt"
+    # rc-bench experiments writes EXPERIMENTS.md and target/experiments/ here.
+    pin telemetry "$bin/rc-bench experiments --scale 1 --profile --trace target/experiments/events.jsonl"
+    pin trajectory "$bin/rc-bench experiments --scale 1 --sample"
+    pin experiments "$bin/rc-bench experiments --profile --sample"
+    pin ablations "$bin/rc-bench ablations --scale 1 --profile --trace events.jsonl > ablations.txt"
     pin quickstart "$bin/examples/quickstart > quickstart.txt"
-    pin trace-cfrac "$bin/trace-export --workload cfrac --config qs --scale 1 --out trace_cfrac_qs.json"
-    pin trace-moss "$bin/trace-export --workload moss --config qs --scale 1 --out trace_moss_qs.json"
-    pin trace-par-s9 "$bin/trace-export --parallel --workload moss --tasks 4 --det-seed 9 \
+    pin trace-cfrac "$bin/rc-bench trace-export --workload cfrac --config qs --scale 1 --out trace_cfrac_qs.json"
+    pin trace-moss "$bin/rc-bench trace-export --workload moss --config qs --scale 1 --out trace_moss_qs.json"
+    pin trace-par-s9 "$bin/rc-bench trace-export --parallel --workload moss --tasks 4 --det-seed 9 \
         --out trace_par_moss_s9.json"
-    pin trace-par-s1732584193 "$bin/trace-export --parallel --workload moss --tasks 4 \
+    pin trace-par-s1732584193 "$bin/rc-bench trace-export --parallel --workload moss --tasks 4 \
         --det-seed 1732584193 --out trace_par_moss_s1732584193.json"
     # critpath exits 1 when the work/span identities fail.
-    pin critpath-s9 "$bin/critpath --workload moss --tasks 4 --det-seed 9 --out critpath_moss_s9.json"
-    pin critpath-s1732584193 "$bin/critpath --workload moss --tasks 4 --det-seed 1732584193 \
+    pin critpath-s9 "$bin/rc-bench critpath --workload moss --tasks 4 --det-seed 9 --out critpath_moss_s9.json"
+    pin critpath-s1732584193 "$bin/rc-bench critpath --workload moss --tasks 4 --det-seed 1732584193 \
         --out critpath_moss_s1732584193.json"
-    pin snap-cfrac-qs "$bin/rc-inspect dump --workload cfrac --config qs --scale 1 --out snap_cfrac_qs.json"
-    pin snap-moss-qs "$bin/rc-inspect dump --workload moss --config qs --scale 1 --out snap_moss_qs.json"
+    pin snap-cfrac-qs "$bin/rc-bench inspect dump --workload cfrac --config qs --scale 1 --out snap_cfrac_qs.json"
+    pin snap-moss-qs "$bin/rc-bench inspect dump --workload moss --config qs --scale 1 --out snap_moss_qs.json"
     # A diff without site deltas means attribution broke, not that the heaps agree.
-    pin snap-diff "$bin/rc-inspect dump --workload cfrac --config gc --scale 1 --out snap_cfrac_gc.json &&
-        $bin/rc-inspect dump --workload cfrac --config lea --scale 1 --out snap_cfrac_lea.json &&
-        $bin/rc-inspect diff snap_cfrac_lea.json snap_cfrac_gc.json > snap_cfrac_diff.txt &&
+    pin snap-diff "$bin/rc-bench inspect dump --workload cfrac --config gc --scale 1 --out snap_cfrac_gc.json &&
+        $bin/rc-bench inspect dump --workload cfrac --config lea --scale 1 --out snap_cfrac_lea.json &&
+        $bin/rc-bench inspect diff snap_cfrac_lea.json snap_cfrac_gc.json > snap_cfrac_diff.txt &&
         grep -q 'site deltas' snap_cfrac_diff.txt &&
         grep -q 'identity holds on both sides' snap_cfrac_diff.txt"
     # The matrices exit 1 when their gates fail.
-    pin fault-matrix "$bin/fault-matrix --scale 1 --out FAULTMATRIX_rc.json"
-    pin recovery-matrix "$bin/recovery-matrix --scale 1 --out RECOVERYMATRIX_rc.json"
-    pin recovery-diff "$bin/recovery-matrix --scale 1 --dump-pair . &&
-        $bin/rc-inspect diff recovery_trap.json recovery_exit.json > recovery_diff.txt &&
+    pin fault-matrix "$bin/rc-bench fault-matrix --scale 1 --out FAULTMATRIX_rc.json"
+    pin recovery-matrix "$bin/rc-bench recovery-matrix --scale 1 --out RECOVERYMATRIX_rc.json"
+    pin recovery-diff "$bin/rc-bench recovery-matrix --scale 1 --dump-pair . &&
+        $bin/rc-bench inspect diff recovery_trap.json recovery_exit.json > recovery_diff.txt &&
         grep -q 'site deltas' recovery_diff.txt"
-    pin parallel-matrix "$bin/parallel-matrix --scale 1 --out PARALLELMATRIX_rc.json"
+    pin parallel-matrix "$bin/rc-bench parallel-matrix --scale 1 --out PARALLELMATRIX_rc.json"
 }
 
 # run_manifest <name>: runs every manifest line under target/pins/<name>.
